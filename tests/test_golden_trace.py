@@ -37,6 +37,18 @@ WORKLOADS = {
     ),
 }
 
+#: a fusion group: GEMM anchor plus a GELU -> residual-add epilogue pool.
+FUSED_FIXTURE = "golden_trace_fused.json"
+
+
+def fused_workload():
+    anchor = ops.matmul(256, 128, 512, "fx_mm")
+    pool = (
+        ops.elementwise((256, 512), "gelu", "fx_gelu"),
+        ops.add((256, 512), "fx_res"),
+    )
+    return anchor, pool
+
 
 def walk_signature(hw, compute, **compile_kwargs):
     """Deterministic summary of one traced construction walk."""
@@ -56,7 +68,7 @@ def walk_signature(hw, compute, **compile_kwargs):
             }
         )
     best = result.best
-    return {
+    sig = {
         "workload": compute.name,
         "config": {
             "seed": GOLDEN_CFG.seed,
@@ -73,6 +85,14 @@ def walk_signature(hw, compute, **compile_kwargs):
             "vthreads": list(best.config.vthreads),
         },
     }
+    if compile_kwargs.get("epilogues"):
+        sig["best"]["fused"] = best.fused
+    return sig
+
+
+def fused_signature(hw, **compile_kwargs):
+    anchor, pool = fused_workload()
+    return walk_signature(hw, anchor, epilogues=pool, **compile_kwargs)
 
 
 def _dump(sig) -> str:
@@ -110,6 +130,27 @@ def test_golden_trace(hw, fixture_name):
             "If the change is intentional, regenerate with "
             f"REPRO_REGEN_GOLDEN=1.\n{diff}"
         )
+
+
+def _assert_matches_fixture(actual, fixture_name):
+    path = FIXTURES / fixture_name
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        FIXTURES.mkdir(exist_ok=True)
+        path.write_text(_dump(actual))
+        pytest.skip(f"regenerated {path}")
+    assert path.exists(), (
+        f"missing golden fixture {path} — run with REPRO_REGEN_GOLDEN=1 to"
+        " create it"
+    )
+    assert _dump(actual) == path.read_text(), (
+        f"golden trace drifted from {fixture_name}"
+    )
+
+
+def test_golden_trace_fused(hw):
+    """A fusion group's walk (FUSE/UNFUSE edges, program ranking) is pinned
+    like the single-op walks, plus the best state's fused count."""
+    _assert_matches_fixture(fused_signature(hw), FUSED_FIXTURE)
 
 
 def test_signature_is_stable_across_runs(hw):

@@ -26,8 +26,8 @@ the concurrent compile service, prints its stats table, and writes
 the sharded multi-process fleet at increasing process counts and writes
 ``BENCH_fleet.json`` (throughput scaling, schedule parity vs the
 single-process service, autoscale demo).
-``bench walk`` measures construction-walk throughput (batched vs scalar
-pricing, memo hit rate, multi-walker scaling) and writes
+``bench walk`` measures construction-walk throughput (the SoA engine vs
+the object-level reference, memo hit rate, multi-walker scaling) and writes
 ``BENCH_walk.json`` — the perf trajectory every PR is compared against.
 ``trace-report`` summarizes a recorded trace (action mix, acceptance
 rate, convergence step) and can export a Chrome ``trace_event`` timeline.
@@ -360,15 +360,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 1)
     payload = run_walk_bench(hw, seed=args.seed, quick=args.quick, repeats=repeats)
     out = write_bench(payload, args.out)
-    speedup = payload["speedup_states_per_sec"]
     soa_speedup = payload["soa_speedup_states_per_sec"]
     scaling = payload["walker_scaling"]["scaling"]
     memo = payload["memo"]
     print(f"walk bench on {payload['device']} "
           f"({'quick, ' if args.quick else ''}{len(payload['suite'])} ops)")
-    print(f"states/sec: scalar {payload['scalar']['states_per_sec']:.0f}, "
-          f"batched {payload['batched']['states_per_sec']:.0f} "
-          f"({speedup:.2f}x), "
+    print(f"states/sec: reference {payload['reference']['states_per_sec']:.0f}, "
           f"soa {payload['soa']['states_per_sec']:.0f} "
           f"({soa_speedup:.2f}x)")
     print(f"walker scaling ({'v'.join(map(str, payload['walker_scaling']['counts'][::-1]))}): "
@@ -376,15 +373,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"memo: {memo['hits']} hits / {memo['misses']} misses "
           f"({memo['hit_rate']:.1%} hit rate), size {memo['size']}")
     micro = payload["micro"]
-    print(f"evaluate: {micro['evaluate_scalar_us']:.1f}us scalar, "
-          f"{micro['evaluate_batch_us_per_state']:.1f}us/state batched "
+    print(f"evaluate: {micro['evaluate_us']:.1f}us; expand: "
+          f"{micro['expand_reference_us']:.1f}us reference, "
+          f"{micro['expand_soa_us']:.1f}us soa "
           f"over {micro['sampled_states']} states")
     print(f"wrote {out}")
     failed = []
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        failed.append(
-            f"batched speedup {speedup:.2f}x < required {args.min_speedup}x"
-        )
     if args.min_soa_speedup is not None and soa_speedup < args.min_soa_speedup:
         failed.append(
             f"soa speedup {soa_speedup:.2f}x < required {args.min_soa_speedup}x"
@@ -607,11 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="best-of-N wall per measurement, each repeat "
                               "on its own deterministic seed substream "
                               "(default: 3 for --quick, 1 otherwise)")
-    p_bench.add_argument("--min-speedup", type=float, default=None,
-                         help="exit 1 if batched/scalar states-per-sec "
-                              "falls below this")
     p_bench.add_argument("--min-soa-speedup", type=float, default=None,
-                         help="exit 1 if soa/scalar states-per-sec "
+                         help="exit 1 if soa/reference states-per-sec "
                               "falls below this")
     p_bench.add_argument("--min-walker-scaling", type=float, default=None,
                          help="exit 1 if 4-vs-1 walker throughput scaling "

@@ -34,7 +34,6 @@ __all__ = [
     "Action",
     "enumerate_actions",
     "action_benefit",
-    "action_benefits",
 ]
 
 
@@ -172,92 +171,6 @@ def action_benefit(
     return formula * _predicted_acceleration(state, next_state, hw)
 
 
-def action_benefits(
-    candidates: "list[tuple[Action, ETIR]]",
-    state: ETIR,
-    hw: HardwareSpec,
-    multi_objective: bool = True,
-    quick_cache: "dict | None" = None,
-) -> list[float]:
-    """Batched :func:`action_benefit` over one state's candidate frontier.
-
-    Value-identical to calling the scalar function per edge, but the
-    roofline term is priced efficiently: ``quick_latency(state)`` is
-    computed once per frontier (the scalar path recomputes it for every
-    edge) and the destinations' latencies go through
-    :func:`~repro.core.score.quick_latency_batch` in a single vectorized
-    pass.  ``quick_cache`` (keyed by the ``ETIR`` itself — equal states
-    share an entry via the cached hash) lets callers reuse latencies
-    across frontiers — destinations become sources one step later —
-    without changing any value.
-    """
-    from repro.core.score import quick_latency, quick_latency_batch
-
-    benefits = [0.0] * len(candidates)
-    needs_accel: list[int] = []
-    # The source-state terms of Formula 1 are shared by every tiling
-    # candidate in the frontier; compute them lazily once.
-    src_qf: "tuple[int, int] | None" = None
-    for i, (action, next_state) in enumerate(candidates):
-        if not next_state.memory_ok(hw, strict=False):
-            continue
-        if action.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
-            if src_qf is None:
-                t_old = state.tile_sizes(state.cur_level)
-                src_qf = (
-                    tile_traffic_bytes(state.compute, t_old),
-                    tile_footprint_bytes(state.compute, t_old),
-                )
-            formula = _tiling_benefit_from(src_qf, state, next_state)
-        elif action.kind == ActionKind.CACHE:
-            formula = _caching_benefit(state, hw)
-        elif action.kind in (ActionKind.VTHREAD_UP, ActionKind.VTHREAD_DOWN):
-            formula = _vthread_benefit(action, state, next_state, hw)
-        elif action.kind in (ActionKind.FUSE, ActionKind.UNFUSE):
-            formula = _fusion_benefit(state, next_state, hw)
-        else:
-            raise ValueError(f"unknown action kind {action.kind!r}")
-        benefits[i] = formula
-        if action.kind not in _NO_ACCEL and multi_objective:
-            needs_accel.append(i)
-    if not needs_accel:
-        return benefits
-
-    before = None if quick_cache is None else quick_cache.get(state)
-    if before is None:
-        before = quick_latency(state, hw, strict=False)
-        if quick_cache is not None:
-            quick_cache[state] = before
-
-    afters: list[float | None] = [None] * len(needs_accel)
-    missing: list[int] = []
-    if quick_cache is not None:
-        for j, i in enumerate(needs_accel):
-            afters[j] = quick_cache.get(candidates[i][1])
-            if afters[j] is None:
-                missing.append(j)
-    else:
-        missing = list(range(len(needs_accel)))
-    if missing:
-        batch = [candidates[needs_accel[j]][1] for j in missing]
-        lats = quick_latency_batch(batch, hw, strict=False)
-        for j, lat in zip(missing, lats):
-            afters[j] = float(lat)
-            if quick_cache is not None:
-                quick_cache[candidates[needs_accel[j]][1]] = float(lat)
-
-    for j, i in enumerate(needs_accel):
-        after = afters[j]
-        if not math.isfinite(after) or after <= 0:
-            accel = 0.0
-        elif not math.isfinite(before):
-            accel = 4.0
-        else:
-            accel = min(16.0, before / after)
-        benefits[i] = benefits[i] * accel
-    return benefits
-
-
 def _fused_epilogue_s(ep, hw: HardwareSpec) -> float:
     """Marginal cost an epilogue adds once fused into the anchor kernel:
     its extra inputs stream from DRAM and its FLOPs run, but the
@@ -312,25 +225,6 @@ def _predicted_acceleration(state: ETIR, next_state: ETIR, hw: HardwareSpec) -> 
     if not math.isfinite(before):
         return 4.0  # escaping an infeasible state is always attractive
     return min(16.0, before / after)
-
-
-def _tiling_benefit_from(
-    src_qf: "tuple[int, int]", state: ETIR, next_state: ETIR
-) -> float:
-    """Formula 1 with the source state's ``(Q, F)`` precomputed.
-
-    Exact integer products and one final float division — element-wise
-    identical to :func:`_tiling_benefit`.
-    """
-    q_old, f_old = src_qf
-    level = state.cur_level
-    compute = state.compute
-    t_new = next_state.tile_sizes(level)
-    q_new = tile_traffic_bytes(compute, t_new)
-    f_new = tile_footprint_bytes(compute, t_new)
-    if q_new == 0 or f_old == 0:
-        return 0.0
-    return (q_old * f_new) / (q_new * f_old)
 
 
 def _tiling_benefit(state: ETIR, next_state: ETIR) -> float:

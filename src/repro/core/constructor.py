@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.actions import ActionKind
-from repro.core.graph import ConstructionGraph
-from repro.core.policy import TransitionPolicy, append_probability
-from repro.core.score import pending_penalty_s, quick_latency
+from repro.core.score import pending_penalty_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
@@ -71,11 +69,6 @@ class GensorConfig:
     #: candidate pools are merged.  ``walkers=1`` consumes exactly the
     #: single-walker RNG stream (golden-trace parity).
     walkers: int = 1
-    #: False prices expansion frontiers, polish sweeps, and ranking through
-    #: the per-edge scalar calls instead of the vectorized batch path.  The
-    #: two produce bit-identical values; this knob exists so the walk bench
-    #: can measure the batched path against the historical scalar one.
-    batch_scoring: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cooling < 1.0):
@@ -117,7 +110,15 @@ class GensorResult:
 
 
 class Gensor:
-    """Graph-based construction tensor compiler."""
+    """Graph-based construction tensor compiler.
+
+    Every walk and polish runs on the structure-of-arrays engine
+    (:class:`repro.perf.soa.SoAWalkEngine`), for bare operators and
+    program fusion groups alike.  :class:`repro.core.reference.ReferenceGensor`
+    overrides :meth:`_walk_engine` to replay the same compile on the
+    object-level construction graph — the oracle the engine is tested
+    against.
+    """
 
     def __init__(
         self,
@@ -139,11 +140,23 @@ class Gensor:
         #: Measurer, and CompileService, so nothing is priced twice.
         self.memo = memo if memo is not None else get_memo()
 
-    def _model_latency(self, state: ETIR) -> float:
-        return self.memo.latency(self.hw, state)
+    def _walk_engine(
+        self, compute: ComputeDef, epilogues: "tuple[ComputeDef, ...]" = ()
+    ):
+        """The engine one compile (or one polish) runs on.
 
-    def _model_latency_batch(self, states: list[ETIR]) -> np.ndarray:
-        return self.memo.latency_batch(self.hw, states)
+        Engines expose ``run_chain``, ``polish``, ``num_nodes`` and
+        ``restore_nodes``; one is built per call because its node memo
+        feeds ``states_visited``.
+        """
+        from repro.perf.soa import SoAWalkEngine
+
+        return SoAWalkEngine(
+            compute,
+            self.hw,
+            multi_objective=self.config.multi_objective,
+            epilogues=epilogues,
+        )
 
     def compile(
         self,
@@ -176,8 +189,8 @@ class Gensor:
         never touches the RNG streams, so cancellation preserves the
         walk's determinism for attempts that do finish.
         ``walkers`` overrides ``config.walkers`` for this call: ``k > 1``
-        runs k independent annealed walks over the shared construction
-        graph on the worker pool and merges their candidate pools in
+        runs k independent annealed walks over one shared walk engine on
+        the worker pool and merges their candidate pools in
         walker order (deterministic regardless of thread scheduling);
         ``1`` consumes exactly the historical single-walker RNG stream.
 
@@ -227,45 +240,17 @@ class Gensor:
             if cfg.enable_vthread
             else frozenset({ActionKind.VTHREAD_UP, ActionKind.VTHREAD_DOWN})
         )
-        engine = None
-        # The SoA core packs states as (tiles, vthreads, level) arrays with
-        # no epilogue dimension; fused walks take the object path, whose
-        # parity obligation is only for unfused programs.
-        if cfg.batch_scoring and not epilogues:
-            from repro.perf.soa import SoAWalkEngine, soa_walk_enabled
-
-            if soa_walk_enabled():
-                # The SoA walk core: bit-identical frontiers, benefits, and
-                # RNG stream to the object path below (see repro.perf.soa).
-                engine = SoAWalkEngine(
-                    compute,
-                    self.hw,
-                    multi_objective=cfg.multi_objective,
-                    num_levels=self.hw.num_cache_levels,
-                )
-        graph = (
-            None
-            if engine is not None
-            else ConstructionGraph(
-                self.hw,
-                multi_objective=cfg.multi_objective,
-                batch_scoring=cfg.batch_scoring,
-            )
-        )
+        engine = self._walk_engine(compute, epilogues)
         if n_walkers == 1:
             candidates, total_iterations = self._run_walker(
-                graph, compute, forbid, tracer, cancel, walker=0,
-                engine=engine, resume_from=resume_from,
-                checkpointer=checkpointer, epilogues=epilogues,
+                engine, compute, forbid, tracer, cancel, walker=0,
+                resume_from=resume_from, checkpointer=checkpointer,
             )
         else:
             candidates, total_iterations = self._run_walkers(
-                graph, compute, forbid, tracer, cancel, n_walkers,
-                engine=engine, epilogues=epilogues,
+                engine, compute, forbid, tracer, cancel, n_walkers
             )
-        states_visited = (
-            engine.num_nodes if engine is not None else graph.num_nodes
-        )
+        states_visited = engine.num_nodes
 
         # Algorithm 1 receives dim_configs as input: canonical dimension
         # configurations seed the pool alongside the walked states, so the
@@ -333,19 +318,17 @@ class Gensor:
 
     def _run_walker(
         self,
-        graph: ConstructionGraph | None,
+        engine,
         compute: ComputeDef,
         forbid: frozenset[str],
         tracer: Tracer,
         cancel: CancelToken | None,
         walker: int,
-        engine=None,
         resume_from=None,
         checkpointer=None,
-        epilogues: "tuple[ComputeDef, ...]" = (),
     ) -> tuple[dict[tuple, ETIR], int]:
-        """Run one walker's ``num_chains`` annealed chains; return its
-        candidate pool (insertion-ordered) and iteration count.
+        """Run one walker's ``num_chains`` annealed chains on ``engine``;
+        return its candidate pool (insertion-ordered) and iteration count.
 
         Walker 0 derives each chain's generator exactly as the historical
         single-walker path did (``spawn_rng(seed, "gensor", name, chain)``),
@@ -353,11 +336,6 @@ class Gensor:
         Walkers ``w > 0`` draw their chains from ``SeedSequence.spawn``
         substreams of a walker-labeled seed — independent of walker 0 and
         of each other by construction.
-
-        When ``engine`` (a :class:`repro.perf.soa.SoAWalkEngine`) is given
-        the chain body runs on the structure-of-arrays core instead of the
-        object graph; the RNG draws, trace events, and candidate pool are
-        bit-identical between the two paths.
 
         ``resume_from`` (walker 0 only) rebuilds the mid-walk view its
         checkpoint froze — the candidate pool in insertion order (ranking
@@ -391,199 +369,49 @@ class Gensor:
                     compute, state_cfg, resume_from.num_levels
                 )
                 candidates[state.key()] = state
-            if engine is not None:
-                engine.restore_nodes(
-                    resume_from.node_keys, resume_from.nodes_seen
-                )
-            else:
-                assert graph is not None
-                graph.restore_nodes(
-                    resume_from.node_keys, resume_from.nodes_seen, compute
-                )
+            engine.restore_nodes(resume_from.node_keys, resume_from.nodes_seen)
             if checkpointer is not None:
                 checkpointer.start_from(resume_from)
         for chain in range(start_chain, cfg.num_chains):
-            resuming = (
-                resume_from is not None
-                and walker == 0
-                and chain == resume_from.chain
-            )
-            if resuming:
+            resume = None
+            if resume_from is not None and walker == 0 and chain == resume_from.chain:
                 rng = restore_rng(resume_from.rng_state)
+                r_tiles, r_vthreads, r_level = resume_from.state
+                resume = (
+                    np.array(r_tiles, dtype=np.int64),
+                    np.array(r_vthreads, dtype=np.int64),
+                    int(r_level),
+                    resume_from.temperature,
+                    resume_from.iteration,
+                )
             elif substreams is None:
                 rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
             else:
                 rng = substreams[chain]
-            tid = walker * cfg.num_chains + chain
-            if engine is not None:
-                resume = None
-                if resuming:
-                    r_tiles, r_vthreads, r_level = resume_from.state
-                    resume = (
-                        np.array(r_tiles, dtype=np.int64),
-                        np.array(r_vthreads, dtype=np.int64),
-                        int(r_level),
-                        resume_from.temperature,
-                        resume_from.iteration,
-                    )
-                total_iterations += engine.run_chain(
-                    cfg, rng, forbid, tracer, cancel, tid, candidates,
-                    checkpointer=checkpointer, base_steps=total_iterations,
-                    resume=resume,
-                )
-                continue
-            assert graph is not None
-            policy = TransitionPolicy(graph, rng)
-            if resuming:
-                r_tiles, r_vthreads, r_level = resume_from.state
-                state = ETIR.from_arrays(
-                    compute,
-                    np.array(r_tiles, dtype=np.int64),
-                    np.array(r_vthreads, dtype=np.int64),
-                    int(r_level),
-                    resume_from.num_levels,
-                )
-                temperature = resume_from.temperature
-                iteration = resume_from.iteration
-            else:
-                state = ETIR.initial(
-                    compute,
-                    num_levels=self.hw.num_cache_levels,
-                    epilogues=epilogues,
-                )
-                temperature = cfg.initial_temperature
-                iteration = 0
-            base_steps = total_iterations
-            while (
-                temperature > cfg.threshold
-                and iteration < cfg.max_iterations_per_chain
-            ):
-                if cancel is not None:
-                    cancel.check()
-                progress = math.log2(cfg.initial_temperature / temperature)
-                if tracer.enabled:
-                    # Mirror TransitionPolicy.select call-for-call so the
-                    # RNG stream (and thus the walk) is trace-invariant.
-                    edges, probs = policy.probabilities(state, progress, forbid)
-                    edge = None
-                    if edges:
-                        idx = int(rng.choice(len(edges), p=probs))
-                        edge = edges[idx]
-                else:
-                    edge = policy.select(state, progress, forbid)
-                if edge is None:
-                    break
-                src_level = state.cur_level
-                state = edge.dst
-                appended = rng.random() < append_probability(temperature)
-                if appended:
-                    candidates[state.key()] = state
-                if tracer.enabled:
-                    tracer.emit(
-                        "walk_step",
-                        {
-                            "compute": compute.name,
-                            "chain": tid,
-                            "iteration": iteration,
-                            "temperature": temperature,
-                            "level": src_level,
-                            "actions": [
-                                {
-                                    "kind": e.action.kind,
-                                    "axis": e.action.axis_idx,
-                                    "benefit": e.benefit,
-                                    "prob": float(p),
-                                }
-                                for e, p in zip(edges, probs)
-                            ],
-                            "chosen": idx,
-                            "appended": appended,
-                        },
-                        tid=tid,
-                    )
-                temperature *= cfg.cooling
-                iteration += 1
-                if checkpointer is not None:
-                    checkpointer.on_step(
-                        cancel,
-                        lambda: self._walk_checkpoint(
-                            compute, cfg, chain, iteration,
-                            base_steps + iteration, temperature, state, rng,
-                            candidates, graph,
-                        ),
-                    )
-            candidates[state.key()] = state
-            total_iterations += iteration
-            if tracer.enabled:
-                tracer.emit(
-                    "chain_end",
-                    {
-                        "compute": compute.name,
-                        "chain": tid,
-                        "iterations": iteration,
-                        "final_level": state.cur_level,
-                        "final_temperature": temperature,
-                    },
-                    tid=tid,
-                )
+            total_iterations += engine.run_chain(
+                cfg, rng, forbid, tracer, cancel,
+                walker * cfg.num_chains + chain, candidates,
+                checkpointer=checkpointer, base_steps=total_iterations,
+                resume=resume,
+            )
         return candidates, total_iterations
-
-    def _walk_checkpoint(
-        self,
-        compute: ComputeDef,
-        cfg: GensorConfig,
-        chain: int,
-        iteration: int,
-        total_steps: int,
-        temperature: float,
-        state: ETIR,
-        rng: np.random.Generator,
-        candidates: dict[tuple, ETIR],
-        graph: ConstructionGraph,
-    ):
-        """Assemble an object-path walk checkpoint (cadence-gated; the
-        builder only runs on steps that actually snapshot)."""
-        from repro.resilience.checkpoint import build_walk_checkpoint
-
-        node_keys, nodes_seen = graph.export_nodes()
-        return build_walk_checkpoint(
-            compute,
-            cfg,
-            num_levels=self.hw.num_cache_levels,
-            chain=chain,
-            iteration=iteration,
-            total_steps=total_steps,
-            temperature=temperature,
-            state_config=(
-                state.config.tiles, state.config.vthreads, state.cur_level
-            ),
-            rng=rng,
-            candidate_configs=[
-                (s.config.tiles, s.config.vthreads, s.cur_level)
-                for s in candidates.values()
-            ],
-            node_keys=node_keys,
-            nodes_seen=nodes_seen,
-        )
 
     def _run_walkers(
         self,
-        graph: ConstructionGraph | None,
+        engine,
         compute: ComputeDef,
         forbid: frozenset[str],
         tracer: Tracer,
         cancel: CancelToken | None,
         n_walkers: int,
-        engine=None,
-        epilogues: "tuple[ComputeDef, ...]" = (),
     ) -> tuple[dict[tuple, ETIR], int]:
         """Run ``n_walkers`` independent walkers concurrently and merge.
 
         Each walker owns its RNG substreams and candidate dict; they share
-        the construction graph and the metrics memo (both value-identical
-        under recomputation, so races only affect cache hit rates).  The
-        merge happens in walker order, so the pooled candidate ordering —
-        and therefore ranking tie-breaks — is deterministic regardless of
+        the engine and the metrics memo (both value-identical under
+        recomputation, so races only affect cache hit rates).  The merge
+        happens in walker order, so the pooled candidate ordering — and
+        therefore ranking tie-breaks — is deterministic regardless of
         thread scheduling.
         """
         from repro.serve.pool import WorkerPool
@@ -595,8 +423,7 @@ class Gensor:
             def task() -> None:
                 try:
                     results[w] = self._run_walker(
-                        graph, compute, forbid, tracer, cancel, walker=w,
-                        engine=engine, epilogues=epilogues,
+                        engine, compute, forbid, tracer, cancel, walker=w
                     )
                 except BaseException as exc:  # repro: ignore[broad-except] - transported, re-raised on the caller thread
                     errors.append(exc)
@@ -660,79 +487,10 @@ class Gensor:
                 state.compute, resume_from.state, resume_from.num_levels
             )
             max_steps = max(0, max_steps - resume_from.iteration)
-        if self.config.batch_scoring and not state.epilogue_pool:
-            from repro.perf.soa import SoAWalkEngine, soa_walk_enabled
-
-            if soa_walk_enabled():
-                engine = SoAWalkEngine(
-                    state.compute,
-                    self.hw,
-                    multi_objective=self.config.multi_objective,
-                )
-                return engine.polish(
-                    state, max_steps, forbid, tracer=tracer, cancel=cancel
-                )
-        t0 = time.perf_counter() if tracer.enabled else 0.0
-        current = state
-        # Program groups refine under the program objective (kernel latency
-        # plus the standalone cost of unfused epilogues); single-op states
-        # keep the bare latency, bit-identical to the historical path.
-        program = bool(state.epilogue_pool)
-        start_lat = current_lat = self._model_latency(current)
-        if program:
-            current_lat += pending_penalty_s(current, self.hw)
-            start_lat = current_lat
-        vthread_allowed = ActionKind.VTHREAD_UP not in forbid
-        steps = 0
-        batch = self.config.batch_scoring
-        for _ in range(max_steps):
-            if cancel is not None:
-                cancel.check()
-            if batch:
-                # One vectorized sweep prices the whole neighborhood;
-                # argmin's first-occurrence rule matches the scalar loop's
-                # "first strict improvement over all previous" bookkeeping.
-                neighbors = list(
-                    self._all_level_neighbors(current, vthread_allowed)
-                )
-                if not neighbors:
-                    break
-                lats = self._model_latency_batch(neighbors)
-                if program:
-                    lats = lats + np.array(
-                        [pending_penalty_s(n, self.hw) for n in neighbors],
-                        dtype=np.float64,
-                    )
-                j = int(np.argmin(lats))
-                if not lats[j] < current_lat:
-                    break
-                best_next, best_lat = neighbors[j], float(lats[j])
-            else:
-                best_next = None
-                best_lat = current_lat
-                for nxt in self._all_level_neighbors(current, vthread_allowed):
-                    lat = self._model_latency(nxt)
-                    if program:
-                        lat += pending_penalty_s(nxt, self.hw)
-                    if lat < best_lat:
-                        best_next, best_lat = nxt, lat
-                if best_next is None:
-                    break
-            current, current_lat = best_next, best_lat
-            steps += 1
-        if tracer.enabled:
-            tracer.emit(
-                "polish",
-                {
-                    "compute": state.compute.name,
-                    "steps": steps,
-                    "max_steps": max_steps,
-                    "latency_before_s": start_lat,
-                    "latency_after_s": current_lat,
-                },
-                dur=time.perf_counter() - t0,
-            )
-        return current
+        engine = self._walk_engine(state.compute, state.epilogue_pool)
+        return engine.polish(
+            state, max_steps, forbid, tracer=tracer, cancel=cancel
+        )
 
     def seed_states(
         self,
@@ -790,51 +548,26 @@ class Gensor:
 
     # -- internals ---------------------------------------------------------------
 
-    def _all_level_neighbors(self, state: ETIR, vthread_allowed: bool):
-        """Neighbors of ``state`` across every tiling level (refinement moves)."""
-        for idx, ax in enumerate(state.compute.axes):
-            for level in range(1, state.num_levels + 1):
-                for up in (True, False):
-                    nxt = state.scaled_tile_at(idx, level, up)
-                    if nxt is not None:
-                        yield nxt
-            if vthread_allowed and not ax.is_reduce:
-                v = state.vthreads(idx)
-                for nv in (v * 2, v // 2, 1):
-                    if nv >= 1 and nv != v:
-                        nxt = state.with_vthread(idx, nv)
-                        if nxt is not None:
-                            yield nxt
-        if state.epilogue_pool:
-            for nxt in (state.with_fuse(), state.with_unfuse()):
-                if nxt is not None:
-                    yield nxt
-
     def _rank(self, states) -> list[ETIR]:
         """Order candidates by the internal analytical model (best first).
 
-        One batched evaluation prices the feasible pool; the insertion
-        index stays the tie-break, as in the scalar path.
+        One memo round-trip prices the feasible pool; the insertion index
+        is the tie-break.  Program groups rank on program cost: unfused
+        epilogues cost their own kernels.
         """
         feasible = [
             (i, s) for i, s in enumerate(states) if s.memory_ok(self.hw)
         ]
-        if self.config.batch_scoring:
-            lats = self._model_latency_batch([s for _i, s in feasible])
-            scored = [
-                (float(lat), i, s) for (i, s), lat in zip(feasible, lats)
-            ]
-        else:
-            scored = [(self._model_latency(s), i, s) for i, s in feasible]
-        # Program groups rank on program cost: unfused epilogues cost their
-        # own kernels.  Single-op pools (no epilogue pool) are untouched.
+        lats = self.memo.latency_batch(self.hw, [s for _i, s in feasible])
         scored = [
             (
-                lat + pending_penalty_s(s, self.hw) if s.epilogue_pool else lat,
+                float(lat) + pending_penalty_s(s, self.hw)
+                if s.epilogue_pool
+                else float(lat),
                 i,
                 s,
             )
-            for lat, i, s in scored
+            for (i, s), lat in zip(feasible, lats)
         ]
         scored.sort(key=lambda item: (item[0], item[1]))
         return [s for _lat, _i, s in scored if math.isfinite(_lat)]

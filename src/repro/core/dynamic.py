@@ -30,7 +30,7 @@ from repro.core.cache import ScheduleCache
 from repro.core.constructor import Gensor, GensorConfig, GensorResult
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.resilience.deadline import CancelToken
 from repro.sim.measure import MICROBENCH_SECONDS, Measurer
 
@@ -141,7 +141,7 @@ class DynamicGensor:
         bare tile configs keyed by the anchor shape, so a fused winner
         must never be served for — or seeded from — the plain kernel.
         """
-        tracer = tracer if tracer is not None else NULL_TRACER
+        tracer = tracer if tracer is not None else self.gensor.tracer
         measurer = measurer or Measurer(
             self.hw,
             seed=self.config.seed,

@@ -11,16 +11,11 @@ bounded subgraphs for transition-matrix experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.actions import (
-    Action,
-    action_benefit,
-    action_benefits,
-    enumerate_actions,
-)
+from repro.core.actions import Action, action_benefit, enumerate_actions
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
@@ -46,6 +41,14 @@ class Edge:
     benefit: float
     dst: ETIR = field(repr=False, compare=False)
 
+    @property
+    def kind(self) -> str:
+        return self.action.kind
+
+    @property
+    def axis(self) -> int:
+        return self.action.axis_idx
+
 
 class ConstructionGraph:
     """Lazily expanded construction space for one operator on one device.
@@ -53,11 +56,13 @@ class ConstructionGraph:
     ``forbid`` removes whole action families from the space (e.g. vThreads
     for the ablation variant, or for analyses over a bounded state count).
 
-    ``batch_scoring`` prices each expansion frontier through the vectorized
-    benefit path (bit-identical values to the scalar one); ``False`` keeps
-    the per-edge scalar calls — the bench's pre-PR baseline.
+    This is the object-level reference for the walk: every edge is priced
+    by the scalar :func:`~repro.core.actions.action_benefit`.  Compiles run
+    on the structure-of-arrays engine (:mod:`repro.perf.soa`), which
+    reproduces these edges bit for bit; the graph backs the analyses,
+    :mod:`repro.core.reference`, and the differential oracle.
 
-    The node/edge/latency memos are bounded by ``max_cached_states``: past
+    The node/edge memos are bounded by ``max_cached_states``: past
     the cap the oldest-inserted half is dropped and re-derived on demand
     (expansion is deterministic, so recomputation is value-identical).
     ``max_cached_states=0`` disables eviction.
@@ -68,19 +73,14 @@ class ConstructionGraph:
         hardware: HardwareSpec,
         forbid: frozenset[str] = frozenset(),
         multi_objective: bool = True,
-        batch_scoring: bool = True,
         max_cached_states: int = DEFAULT_MAX_CACHED_STATES,
     ) -> None:
         self.hw = hardware
         self.forbid = forbid
         self.multi_objective = multi_objective
-        self.batch_scoring = batch_scoring
         self.max_cached_states = max_cached_states
         self.nodes: dict[tuple, ETIR] = {}
         self._edges: dict[tuple, list[Edge]] = {}
-        # Keyed by ETIR instance (cached hash) rather than key() tuple:
-        # nested-tuple keys would be rehashed on every lookup.
-        self._quick_cache: dict[ETIR, float] = {}
         self._nodes_seen = 0
 
     def add_node(self, state: ETIR) -> tuple:
@@ -101,30 +101,9 @@ class ConstructionGraph:
         cached = self._edges.get(key)
         if cached is not None:
             return cached
-        candidates: list[tuple[Action, ETIR]] = []
-        for action in enumerate_actions(state):
-            if action.kind in self.forbid:
-                continue
-            nxt = action.apply(state)
-            if nxt is None:
-                continue
-            candidates.append((action, nxt))
-        if self.batch_scoring:
-            benefits = action_benefits(
-                candidates,
-                state,
-                self.hw,
-                self.multi_objective,
-                quick_cache=self._quick_cache,
-            )
-        else:
-            benefits = [
-                action_benefit(action, state, nxt, self.hw, self.multi_objective)
-                for action, nxt in candidates
-            ]
         edges: list[Edge] = []
-        for (action, nxt), benefit in zip(candidates, benefits):
-            if benefit <= 0.0:
+        for action, nxt, benefit in self.expansion_oracle(state):
+            if nxt is None or benefit <= 0.0:
                 continue
             dst_key = self.add_node(nxt)
             edges.append(Edge(key, dst_key, action, benefit, nxt))
@@ -135,15 +114,14 @@ class ConstructionGraph:
     def expansion_oracle(
         self, state: ETIR
     ) -> "list[tuple[Action, ETIR | None, float]]":
-        """Slot-level scalar expansion for the differential SoA harness.
+        """Slot-level scalar expansion (what :meth:`expand` filters).
 
         One ``(action, next_state, benefit)`` triple per enumerated action
         template — structurally illegal ones included (``next_state`` is
         ``None`` and the benefit 0.0), memory-check failures carry benefit
-        0.0.  Priced through the per-edge *scalar* benefit path and touching
-        none of the graph's memos, so it stays an independent oracle for
-        :class:`repro.perf.soa.DifferentialWalker` even after ``expand`` has
-        cached the same state.
+        0.0.  Touches none of the graph's memos, so the differential SoA
+        harness (:class:`repro.perf.soa.DifferentialWalker`) can compare
+        slots even after ``expand`` has cached the same state.
         """
         slots: list[tuple[Action, ETIR | None, float]] = []
         for action in enumerate_actions(state):
@@ -170,9 +148,6 @@ class ConstructionGraph:
         if len(self._edges) > cap:
             items = list(self._edges.items())
             self._edges = dict(items[len(items) // 2 :])
-        if len(self._quick_cache) > cap:
-            qitems = list(self._quick_cache.items())
-            self._quick_cache = dict(qitems[len(qitems) // 2 :])
 
     def neighbors(self, state: ETIR) -> list[ETIR]:
         return [e.dst for e in self.expand(state)]

@@ -19,22 +19,14 @@ import numpy as np
 from repro.hardware.memory import smem_transaction_factor
 from repro.hardware.spec import HardwareSpec
 from repro.ir.etir import ETIR
-from repro.utils.caching import HOT_PATH_CACHING
 
 __all__ = [
     "quick_latency",
-    "quick_latency_batch",
     "quick_pipe",
     "quick_score",
     "epilogue_standalone_s",
     "pending_penalty_s",
 ]
-
-#: below this frontier size the numpy array setup costs more than it saves,
-#: so the batch entry points run the scalar loop instead.  Safe at any
-#: value: the two paths are bit-identical element-wise.
-_SCALAR_CUTOVER = 12
-
 
 def quick_latency(state: ETIR, hw: HardwareSpec, strict: bool = True) -> float:
     """Reduced-roofline latency estimate (seconds); inf when infeasible.
@@ -85,75 +77,15 @@ def quick_latency(state: ETIR, hw: HardwareSpec, strict: bool = True) -> float:
     return max(compute_time, dram_time, smem_time)
 
 
-def quick_latency_batch(
-    states: "list[ETIR]", hw: HardwareSpec, strict: bool = True
-) -> np.ndarray:
-    """Vectorized :func:`quick_latency` over a candidate frontier.
-
-    Feature extraction stays per-state (memoized on the ETIR); the roofline
-    arithmetic runs as float64 array expressions in the scalar operation
-    order, so every element is bit-identical to ``quick_latency(state)`` —
-    infeasible states get ``inf`` exactly as the scalar path does.
-    """
-    if len(states) <= _SCALAR_CUTOVER:
-        return np.array(
-            [quick_latency(s, hw, strict=strict) for s in states],
-            dtype=np.float64,
-        )
-    out = np.full(len(states), math.inf, dtype=np.float64)
-    rows: list[int] = []
-    feats: list[tuple] = []
-    for i, state in enumerate(states):
-        if not state.memory_ok(hw, strict=strict):
-            continue
-        compute = state.compute
-        inner_work = 1.0
-        for idx, _ax in enumerate(compute.axes):
-            inner_work *= state.tile(idx, 1)
-        spatial = [
-            (idx, ax) for idx, ax in enumerate(compute.axes) if not ax.is_reduce
-        ]
-        conflict = 1.0
-        if spatial:
-            idx, _ = spatial[-1]
-            t1 = state.tile(idx, 1)
-            threads_row = max(1, state.tile(idx, state.num_levels) // max(1, t1))
-            span = min(hw.warp_size, threads_row) * t1
-            conflict = smem_transaction_factor(
-                max(1, span), hw.bank_width_elems, state.total_vthreads()
-            )
-        rows.append(i)
-        feats.append(
-            (
-                float(state.threads_per_block()),
-                float(state.num_blocks()),
-                inner_work,
-                _coalescing(state, hw),
-                conflict,
-                float(state.dram_traffic_bytes()),
-                float(state.smem_traffic_bytes()),
-                float(
-                    state.program_flops() if state.fused else compute.total_flops
-                ),
-            )
-        )
-    if not rows:
-        return out
-
-    cols = np.asarray(feats, dtype=np.float64).T
-    out[rows] = quick_pipe(cols, hw)
-    return out
-
-
 def quick_pipe(cols: np.ndarray, hw: HardwareSpec) -> np.ndarray:
     """The roofline arithmetic of :func:`quick_latency` over feature columns.
 
     ``cols`` is a ``(8, n)`` float64 array with rows ``(threads, blocks,
     inner_work, coalesce, conflict, dram_q, smem_q, flops)``.  Operations
     run in the exact scalar order, so the result is bit-identical to the
-    scalar path element-wise.  Shared by :func:`quick_latency_batch` and the
-    SoA walk core (:mod:`repro.perf.soa`), which builds the same columns
-    without materializing ETIR objects.
+    scalar path element-wise.  The SoA walk core (:mod:`repro.perf.soa`)
+    prices its frontiers through it, building the columns without
+    materializing ETIR objects.
     """
     threads, blocks, inner_work, coalesce, conflict, dram_q, smem_q, flops = cols
 
@@ -180,21 +112,15 @@ def _coalescing(state: ETIR, hw: HardwareSpec) -> float:
     Depends only on the block tiles (and the warp size), so it is memoized
     in the compute's tile-keyed cache.
     """
-    if HOT_PATH_CACHING.enabled:
-        from repro.ir.access import _tile_cache
+    from repro.ir.access import _tile_cache
 
-        cache = _tile_cache(state.compute)
-        lvl = state.num_levels
-        key = (
-            "coal",
-            tuple(t[lvl - 1] for t in state.config.tiles),
-            hw.warp_size,
-        )
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = _coalescing_uncached(state, hw)
-        return cached
-    return _coalescing_uncached(state, hw)
+    cache = _tile_cache(state.compute)
+    lvl = state.num_levels
+    key = ("coal", tuple(t[lvl - 1] for t in state.config.tiles), hw.warp_size)
+    cached = cache.get(key)
+    if cached is None:
+        cached = cache[key] = _coalescing_uncached(state, hw)
+    return cached
 
 
 def _coalescing_uncached(state: ETIR, hw: HardwareSpec) -> float:

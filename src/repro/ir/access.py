@@ -17,7 +17,6 @@ import math
 from typing import Mapping
 
 from repro.ir.compute import ComputeDef, TensorAccess
-from repro.utils.caching import HOT_PATH_CACHING
 
 __all__ = [
     "access_footprint_elems",
@@ -98,23 +97,6 @@ def tile_footprint_bytes(
     check compares against the level capacity.  Repeated reads of the same
     tensor with identical index expressions share storage.
     """
-    if not HOT_PATH_CACHING.enabled:
-        total = 0
-        seen: set[tuple[str, tuple]] = set()
-        for acc in compute.inputs:
-            key = (acc.tensor.name, acc.indices)
-            if key in seen:
-                continue
-            seen.add(key)
-            total += (
-                access_footprint_elems(acc, tile_sizes) * acc.tensor.dtype_bytes
-            )
-        if include_output:
-            out_elems = 1
-            for ax in compute.spatial_axes:
-                out_elems *= min(tile_sizes.get(ax.name, 1), ax.extent)
-            total += out_elems * compute.output.dtype_bytes
-        return total
     cache = _tile_cache(compute)
     key = ("fp", _tile_key(compute, tile_sizes), include_output)
     total = cache.get(key)
@@ -151,14 +133,12 @@ def tile_traffic_bytes(
     once; every *spatial* tile writes its output slab once (reduce tiles
     accumulate in place and do not multiply output traffic).
     """
-    if HOT_PATH_CACHING.enabled:
-        cache = _tile_cache(compute)
-        key = ("q", _tile_key(compute, tile_sizes))
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = _tile_traffic_bytes(compute, tile_sizes)
-        return cached
-    return _tile_traffic_bytes(compute, tile_sizes)
+    cache = _tile_cache(compute)
+    key = ("q", _tile_key(compute, tile_sizes))
+    cached = cache.get(key)
+    if cached is None:
+        cached = cache[key] = _tile_traffic_bytes(compute, tile_sizes)
+    return cached
 
 
 def _tile_traffic_bytes(

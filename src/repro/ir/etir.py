@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.hardware.spec import HardwareSpec
 from repro.ir.access import tile_footprint_bytes, tile_traffic_bytes
 from repro.ir.compute import ComputeDef
-from repro.utils.caching import HOT_PATH_CACHING
 
 __all__ = ["ETIR", "TileConfig", "VTHREAD_LEVEL"]
 
@@ -204,21 +203,18 @@ class ETIR:
         #: pool lives in the compute's ``__dict__`` and is cleared (not
         #: trimmed — entries are tiny) past a cap to bound pathological
         #: shape streams.
-        if HOT_PATH_CACHING.enabled:
-            pool = compute.__dict__.get("_derived_pool")
-            if pool is None:
-                pool = compute.__dict__["_derived_pool"] = {}
-            elif len(pool) > _DERIVED_POOL_CAP:
-                pool.clear()
-            # Keyed by the state itself: the cached _hash makes lookups
-            # O(1), where a raw nested-tuple key would be rehashed from
-            # scratch on every construction.
-            derived = pool.get(self)
-            if derived is None:
-                derived = pool[self] = {}
-            self._derived = derived
-        else:
-            self._derived = {}
+        pool = compute.__dict__.get("_derived_pool")
+        if pool is None:
+            pool = compute.__dict__["_derived_pool"] = {}
+        elif len(pool) > _DERIVED_POOL_CAP:
+            pool.clear()
+        # Keyed by the state itself: the cached _hash makes lookups O(1),
+        # where a raw nested-tuple key would be rehashed from scratch on
+        # every construction.
+        derived = pool.get(self)
+        if derived is None:
+            derived = pool[self] = {}
+        self._derived = derived
 
     # -- construction -----------------------------------------------------------
 
@@ -297,12 +293,15 @@ class ETIR:
         vthreads: np.ndarray,
         cur_level: int,
         num_levels: int,
+        epilogue_pool: tuple[ComputeDef, ...] = (),
+        fused: int = 0,
     ) -> "ETIR":
         """Inverse of :meth:`config_arrays` — the SoA decode boundary.
 
         Array entries are converted back to plain Python ints (state keys
         and golden fixtures are JSON-serialized, so ``np.int64`` must never
         leak into configs) and every ETIR invariant is re-validated.
+        ``epilogue_pool``/``fused`` restore a fusion group's state.
         """
         config = TileConfig(
             tiles=tuple(
@@ -310,7 +309,14 @@ class ETIR:
             ),
             vthreads=tuple(np.asarray(vthreads, dtype=np.int64).tolist()),
         )
-        return cls(compute, config, cur_level=int(cur_level), num_levels=int(num_levels))
+        return cls(
+            compute,
+            config,
+            cur_level=int(cur_level),
+            num_levels=int(num_levels),
+            epilogue_pool=epilogue_pool,
+            fused=int(fused),
+        )
 
     # -- identity -----------------------------------------------------------------
 
@@ -377,18 +383,12 @@ class ETIR:
 
         Callers treat the result as read-only; the hot path memoizes it.
         """
-        cached = (
-            self._derived.get(("ts", level))
-            if HOT_PATH_CACHING.enabled
-            else None
-        )
+        cached = self._derived.get(("ts", level))
         if cached is None:
-            cached = {
+            cached = self._derived[("ts", level)] = {
                 ax.name: self.config.tile(idx, level)
                 for idx, ax in enumerate(self.compute.axes)
             }
-            if HOT_PATH_CACHING.enabled:
-                self._derived[("ts", level)] = cached
         return cached
 
     def block_tiles(self) -> dict[str, int]:
@@ -411,49 +411,37 @@ class ETIR:
 
     def threads_per_block(self) -> int:
         """Physical threads per block: block tile over thread tile, spatial axes."""
-        cached = (
-            self._derived.get("tpb") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("tpb")
         if cached is None:
-            threads = 1
+            cached = 1
             for idx, ax in enumerate(self.compute.axes):
                 if ax.is_reduce:
                     continue
-                threads *= math.ceil(
+                cached *= math.ceil(
                     self.tile(idx, self.num_levels) / self.tile(idx, 1)
                 )
-            if HOT_PATH_CACHING.enabled:
-                self._derived["tpb"] = threads
-            cached = threads
+            self._derived["tpb"] = cached
         return cached
 
     def num_blocks(self) -> int:
         """Grid size: spatial iteration space over block tiles."""
-        cached = (
-            self._derived.get("blocks") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("blocks")
         if cached is None:
-            blocks = 1
+            cached = 1
             for idx, ax in enumerate(self.compute.axes):
                 if ax.is_reduce:
                     continue
-                blocks *= math.ceil(ax.extent / self.tile(idx, self.num_levels))
-            if HOT_PATH_CACHING.enabled:
-                self._derived["blocks"] = blocks
-            cached = blocks
+                cached *= math.ceil(ax.extent / self.tile(idx, self.num_levels))
+            self._derived["blocks"] = cached
         return cached
 
     def smem_footprint_bytes(self) -> int:
         """Shared memory one block stages (inputs at the block tile)."""
-        cached = (
-            self._derived.get("smem_fp") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("smem_fp")
         if cached is None:
-            cached = tile_footprint_bytes(
+            cached = self._derived["smem_fp"] = tile_footprint_bytes(
                 self.compute, self.block_tiles(), include_output=False
             )
-            if HOT_PATH_CACHING.enabled:
-                self._derived["smem_fp"] = cached
         return cached
 
     def regs_per_thread(self) -> int:
@@ -463,17 +451,13 @@ class ETIR:
         free, but any *extra* epilogue inputs (the residual of an ``add``)
         must also live in registers at the spatial thread tile.
         """
-        cached = (
-            self._derived.get("regs") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("regs")
         if cached is None:
             nbytes = tile_footprint_bytes(
                 self.compute, self.thread_tiles(), include_output=True
             )
             nbytes += self._epilogue_extra_bytes(self._spatial_tile_points(1))
-            cached = max(1, math.ceil(nbytes / 4))
-            if HOT_PATH_CACHING.enabled:
-                self._derived["regs"] = cached
+            cached = self._derived["regs"] = max(1, math.ceil(nbytes / 4))
         return cached
 
     def dram_traffic_bytes(self) -> int:
@@ -483,17 +467,14 @@ class ETIR:
         their extra inputs are streamed once per block at the spatial
         block tile.
         """
-        cached = (
-            self._derived.get("dram_q") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("dram_q")
         if cached is None:
             cached = tile_traffic_bytes(self.compute, self.block_tiles())
             if self.fused:
                 cached += self.num_blocks() * self._epilogue_extra_bytes(
                     self._spatial_tile_points(self.num_levels)
                 )
-            if HOT_PATH_CACHING.enabled:
-                self._derived["dram_q"] = cached
+            self._derived["dram_q"] = cached
         return cached
 
     # -- fused-program aggregates -------------------------------------------------
@@ -547,13 +528,11 @@ class ETIR:
 
     def smem_traffic_bytes(self) -> int:
         """Q between shared memory and registers: traffic under thread tiling."""
-        cached = (
-            self._derived.get("smem_q") if HOT_PATH_CACHING.enabled else None
-        )
+        cached = self._derived.get("smem_q")
         if cached is None:
-            cached = tile_traffic_bytes(self.compute, self.thread_tiles())
-            if HOT_PATH_CACHING.enabled:
-                self._derived["smem_q"] = cached
+            cached = self._derived["smem_q"] = tile_traffic_bytes(
+                self.compute, self.thread_tiles()
+            )
         return cached
 
     def memory_ok(self, hw: HardwareSpec, strict: bool = True) -> bool:
@@ -570,8 +549,6 @@ class ETIR:
         register budget — are enforced.  Final candidates are always
         re-checked strictly before ranking and measurement.
         """
-        if not HOT_PATH_CACHING.enabled:
-            return self._memory_ok(hw, strict)
         # Fast path: this state already answered for this spec/strictness
         # (the expansion legality check, the quick roofline, and the cost
         # model all ask).  id(hw) is safe in the key because every id that

@@ -3,7 +3,8 @@
 ``repro.perf`` holds the pieces that make analytical pricing cheap enough
 to match the paper's compile-time claims: the process-wide
 :class:`~repro.perf.memo.MetricsMemo` (one bounded LRU over cost-model
-evaluations shared by every consumer) and the walk benchmark
+evaluations shared by every consumer), the structure-of-arrays walk engine
+(:mod:`repro.perf.soa`) every compile runs on, and the walk benchmark
 (:mod:`repro.perf.bench`) that gives each PR a measured states/sec
 trajectory.
 """
@@ -14,24 +15,11 @@ __all__ = [
     "MetricsMemo",
     "get_memo",
     "reset_memo",
-    "SOA_WALK",
     "SoAWalkEngine",
     "DifferentialWalker",
-    "soa_walk_enabled",
-    "soa_walk_disabled",
-    "soa_walk_forced",
 ]
 
-_SOA_NAMES = frozenset(
-    {
-        "SOA_WALK",
-        "SoAWalkEngine",
-        "DifferentialWalker",
-        "soa_walk_enabled",
-        "soa_walk_disabled",
-        "soa_walk_forced",
-    }
-)
+_SOA_NAMES = frozenset({"SoAWalkEngine", "DifferentialWalker"})
 
 
 def __getattr__(name: str):

@@ -4,16 +4,16 @@ Measures the throughput of Gensor's hot path on the Fig. 6 / Table IV
 operator suite and writes ``BENCH_walk.json``, so every PR leaves a
 comparable perf datapoint:
 
-* **states/sec** of the annealed walk along three bit-identical paths:
-  the historical per-edge scalar one (``GensorConfig.batch_scoring=False``
-  — scalar scoring, scalar polish sweeps, scalar ranking), the batched
-  object-graph one, and the structure-of-arrays core
-  (:mod:`repro.perf.soa`).  All three produce bit-identical schedules, so
-  the ratios are pure pricing/bookkeeping overhead;
+* **states/sec** of the annealed walk on the two bit-identical engines:
+  the structure-of-arrays core every compile runs on
+  (:mod:`repro.perf.soa`) and the object-level reference it is held to
+  (:class:`~repro.core.reference.ReferenceGensor`).  Both produce
+  bit-identical schedules, so the ratio is pure pricing/bookkeeping
+  overhead;
 * **expand / evaluate micro-latencies** over a sampled frontier;
 * **memo hit rate** of the shared :class:`~repro.perf.memo.MetricsMemo`;
 * **walker scaling** — aggregate walk throughput with ``walkers=4`` vs
-  ``walkers=1`` on the live (SoA) path.
+  ``walkers=1`` on the SoA engine.
 
 Every run is fully deterministic given ``seed``: ``--repeats N`` draws
 each repeat's walk seed from a ``SeedSequence`` substream of the root
@@ -32,20 +32,20 @@ from pathlib import Path
 
 from repro.core.constructor import Gensor, GensorConfig
 from repro.core.graph import ConstructionGraph
+from repro.core.reference import ReferenceGensor
 from repro.hardware.spec import HardwareSpec
 from repro.perf.memo import MetricsMemo
 from repro.sim.costmodel import CostModel
-from repro.perf.soa import soa_walk_disabled, soa_walk_forced
-from repro.utils.caching import hot_path_caching_disabled
 from repro.utils.rng import spawn_seed_ints
 from repro.workloads.table4 import TABLE4_CONFIGS
 
 __all__ = ["run_walk_bench", "write_bench", "QUICK_LABELS", "BENCH_SCHEMA"]
 
-#: v2 adds the ``soa`` section (structure-of-arrays walk core),
-#: ``soa_speedup_states_per_sec``, per-repeat seed/iteration records, and
-#: the ``expand_soa_us`` micro-latency.
-BENCH_SCHEMA = "repro.bench.walk/v2"
+#: v3 replaces the ``scalar``/``batched`` sections (paths that no longer
+#: exist) with ``reference``, measures walker scaling on the SoA engine,
+#: redefines ``soa_speedup_states_per_sec`` as SoA over the reference, and
+#: trims ``micro`` to ``evaluate_us``/``expand_reference_us``/``expand_soa_us``.
+BENCH_SCHEMA = "repro.bench.walk/v3"
 
 #: one operator per family — the CI smoke subset.
 QUICK_LABELS = ("C1", "M1", "V1", "P1")
@@ -70,6 +70,7 @@ def _compile_suite(
     cfg: GensorConfig,
     walkers: int,
     shared_memo: MetricsMemo,
+    gensor_cls: type[Gensor] = Gensor,
 ) -> dict:
     """Compile every operator once; return per-op and aggregate throughput."""
     ops = []
@@ -77,7 +78,7 @@ def _compile_suite(
     total_wall = 0.0
     for op in configs:
         compute = op.build()
-        gensor = Gensor(hardware, cfg, memo=shared_memo)
+        gensor = gensor_cls(hardware, cfg, memo=shared_memo)
         t0 = time.perf_counter()
         result = gensor.compile(compute, walkers=walkers)
         wall = time.perf_counter() - t0
@@ -125,29 +126,17 @@ def _micro_latencies(hardware: HardwareSpec, configs, seed: int) -> dict:
             state = edge.dst
 
     model = CostModel(hardware)
-    with hot_path_caching_disabled():
-        t0 = time.perf_counter()
-        for s in states:
-            model.evaluate(s)
-        scalar_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    model.evaluate_batch(states)
-    batch_s = time.perf_counter() - t0
-
-    # Expand timings on fresh graphs (memoized edges would measure a dict hit).
-    scalar_graph = ConstructionGraph(hardware, batch_scoring=False)
-    with hot_path_caching_disabled():
-        t0 = time.perf_counter()
-        for s in states:
-            scalar_graph.expand(s)
-        expand_scalar_s = time.perf_counter() - t0
-
-    batch_graph = ConstructionGraph(hardware, batch_scoring=True)
     t0 = time.perf_counter()
     for s in states:
-        batch_graph.expand(s)
-    expand_batch_s = time.perf_counter() - t0
+        model.evaluate(s)
+    evaluate_s = time.perf_counter() - t0
+
+    # Expand timings on a fresh graph (memoized edges would measure a dict hit).
+    reference_graph = ConstructionGraph(hardware)
+    t0 = time.perf_counter()
+    for s in states:
+        reference_graph.expand(s)
+    expand_reference_s = time.perf_counter() - t0
 
     # SoA expand over the same states: one engine per operator (the engine
     # is compute-specific), decoded configs fed straight to the array path.
@@ -166,10 +155,8 @@ def _micro_latencies(hardware: HardwareSpec, configs, seed: int) -> dict:
     n = max(1, len(states))
     return {
         "sampled_states": len(states),
-        "evaluate_scalar_us": scalar_s / n * 1e6,
-        "evaluate_batch_us_per_state": batch_s / n * 1e6,
-        "expand_scalar_us": expand_scalar_s / n * 1e6,
-        "expand_batch_us": expand_batch_s / n * 1e6,
+        "evaluate_us": evaluate_s / n * 1e6,
+        "expand_reference_us": expand_reference_s / n * 1e6,
         "expand_soa_us": expand_soa_s / n * 1e6,
     }
 
@@ -261,64 +248,44 @@ def run_walk_bench(
     extra = _QUICK_CONFIG if quick else {}
     seeds = _repeat_seeds(seed, repeats)
 
-    def _cfg(batch_scoring: bool, s: int) -> GensorConfig:
-        return GensorConfig(batch_scoring=batch_scoring, seed=s, **extra)
+    def _cfg(s: int) -> GensorConfig:
+        return GensorConfig(seed=s, **extra)
 
-    # Scalar baseline: per-edge benefit scoring, scalar polish/rank, a
-    # private memo standing in for the old per-constructor latency dict,
-    # and derived-value caching off — the faithful pre-perf-work path.
-    def _scalar_run(s: int) -> dict:
-        with soa_walk_disabled(), hot_path_caching_disabled():
-            return _compile_suite(
-                device, configs, _cfg(False, s), walkers=1,
-                shared_memo=MetricsMemo(),
-            )
+    # The object-level reference: ConstructionGraph + TransitionPolicy +
+    # scalar action_benefit, per-neighbour polish.
+    def _reference_run(s: int) -> dict:
+        return _compile_suite(
+            device, configs, _cfg(s), walkers=1, shared_memo=MetricsMemo(),
+            gensor_cls=ReferenceGensor,
+        )
 
-    scalar = _best_of(seeds, _scalar_run)
+    reference = _best_of(seeds, _reference_run)
 
-    # Batched object-graph path: vectorized scoring through one shared
-    # memo, SoA pinned off so the section keeps measuring the graph.
-    def _batched_run(s: int) -> dict:
+    # The SoA engine every compile runs on.
+    def _soa_run(s: int) -> dict:
         memo = MetricsMemo()
-        with soa_walk_disabled():
-            run = _compile_suite(
-                device, configs, _cfg(True, s), walkers=1, shared_memo=memo
-            )
+        run = _compile_suite(
+            device, configs, _cfg(s), walkers=1, shared_memo=memo
+        )
         run["memo_stats"] = memo.stats()
         return run
 
-    batched = _best_of(seeds, _batched_run)
-    memo_stats = batched.pop("memo_stats")
-    speedup = _matched_speedup(batched, scalar)
-
-    # Structure-of-arrays core: the live default walk path, pinned on so
-    # the section is meaningful even when the environment gate is off.
-    def _soa_run(s: int) -> dict:
-        with soa_walk_forced():
-            return _compile_suite(
-                device, configs, _cfg(True, s), walkers=1,
-                shared_memo=MetricsMemo(),
-            )
-
     soa = _best_of(seeds, _soa_run)
-    soa_speedup = _matched_speedup(soa, scalar)
+    memo_stats = soa.pop("memo_stats")
+    soa_speedup = _matched_speedup(soa, reference)
 
-    # Walker scaling: aggregate walk throughput, fresh memo per count so
-    # the second run doesn't free-ride on the first run's pricing.  Pinned
-    # to the batched graph path: the section (and its CI gate) measures
-    # how the walker pool shares the graph and memo, and the SoA core's
-    # faster fixed pipeline would shift the ratio without any change to
-    # the pool itself.
+    # Walker scaling: aggregate walk throughput on the SoA engine, fresh
+    # memo per count so the second run doesn't free-ride on the first
+    # run's pricing.
     low, high = walker_counts
     scaling_runs = {}
     for walkers in (low, high):
 
         def _scaling_run(s: int, walkers: int = walkers) -> dict:
-            with soa_walk_disabled():
-                return _compile_suite(
-                    device, configs, _cfg(True, s), walkers=walkers,
-                    shared_memo=MetricsMemo(),
-                )
+            return _compile_suite(
+                device, configs, _cfg(s), walkers=walkers,
+                shared_memo=MetricsMemo(),
+            )
 
         run = _best_of(seeds, _scaling_run)
         scaling_runs[str(walkers)] = {
@@ -339,10 +306,8 @@ def run_walk_bench(
         "repeats": max(1, repeats),
         "repeat_seeds": [int(s) for s in seeds],
         "suite": [op.label for op in configs],
-        "scalar": scalar,
-        "batched": batched,
+        "reference": reference,
         "soa": soa,
-        "speedup_states_per_sec": speedup,
         "soa_speedup_states_per_sec": soa_speedup,
         "memo": memo_stats,
         "micro": _micro_latencies(device, configs, seed),

@@ -9,10 +9,13 @@ those call sites, and a long-lived :class:`~repro.serve.service.CompileService`
 leaks one dict entry per distinct state forever.
 
 :class:`MetricsMemo` replaces all of that with one bounded, thread-safe
-LRU keyed by ``(hardware, state)`` — specs are interned by identity (and
-retained), states hash through their cached key hash, and distinct
-``generic_gpu(...)`` variants that share a name still get distinct
-slots.  Memoization returns the *exact same float
+LRU keyed by ``(hardware, operator shape, state)`` — specs are interned by
+identity (and retained), states hash through their cached key hash, and
+distinct ``generic_gpu(...)`` variants that share a name still get
+distinct slots.  The shape term matters because a state's key names its
+operator but not its extents: model factories name ops by role (BERT's
+``x_proj`` at every batch size), so two shapes can share a state key.
+Memoization returns the *exact same float
 objects* the model produced, so routing a call site through the memo can
 never perturb the annealed walk's RNG stream: it is golden-trace safe by
 construction.
@@ -31,6 +34,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.hardware.spec import HardwareSpec
+from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.sim.costmodel import CostModel
@@ -41,6 +45,16 @@ __all__ = ["MetricsMemo", "get_memo", "reset_memo", "DEFAULT_MEMO_CAPACITY"]
 #: ~65k entries; a KernelMetrics plus key is a few hundred bytes, so the
 #: steady-state memo stays in the tens of MB even under serving load.
 DEFAULT_MEMO_CAPACITY = 1 << 16
+
+
+def _shape_key(compute: ComputeDef) -> str:
+    """The compute's shape fingerprint, derived once per ``ComputeDef``."""
+    key = compute.__dict__.get("_memo_shape_key")
+    if key is None:
+        from repro.core.cache import shape_fingerprint
+
+        key = compute.__dict__["_memo_shape_key"] = shape_fingerprint(compute)
+    return key
 
 
 class MetricsMemo:
@@ -96,7 +110,7 @@ class MetricsMemo:
             self._c_misses.inc()
             return self.model(hw).evaluate(state)
         model = self.model(hw)  # interns the spec so id(hw) is stable
-        key = (id(hw), state)
+        key = (id(hw), _shape_key(state.compute), state)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -120,11 +134,11 @@ class MetricsMemo:
     def evaluate_batch(
         self, hw: HardwareSpec, states: "list[ETIR]"
     ) -> "list[KernelMetrics]":
-        """Memoized :meth:`CostModel.evaluate_batch` over a frontier.
+        """Memoized :meth:`CostModel.evaluate` over a list of states.
 
-        Memo hits are served directly; only the misses go through the
-        vectorized model (which is itself bit-identical to the scalar
-        path), so the result list matches per-state ``evaluate`` exactly.
+        One lock round-trip serves every hit; the misses are priced by the
+        scalar model in order, so the result list matches per-state
+        ``evaluate`` exactly.
         """
         results: list[KernelMetrics | None] = [None] * len(states)
         missing: list[int] = []
@@ -137,7 +151,7 @@ class MetricsMemo:
             hwid = id(hw)
             with self._lock:
                 for i, s in enumerate(states):
-                    key = (hwid, s)
+                    key = (hwid, _shape_key(s.compute), s)
                     cached = self._entries.get(key)
                     if cached is not None:
                         self._entries.move_to_end(key)
@@ -151,11 +165,13 @@ class MetricsMemo:
             self._c_hits.inc(hits)
         if missing:
             self._c_misses.inc(len(missing))
-            fresh = model.evaluate_batch([states[i] for i in missing])
-            for i, metrics in zip(missing, fresh):
-                results[i] = metrics
+            for i in missing:
+                state = states[i]
+                metrics = results[i] = model.evaluate(state)
                 if self.capacity:
-                    self._insert((id(hw), states[i]), metrics)
+                    self._insert(
+                        (id(hw), _shape_key(state.compute), state), metrics
+                    )
         return results  # type: ignore[return-value]
 
     def latency_batch(self, hw: HardwareSpec, states: "list[ETIR]") -> np.ndarray:

@@ -1,62 +1,60 @@
-"""Structure-of-arrays walk core (the ROADMAP's last hot-path item).
+"""Structure-of-arrays walk core: the engine every compile runs on.
 
 The annealed walk spends its time in three places: expanding a state's
 candidate frontier, checking candidate legality against the device memory
-limits, and pricing the Formula 1-3 benefits.  The object path does all
-three through per-state ``ETIR`` manipulation — tuple rebuilds, dict-keyed
-memo lookups, per-edge scalar arithmetic.  This module re-represents the
+limits, and pricing the Formula 1-3 benefits.  This module represents the
 frontier as numpy structure-of-arrays: one ``(A, L)`` int64 tile matrix and
-one ``(A,)`` vThread vector per state, with candidate generation, legality
-masks, and benefit scoring vectorized across the whole frontier in one
-shot.
+one ``(A,)`` vThread vector per state, plus the fused-epilogue count of a
+program fusion group, with candidate generation, legality masks, and
+benefit scoring vectorized across the whole frontier in one shot.
+:meth:`Gensor.compile <repro.core.constructor.Gensor.compile>` and
+:meth:`Gensor.polish <repro.core.constructor.Gensor.polish>` run every
+walk here, bare operators and fusion groups alike.
 
-**Parity contract.**  The SoA path is *bit-faithful* to the object path:
-every benefit, probability, chosen edge, RNG draw, node count, and traced
-event is byte-identical to what ``ConstructionGraph`` + ``TransitionPolicy``
-produce.  That holds because
+**Parity contract.**  The engine is *bit-faithful* to the object-level
+reference (``ConstructionGraph`` + ``TransitionPolicy`` + the scalar
+``action_benefit``, driven by :mod:`repro.core.reference`): every benefit,
+probability, chosen edge, RNG draw, node count, and traced event is
+byte-identical.  That holds because
 
-* every integer quantity (footprints, traffic, tile products) is computed
-  exactly — int64 vector intermediates, with final cross products that
-  could overflow performed as Python ints;
+* every integer quantity (footprints, traffic, tile products, epilogue
+  input bytes) is computed exactly — int64 vector intermediates, with
+  final cross products that could overflow performed as Python ints;
 * every float quantity runs the *same IEEE-754 operations in the same
   order* as the scalar code (``math.ceil(a / b)`` becomes
   ``np.ceil(a / b)`` on the identical float64 division, sequential
   accumulations stay sequential per axis/access);
 * the roofline/pipe arithmetic is literally shared:
   :func:`repro.core.score.quick_pipe` and
-  :func:`repro.sim.costmodel.pipe_metrics` are the same code objects the
-  batched object path runs.
+  :func:`repro.sim.costmodel.pipe_metrics` run the scalar models'
+  operations over feature columns;
+* everything that depends only on the fused count — the program FLOPs and
+  IO, the epilogue terms of the cost model, the FUSE/UNFUSE benefits
+  (:func:`repro.core.actions._fusion_benefit`), and the pending-epilogue
+  penalty — is read off real ETIR states, one per fused count, through
+  the object path's own code.
 
-The object path stays as the golden oracle: :class:`DifferentialWalker`
-runs both paths in lockstep and raises :class:`SoAParityError` on the
-first divergence.  The whole module sits behind the ``REPRO_SOA_WALK``
-gate (default on); ``soa_walk_disabled()`` restores the object path.
-
-**When the scalar path still wins.**  Tiny frontiers on operators with one
-or two axes (elementwise chains) spend more time packing arrays than the
-arithmetic saves, and one-off ``polish`` calls on cold computes pay the
-pack/bundle build.  The walk amortizes both within a chain, but callers
-doing single-state work should stay on the object path.
+:class:`DifferentialWalker` runs both paths in lockstep and raises
+:class:`SoAParityError` on the first divergence.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.core.actions import ActionKind
+from repro.core.actions import _NO_ACCEL, ActionKind, _fusion_benefit
+from repro.core.events import emit_chain_end, emit_polish, emit_walk_step
 from repro.core.graph import DEFAULT_MAX_CACHED_STATES
 from repro.core.policy import append_probability, cache_anneal_factor
-from repro.core.score import quick_pipe
+from repro.core.score import pending_penalty_s, quick_pipe
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.costmodel import pipe_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constructor imports us lazily)
@@ -64,10 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constructor imports 
     from repro.resilience.deadline import CancelToken
 
 __all__ = [
-    "SOA_WALK",
-    "soa_walk_enabled",
-    "soa_walk_disabled",
-    "soa_walk_forced",
     "SoAParityError",
     "SoAPack",
     "pack_for",
@@ -85,54 +79,6 @@ _MEMO_CAP = 65_536
 #: are tiny keys, so this is a few MB at worst; cleared wholesale on
 #: overflow — recomputation is value-identical).
 _ROW_CACHE_CAP = 262_144
-
-
-# -- gate --------------------------------------------------------------------
-
-
-class _Toggle:
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_SOA_WALK")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "off", "no")
-
-
-#: process-wide switch for the SoA walk core, seeded from ``REPRO_SOA_WALK``
-#: (default on).  Consulted by :meth:`Gensor.compile` and :meth:`Gensor.polish`.
-SOA_WALK = _Toggle(_env_enabled())
-
-
-def soa_walk_enabled() -> bool:
-    return SOA_WALK.enabled
-
-
-@contextmanager
-def soa_walk_disabled() -> Iterator[None]:
-    """Run a block on the object path (bench baseline / oracle mode)."""
-    prev = SOA_WALK.enabled
-    SOA_WALK.enabled = False
-    try:
-        yield
-    finally:
-        SOA_WALK.enabled = prev
-
-
-@contextmanager
-def soa_walk_forced() -> Iterator[None]:
-    """Run a block with the SoA path on regardless of the ambient setting."""
-    prev = SOA_WALK.enabled
-    SOA_WALK.enabled = True
-    try:
-        yield
-    finally:
-        SOA_WALK.enabled = prev
 
 
 class SoAParityError(AssertionError):
@@ -362,10 +308,15 @@ def pack_for(compute: ComputeDef) -> SoAPack:
 class _SoABundle:
     """Shared per-(compute, hardware) state: the pack plus latency memos.
 
-    The quick/full latencies depend only on ``(tiles, vthreads)`` — not the
-    current level — so engines for the same compute/device pair share them
-    across compiles.  Specs are bucketed by identity and retained in the
-    bucket so their id cannot be recycled (the ``_memok_cache`` pattern).
+    The quick/full latencies depend on ``(tiles, vthreads)`` and the fused
+    epilogues — not the current level — so engines for the same
+    compute/device pair share them across compiles.  Keys are ``(tiles,
+    vthreads, tag)``, where the tag is ``None`` for an unfused kernel and
+    otherwise the fused prefix's latency-relevant quantities (see
+    :meth:`SoAWalkEngine._fused_constants`): one compute can anchor
+    different epilogue pools across compiles.  Specs are bucketed by
+    identity and retained in the bucket so their id cannot be recycled
+    (the ``_memok_cache`` pattern).
     """
 
     __slots__ = ("hw", "pack", "quick", "full", "coal")
@@ -373,8 +324,8 @@ class _SoABundle:
     def __init__(self, hw: HardwareSpec, pack: SoAPack) -> None:
         self.hw = hw
         self.pack = pack
-        self.quick: dict[tuple[bytes, bytes], float] = {}
-        self.full: dict[tuple[bytes, bytes], float] = {}
+        self.quick: dict[tuple, float] = {}
+        self.full: dict[tuple, float] = {}
         #: per-block-row coalescing factors (warp-size dependent, hence
         #: bundled with the hardware rather than the pack).
         self.coal: dict[bytes, float] = {}
@@ -461,15 +412,17 @@ class SoAFrontier:
 # -- edges and expansion ------------------------------------------------------
 
 
+
+
 class SoAEdge:
     """A surviving transition in packed form (mirror of ``graph.Edge``).
 
     The arrays are owned by the engine and never mutated after creation —
     destinations share their unchanged source arrays (e.g. a vThread edge
-    shares the tile matrix).
+    shares the tile matrix, a fuse edge shares both).
     """
 
-    __slots__ = ("kind", "axis", "benefit", "tiles", "vthreads", "level")
+    __slots__ = ("kind", "axis", "benefit", "tiles", "vthreads", "level", "fused")
 
     def __init__(
         self,
@@ -479,6 +432,7 @@ class SoAEdge:
         tiles: np.ndarray,
         vthreads: np.ndarray,
         level: int,
+        fused: int,
     ) -> None:
         self.kind = kind
         self.axis = axis
@@ -486,21 +440,23 @@ class SoAEdge:
         self.tiles = tiles
         self.vthreads = vthreads
         self.level = level
+        self.fused = fused
 
     def dst_config(self) -> tuple:
-        """The destination's ``(tiles, vthreads, cur_level)`` as the plain
-        tuples an equal ``ETIR.key()`` would carry."""
+        """The destination as ``(tiles, vthreads, cur_level, fused)`` plain
+        tuples — see :func:`_state_config`."""
         return (
             tuple(tuple(row) for row in self.tiles.tolist()),
             tuple(self.vthreads.tolist()),
             self.level,
+            self.fused,
         )
 
 
 class _Slot:
     """One enumerated action template (pre-legality), in enumeration order."""
 
-    __slots__ = ("kind", "axis", "tiles", "vthreads", "level")
+    __slots__ = ("kind", "axis", "tiles", "vthreads", "level", "fused")
 
     def __init__(
         self,
@@ -509,26 +465,31 @@ class _Slot:
         tiles: np.ndarray | None,
         vthreads: np.ndarray | None,
         level: int,
+        fused: int,
     ) -> None:
         self.kind = kind
         self.axis = axis
         self.tiles = tiles  # None => structurally illegal
         self.vthreads = vthreads
         self.level = level
+        self.fused = fused
 
 
 class SoAWalkEngine:
-    """Vectorized construction-graph expansion and walk for one operator.
+    """Vectorized construction-graph expansion, walk, and polish for one
+    operator (and, for a program fusion group, its epilogue pool).
 
     Mirrors ``ConstructionGraph`` + ``TransitionPolicy`` bit-for-bit (see
     the module docstring for the contract): same node bookkeeping, same
     memo/eviction choreography (so ``num_nodes`` matches the object path
     even past the cache cap), same RNG consumption per chain, same traced
-    events.  One engine per compile — the edge memo affects ``num_nodes``
-    through eviction/recomputation, so sharing it across compiles would
-    diverge from a fresh ``ConstructionGraph``.  The latency memos *are*
-    shared across compiles (per compute/device bundle): latencies are pure
-    state functions, so reuse changes no value.
+    events.  A walk state is ``(tiles, vthreads, level, fused)``, where
+    ``fused`` counts the pool prefix running inside the anchor kernel.
+    One engine per compile — the edge memo affects ``num_nodes`` through
+    eviction/recomputation, so sharing it across compiles would diverge
+    from a fresh ``ConstructionGraph``.  The latency memos *are* shared
+    across compiles (per compute/device bundle): latencies are pure state
+    functions, so reuse changes no value.
     """
 
     def __init__(
@@ -539,6 +500,7 @@ class SoAWalkEngine:
         num_levels: int | None = None,
         forbid: frozenset[str] = frozenset(),
         max_cached_states: int = DEFAULT_MAX_CACHED_STATES,
+        epilogues: tuple[ComputeDef, ...] = (),
     ) -> None:
         self.compute = compute
         self.hw = hardware
@@ -548,17 +510,66 @@ class SoAWalkEngine:
         )
         self.forbid = forbid
         self.max_cached_states = max_cached_states
+        self.epilogues = tuple(epilogues)
         self.pack = pack_for(compute)
         self.bundle = _bundle_for(compute, hardware)
+        self._fused_constants()
         self._nodes: dict[tuple, bool] = {}
         self._edges: dict[tuple, list[SoAEdge]] = {}
         self._nodes_seen = 0
 
+    def _fused_constants(self) -> None:
+        """Per-fused-count constants, read off one ETIR state per count.
+
+        Everything the fused count changes is a scalar of the group (the
+        epilogue bytes enter per tile only scaled by its spatial point
+        count), so each is computed once by the object path's own methods
+        on the ladder ``fused = 0..len(pool)`` and indexed by the packed
+        state's fused count.
+        """
+        hw = self.hw
+        ladder = [
+            ETIR.initial(
+                self.compute, num_levels=self.num_levels, epilogues=self.epilogues
+            )
+        ]
+        while ladder[-1].fused < len(self.epilogues):
+            nxt = ladder[-1].with_fuse()
+            assert nxt is not None
+            ladder.append(nxt)
+        #: extra epilogue input bytes per spatial point (register and DRAM
+        #: terms scale it by the spatial tile's point count).
+        self._ep_bytes = np.array(
+            [s._epilogue_extra_bytes(1) for s in ladder], dtype=np.int64
+        )
+        self._ep_fpp = np.array([s.epilogue_flops_per_point() for s in ladder])
+        self._flops = np.array([s.program_flops() for s in ladder])
+        self._io = np.array([s.program_io_bytes() for s in ladder])
+        self._penalty = [pending_penalty_s(s, hw) for s in ladder]
+        self._fuse_benefit = [
+            _fusion_benefit(a, b, hw) for a, b in zip(ladder, ladder[1:])
+        ]
+        self._unfuse_benefit = [0.0] + [
+            _fusion_benefit(b, a, hw) for a, b in zip(ladder, ladder[1:])
+        ]
+        #: latency-memo tag per fused count (see _SoABundle).
+        self._tags: list = [None] + [
+            (
+                int(self._ep_bytes[f]),
+                float(self._flops[f]),
+                float(self._io[f]),
+                float(self._ep_fpp[f]),
+            )
+            for f in range(1, len(ladder))
+        ]
+
     # -- node bookkeeping (mirrors ConstructionGraph) -------------------------
 
     @staticmethod
-    def _key(tiles: np.ndarray, vthreads: np.ndarray, level: int) -> tuple:
-        return (tiles.tobytes(), vthreads.tobytes(), level)
+    def _key(
+        tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
+    ) -> tuple:
+        return (tiles.tobytes(), vthreads.tobytes(), level, fused)
 
     def _add_node(self, key: tuple) -> None:
         if key not in self._nodes:
@@ -596,11 +607,12 @@ class SoAWalkEngine:
         resumed walk's future ``num_nodes`` depends on exactly which keys
         the snapshot preserved.  Edge memos are deliberately not exported
         (expansion is deterministic; resumed recomputation is
-        value-identical).
+        value-identical).  Only bare-operator walks are checkpointed, so
+        the fused count (always 0) is not exported.
         """
         a_count = self.pack.num_axes
         configs: list[tuple] = []
-        for tiles_b, vthreads_b, level in self._nodes:
+        for tiles_b, vthreads_b, level, _fused in self._nodes:
             tiles = np.frombuffer(tiles_b, dtype=np.int64).reshape(a_count, -1)
             vthreads = np.frombuffer(vthreads_b, dtype=np.int64)
             configs.append(
@@ -612,14 +624,15 @@ class SoAWalkEngine:
             )
         return configs, self._nodes_seen
 
-    def restore_nodes(self, configs: "Iterable[tuple]", nodes_seen: int) -> None:
+    def restore_nodes(self, configs: Iterable[tuple], nodes_seen: int) -> None:
         """Rebuild the node memo a checkpoint exported (insertion order kept)."""
         nodes: dict[tuple, bool] = {}
         for tiles, vthreads, level in configs:
-            key = (
-                np.array(tiles, dtype=np.int64).tobytes(),
-                np.array(vthreads, dtype=np.int64).tobytes(),
+            key = self._key(
+                np.array(tiles, dtype=np.int64),
+                np.array(vthreads, dtype=np.int64),
                 int(level),
+                0,
             )
             nodes[key] = True
         self._nodes = nodes
@@ -671,21 +684,25 @@ class SoAWalkEngine:
     # -- expansion -------------------------------------------------------------
 
     def expand(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int
+        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int = 0
     ) -> list[SoAEdge]:
         """Legal outgoing edges (benefit > 0), memoized — ``graph.expand``."""
-        key = self._key(tiles, vthreads, level)
+        key = self._key(tiles, vthreads, level, fused)
         self._add_node(key)
         cached = self._edges.get(key)
         if cached is not None:
             return cached
-        candidates, benefits = self._compute_expansion(tiles, vthreads, level)
+        _slots, candidates, benefits, _memok = self._expansion_slots(
+            tiles, vthreads, level, fused
+        )
         edges: list[SoAEdge] = []
-        for slot, benefit in zip(candidates, benefits):
+        for (_i, slot), benefit in zip(candidates, benefits):
             if benefit <= 0.0:
                 continue
             assert slot.tiles is not None and slot.vthreads is not None
-            self._add_node(self._key(slot.tiles, slot.vthreads, slot.level))
+            self._add_node(
+                self._key(slot.tiles, slot.vthreads, slot.level, slot.fused)
+            )
             edges.append(
                 SoAEdge(
                     slot.kind,
@@ -694,6 +711,7 @@ class SoAWalkEngine:
                     slot.tiles,
                     slot.vthreads,
                     slot.level,
+                    slot.fused,
                 )
             )
         self._edges[key] = edges
@@ -701,7 +719,7 @@ class SoAWalkEngine:
         return edges
 
     def expand_detail(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int
+        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int = 0
     ) -> list[dict]:
         """Slot-level expansion for the differential harness.
 
@@ -710,7 +728,7 @@ class SoAWalkEngine:
         ``{kind, axis, legal, mem_ok, benefit, dst_config}``.
         """
         slots, candidates, benefits, memok = self._expansion_slots(
-            tiles, vthreads, level
+            tiles, vthreads, level, fused
         )
         by_slot: dict[int, tuple[float, bool, tuple]] = {}
         for j, (slot_idx, slot) in enumerate(candidates):
@@ -719,6 +737,7 @@ class SoAWalkEngine:
                 tuple(tuple(row) for row in slot.tiles.tolist()),
                 tuple(slot.vthreads.tolist()),
                 slot.level,
+                slot.fused,
             )
             by_slot[slot_idx] = (benefits[j], bool(memok[j]), cfg)
         detail = []
@@ -736,16 +755,8 @@ class SoAWalkEngine:
             )
         return detail
 
-    def _compute_expansion(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int
-    ) -> tuple[list[_Slot], list[float]]:
-        _slots, candidates, benefits, _memok = self._expansion_slots(
-            tiles, vthreads, level
-        )
-        return [slot for _i, slot in candidates], benefits
-
     def _expansion_slots(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int
+        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
     ) -> tuple[list[_Slot], list[tuple[int, _Slot]], list[float], np.ndarray]:
         """Enumerate, legality-check, and price one state's frontier.
 
@@ -756,7 +767,6 @@ class SoAWalkEngine:
         the candidates' relaxed memory-check mask.
         """
         pack = self.pack
-        hw = self.hw
         forbid = self.forbid
         a_count = pack.num_axes
         num_levels = tiles.shape[1]
@@ -776,12 +786,14 @@ class SoAWalkEngine:
                 if new > upper:
                     new = upper if cur < upper else None
                 if new is None:
-                    slots.append(_Slot(ActionKind.TILE_UP, a, None, None, level))
+                    slots.append(
+                        _Slot(ActionKind.TILE_UP, a, None, None, level, fused)
+                    )
                 else:
                     dst = tiles.copy()
                     dst[a, level - 1] = new
                     slots.append(
-                        _Slot(ActionKind.TILE_UP, a, dst, vthreads, level)
+                        _Slot(ActionKind.TILE_UP, a, dst, vthreads, level, fused)
                     )
             if ActionKind.TILE_DOWN not in forbid:
                 cur = rows[a][level - 1]
@@ -791,41 +803,52 @@ class SoAWalkEngine:
                     lower = max(lower, vlist[a])
                 if down < lower:
                     slots.append(
-                        _Slot(ActionKind.TILE_DOWN, a, None, None, level)
+                        _Slot(ActionKind.TILE_DOWN, a, None, None, level, fused)
                     )
                 else:
                     dst = tiles.copy()
                     dst[a, level - 1] = down
                     slots.append(
-                        _Slot(ActionKind.TILE_DOWN, a, dst, vthreads, level)
+                        _Slot(ActionKind.TILE_DOWN, a, dst, vthreads, level, fused)
                     )
             if not pack.is_reduce[a] and level == 1:
                 if ActionKind.VTHREAD_UP not in forbid:
                     count = vlist[a] * 2
                     if count > rows[a][0]:
                         slots.append(
-                            _Slot(ActionKind.VTHREAD_UP, a, None, None, level)
+                            _Slot(ActionKind.VTHREAD_UP, a, None, None, level, fused)
                         )
                     else:
                         dv = vthreads.copy()
                         dv[a] = count
                         slots.append(
-                            _Slot(ActionKind.VTHREAD_UP, a, tiles, dv, level)
+                            _Slot(ActionKind.VTHREAD_UP, a, tiles, dv, level, fused)
                         )
                 if ActionKind.VTHREAD_DOWN not in forbid:
                     v = vlist[a]
                     if v <= 1:
                         slots.append(
-                            _Slot(ActionKind.VTHREAD_DOWN, a, None, None, level)
+                            _Slot(ActionKind.VTHREAD_DOWN, a, None, None, level, fused)
                         )
                     else:
                         dv = vthreads.copy()
                         dv[a] = v // 2
                         slots.append(
-                            _Slot(ActionKind.VTHREAD_DOWN, a, tiles, dv, level)
+                            _Slot(ActionKind.VTHREAD_DOWN, a, tiles, dv, level, fused)
                         )
         if level > 1 and ActionKind.CACHE not in forbid:
-            slots.append(_Slot(ActionKind.CACHE, -1, tiles, vthreads, level - 1))
+            slots.append(
+                _Slot(ActionKind.CACHE, -1, tiles, vthreads, level - 1, fused)
+            )
+        if self.epilogues:
+            if fused < len(self.epilogues) and ActionKind.FUSE not in forbid:
+                slots.append(
+                    _Slot(ActionKind.FUSE, -1, tiles, vthreads, level, fused + 1)
+                )
+            if fused > 0 and ActionKind.UNFUSE not in forbid:
+                slots.append(
+                    _Slot(ActionKind.UNFUSE, -1, tiles, vthreads, level, fused - 1)
+                )
 
         candidates = [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
         n = len(candidates)
@@ -835,7 +858,8 @@ class SoAWalkEngine:
         dst_tiles = np.stack([s.tiles for _i, s in candidates])
         block = dst_tiles[:, :, num_levels - 1]
         thread = dst_tiles[:, :, 0]
-        memok, _smem_fp, _regs = self._memok_relaxed(block, thread)
+        dst_fused = np.array([s.fused for _i, s in candidates], dtype=np.int64)
+        memok, _smem_fp, _regs = self._memok_relaxed(block, thread, dst_fused)
 
         # Formula 1-3 formulas, in candidate order; the source Q/F terms
         # shared by every tiling candidate are computed lazily once.
@@ -852,6 +876,10 @@ class SoAWalkEngine:
                 if cache_formula is None:
                     cache_formula = self._caching_benefit(tiles, level, num_levels)
                 benefits[j] = cache_formula
+            elif slot.kind == ActionKind.FUSE:
+                benefits[j] = self._fuse_benefit[fused]
+            elif slot.kind == ActionKind.UNFUSE:
+                benefits[j] = self._unfuse_benefit[fused]
             else:
                 assert slot.vthreads is not None
                 benefits[j] = self._vthread_benefit(
@@ -861,7 +889,7 @@ class SoAWalkEngine:
                     vlist[slot.axis],
                     int(slot.vthreads[slot.axis]),
                 )
-            if slot.kind != ActionKind.CACHE and self.multi_objective:
+            if slot.kind not in _NO_ACCEL and self.multi_objective:
                 needs_accel.append(j)
 
         if tiling_rows:
@@ -885,7 +913,7 @@ class SoAWalkEngine:
 
         if needs_accel:
             benefits = self._apply_acceleration(
-                tiles, vthreads, candidates, benefits, needs_accel
+                tiles, vthreads, fused, candidates, benefits, needs_accel
             )
         return slots, candidates, benefits, memok
 
@@ -950,27 +978,35 @@ class SoAWalkEngine:
         self,
         tiles: np.ndarray,
         vthreads: np.ndarray,
+        fused: int,
         candidates: list[tuple[int, _Slot]],
         benefits: list[float],
         needs_accel: list[int],
     ) -> list[float]:
-        """The roofline term of ``action_benefits``, memo-backed."""
+        """The roofline term of ``action_benefit``, memo-backed.
+
+        Only tile and vThread moves take it, and those keep the source's
+        fused count, so every row prices at ``fused``.
+        """
         quick = self.bundle.quick
         if len(quick) > _MEMO_CAP:
             quick.clear()
-        src_key = (tiles.tobytes(), vthreads.tobytes())
+        tag = self._tags[fused]
+        src_key = (tiles.tobytes(), vthreads.tobytes(), tag)
         before = quick.get(src_key)
         if before is None:
-            before = float(self._quick_latencies(tiles[None], vthreads[None])[0])
+            before = float(
+                self._quick_latencies(tiles[None], vthreads[None], fused)[0]
+            )
             quick[src_key] = before
 
         afters: list[float | None] = [None] * len(needs_accel)
         missing: list[int] = []
-        keys: list[tuple[bytes, bytes]] = []
+        keys: list[tuple] = []
         for k, j in enumerate(needs_accel):
             slot = candidates[j][1]
             assert slot.tiles is not None and slot.vthreads is not None
-            key = (slot.tiles.tobytes(), slot.vthreads.tobytes())
+            key = (slot.tiles.tobytes(), slot.vthreads.tobytes(), tag)
             keys.append(key)
             afters[k] = quick.get(key)
             if afters[k] is None:
@@ -982,7 +1018,7 @@ class SoAWalkEngine:
             batch_v = np.stack(
                 [candidates[needs_accel[k]][1].vthreads for k in missing]
             )
-            lats = self._quick_latencies(batch_t, batch_v)
+            lats = self._quick_latencies(batch_t, batch_v, fused)
             for k, lat in zip(missing, lats):
                 afters[k] = float(lat)
                 quick[keys[k]] = float(lat)
@@ -1001,17 +1037,30 @@ class SoAWalkEngine:
 
     # -- legality / feature kernels -------------------------------------------
 
+    def _spatial_points(self, tiles: np.ndarray) -> np.ndarray:
+        """Points of the spatial tile per row (``ETIR._spatial_tile_points``)."""
+        pts = np.ones(tiles.shape[0], dtype=np.int64)
+        for a in self.pack.spatial_idx:
+            pts = pts * tiles[:, a]
+        return pts
+
     def _memok_relaxed(
-        self, block: np.ndarray, thread: np.ndarray
+        self, block: np.ndarray, thread: np.ndarray, fused: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Traversal-time memory check per row: smem slab + register budget.
 
-        Returns ``(ok, smem_fp, regs)``; the latter two feed the strict
-        check and the cost-model features.
+        ``fused`` is the per-row fused count: fused epilogues' extra inputs
+        live in registers at the spatial thread tile.  Returns ``(ok,
+        smem_fp, regs)``; the latter two feed the strict check and the
+        cost-model features.
         """
         pack = self.pack
         smem_fp = pack.footprint_bytes(block, include_output=False)
         regs_nbytes = pack.footprint_bytes(thread, include_output=True)
+        if self.epilogues:
+            regs_nbytes = regs_nbytes + self._ep_bytes[fused] * self._spatial_points(
+                thread
+            )
         regs = np.maximum(
             1, np.ceil(regs_nbytes.astype(np.float64) / 4).astype(np.int64)
         )
@@ -1034,6 +1083,27 @@ class SoAWalkEngine:
                 np.int64
             )
         return nblk
+
+    def _dram_q(self, block: np.ndarray, fused: np.ndarray) -> np.ndarray:
+        """``float(ETIR.dram_traffic_bytes())`` per row.
+
+        Fused rows add their epilogues' extra inputs, streamed once per
+        block at the spatial block tile — exact Python ints, as the object
+        path sums them.
+        """
+        traffic = self.pack.traffic_bytes_ints(block)
+        if not self.epilogues or not fused.any():
+            return np.array([float(q) for q in traffic], dtype=np.float64)
+        ep_bytes = self._ep_bytes[fused].tolist()
+        nblk = self._nblk(block).tolist()
+        pts = self._spatial_points(block).tolist()
+        return np.array(
+            [
+                float(q + nb * (p * eb))
+                for q, nb, p, eb in zip(traffic, nblk, pts, ep_bytes)
+            ],
+            dtype=np.float64,
+        )
 
     def _coalescing(self, block: np.ndarray) -> np.ndarray:
         """Footprint-weighted coalescing factor per row (row-cached).
@@ -1104,25 +1174,38 @@ class SoAWalkEngine:
         )
         return 1.0 + 0.35 * (groups - 1.0)
 
+    def _fused_rows(self, fused: "int | np.ndarray", n: int) -> np.ndarray:
+        if isinstance(fused, np.ndarray):
+            return fused
+        return np.full(n, int(fused), dtype=np.int64)
+
     def _quick_latencies(
-        self, tiles3: np.ndarray, vthreads2: np.ndarray
+        self,
+        tiles3: np.ndarray,
+        vthreads2: np.ndarray,
+        fused: "int | np.ndarray" = 0,
     ) -> np.ndarray:
         """``quick_latency(strict=False)`` per row, via the shared pipe."""
         n = tiles3.shape[0]
         out = np.full(n, math.inf)
+        fused = self._fused_rows(fused, n)
         num_levels = tiles3.shape[2]
         block = tiles3[:, :, num_levels - 1]
         thread = tiles3[:, :, 0]
-        ok, _smem_fp, _regs = self._memok_relaxed(block, thread)
+        ok, _smem_fp, _regs = self._memok_relaxed(block, thread, fused)
         idx = np.nonzero(ok)[0]
         if idx.size == 0:
             return out
-        cols = self._quick_cols(block[idx], thread[idx], vthreads2[idx])
+        cols = self._quick_cols(block[idx], thread[idx], vthreads2[idx], fused[idx])
         out[idx] = quick_pipe(cols, self.hw)
         return out
 
     def _quick_cols(
-        self, block: np.ndarray, thread: np.ndarray, vthreads: np.ndarray
+        self,
+        block: np.ndarray,
+        thread: np.ndarray,
+        vthreads: np.ndarray,
+        fused: np.ndarray,
     ) -> np.ndarray:
         """The 8 ``quick_pipe`` feature rows for feasible rows."""
         pack = self.pack
@@ -1134,29 +1217,51 @@ class SoAWalkEngine:
             inner_work = inner_work * thread[:, a].astype(np.float64)
         coalesce = self._coalescing(block)
         conflict = self._conflict(block, thread, vthreads)
-        dram_q = np.array(
-            [float(q) for q in pack.traffic_bytes_ints(block)],
-            dtype=np.float64,
-        )
+        dram_q = self._dram_q(block, fused)
         smem_q = np.array(
             [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
         )
-        flops = np.full(n, pack.total_flops)
         return np.stack(
-            [tpb, nblk, inner_work, coalesce, conflict, dram_q, smem_q, flops]
+            [
+                tpb,
+                nblk,
+                inner_work,
+                coalesce,
+                conflict,
+                dram_q,
+                smem_q,
+                self._flops[fused],
+            ]
         )
 
     def _full_latencies(
-        self, tiles3: np.ndarray, vthreads2: np.ndarray
+        self,
+        tiles3: np.ndarray,
+        vthreads2: np.ndarray,
+        fused: "int | np.ndarray" = 0,
     ) -> np.ndarray:
         """``CostModel.evaluate(...).latency_s`` per row, via the shared pipe."""
+        out = np.full(tiles3.shape[0], math.inf)
+        idx, cols = self._full_features(tiles3, vthreads2, fused)
+        if idx.size:
+            out[idx] = pipe_metrics(cols, self.hw)[0]
+        return out
+
+    def _full_features(
+        self,
+        tiles3: np.ndarray,
+        vthreads2: np.ndarray,
+        fused: "int | np.ndarray" = 0,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Rows ``CostModel.evaluate`` would not reject as INFEASIBLE, and
+        their 14 ``pipe_metrics`` feature columns (``None`` if no row is)."""
         hw = self.hw
         n = tiles3.shape[0]
-        out = np.full(n, math.inf)
+        fused = self._fused_rows(fused, n)
         num_levels = tiles3.shape[2]
         block = tiles3[:, :, num_levels - 1]
         thread = tiles3[:, :, 0]
-        ok, smem_fp, regs = self._memok_relaxed(block, thread)
+        ok, smem_fp, regs = self._memok_relaxed(block, thread, fused)
         tpb = self._tpb(block, thread)
         strict_ok = (
             ok
@@ -1177,20 +1282,18 @@ class SoAWalkEngine:
             np.minimum(by_smem, by_threads),
             np.minimum(by_regs, hw.max_blocks_per_sm),
         )
-        feasible = strict_ok & (bps > 0)
-        idx = np.nonzero(feasible)[0]
+        idx = np.nonzero(strict_ok & (bps > 0))[0]
         if idx.size == 0:
-            return out
-        cols = self._full_cols(
+            return idx, None
+        return idx, self._full_cols(
             block[idx],
             thread[idx],
             vthreads2[idx],
             tpb[idx],
             bps[idx],
             smem_fp[idx],
+            fused[idx],
         )
-        out[idx] = pipe_metrics(cols, hw)[0]
-        return out
 
     def _full_cols(
         self,
@@ -1200,34 +1303,50 @@ class SoAWalkEngine:
         tpb: np.ndarray,
         bps: np.ndarray,
         smem_fp: np.ndarray,
+        fused: np.ndarray,
     ) -> np.ndarray:
-        """The 14 ``pipe_metrics`` feature rows for feasible rows."""
+        """The 14 ``pipe_metrics`` feature rows for feasible rows.
+
+        Fused rows add the epilogue terms of ``CostModel._padded_flops`` /
+        ``_inner_work`` after the anchor's, in the scalar operation order.
+        """
         pack = self.pack
         n = block.shape[0]
         nblk = self._nblk(block).astype(np.float64)
         padded = np.ones(n)
+        padded_sp = np.ones(n)
         for a in range(pack.num_axes):
             blocks_a = np.ceil(pack.extent_list[a] / block[:, a]).astype(
                 np.int64
             )
             threads_a = np.ceil(block[:, a] / thread[:, a]).astype(np.int64)
-            padded = padded * (blocks_a * threads_a * thread[:, a]).astype(
-                np.float64
-            )
+            points_a = (blocks_a * threads_a * thread[:, a]).astype(np.float64)
+            padded = padded * points_a
+            if self.epilogues and not pack.is_reduce[a]:
+                padded_sp = padded_sp * points_a
         padded_flops = pack.flops_per_point * padded
         inner_work = np.ones(n)
         for a in range(pack.num_axes):
             inner_work = inner_work * thread[:, a].astype(np.float64)
         inner_work = inner_work * pack.flops_per_point / 2.0
+        is_fused = fused > 0
+        if is_fused.any():
+            ep_fpp = self._ep_fpp[fused]
+            sp_thread = np.ones(n)
+            for a in pack.spatial_idx:
+                sp_thread = sp_thread * thread[:, a].astype(np.float64)
+            padded_flops = np.where(
+                is_fused, padded_flops + ep_fpp * padded_sp, padded_flops
+            )
+            inner_work = np.where(
+                is_fused, inner_work + sp_thread * ep_fpp / 2.0, inner_work
+            )
         vt = np.ones(n, dtype=np.int64)
         for a in range(pack.num_axes):
             vt = vt * vthreads[:, a]
         coalesce = self._coalescing(block)
-        dram_q = np.array(
-            [float(q) for q in pack.traffic_bytes_ints(block)],
-            dtype=np.float64,
-        )
-        unique_bytes = np.full(n, pack.total_io)
+        dram_q = self._dram_q(block, fused)
+        unique_bytes = self._io[fused]
         conflict = self._conflict(block, thread, vthreads)
         smem_q = np.array(
             [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
@@ -1252,22 +1371,22 @@ class SoAWalkEngine:
                 smem_q,
                 reduce_chunks.astype(np.float64),
                 smem_fp.astype(np.float64),
-                np.full(n, pack.total_flops),
+                self._flops[fused],
             ]
         )
 
     def _full_latencies_memo(
-        self, pairs: list[tuple[np.ndarray, np.ndarray]]
+        self, states: list[tuple[np.ndarray, np.ndarray, int]]
     ) -> np.ndarray:
-        """Memo-backed full latencies for a list of ``(tiles, vthreads)``."""
+        """Memo-backed full latencies for ``(tiles, vthreads, fused)`` rows."""
         full = self.bundle.full
         if len(full) > _MEMO_CAP:
             full.clear()
-        out = np.empty(len(pairs))
+        out = np.empty(len(states))
         missing: list[int] = []
-        keys: list[tuple[bytes, bytes]] = []
-        for i, (t, v) in enumerate(pairs):
-            key = (t.tobytes(), v.tobytes())
+        keys: list[tuple] = []
+        for i, (t, v, f) in enumerate(states):
+            key = (t.tobytes(), v.tobytes(), self._tags[f])
             keys.append(key)
             lat = full.get(key)
             if lat is None:
@@ -1276,15 +1395,16 @@ class SoAWalkEngine:
                 out[i] = lat
         if missing:
             lats = self._full_latencies(
-                np.stack([pairs[i][0] for i in missing]),
-                np.stack([pairs[i][1] for i in missing]),
+                np.stack([states[i][0] for i in missing]),
+                np.stack([states[i][1] for i in missing]),
+                np.array([states[i][2] for i in missing], dtype=np.int64),
             )
             for i, lat in zip(missing, lats):
                 out[i] = lat
                 full[keys[i]] = float(lat)
         return out
 
-    # -- the walk (mirrors TransitionPolicy + Gensor._run_walker) --------------
+    # -- the walk (mirrors TransitionPolicy + the reference chain) -------------
 
     def _probabilities(
         self,
@@ -1311,10 +1431,16 @@ class SoAWalkEngine:
         return edges, weights / total
 
     def _decode(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int
+        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
     ) -> ETIR:
         return ETIR.from_arrays(
-            self.compute, tiles, vthreads, level, tiles.shape[1]
+            self.compute,
+            tiles,
+            vthreads,
+            level,
+            tiles.shape[1],
+            epilogue_pool=self.epilogues,
+            fused=fused,
         )
 
     def run_chain(
@@ -1333,8 +1459,8 @@ class SoAWalkEngine:
     ) -> int:
         """One annealed chain on the packed representation.
 
-        Byte-identical to the object path's chain: same RNG consumption
-        (one ``choice`` + one ``random`` per step, nothing at a sink), same
+        Byte-identical to the reference chain: same RNG consumption (one
+        ``choice`` + one ``random`` per step, nothing at a sink), same
         candidate-pool keys and overwrite order, same ``walk_step`` /
         ``chain_end`` events.  Returns the iteration count.
 
@@ -1343,10 +1469,12 @@ class SoAWalkEngine:
         restores the RNG bit state into ``rng`` — and ``checkpointer``
         (with ``base_steps``, the iterations completed by earlier chains)
         snapshots at the cadence its policy dictates, at iteration
-        boundaries only.
+        boundaries only.  Both are for bare operators, whose fused count
+        stays 0.
         """
         compute_name = self.compute.name
         a_count = self.pack.num_axes
+        fused = 0
         if resume is not None:
             tiles, vthreads, level, temperature, iteration = resume
             tiles = np.asarray(tiles, dtype=np.int64)
@@ -1367,40 +1495,24 @@ class SoAWalkEngine:
                 cancel.check()
             progress = math.log2(cfg.initial_temperature / temperature)
             kept, probs = self._probabilities(
-                self.expand(tiles, vthreads, level), progress, forbid
+                self.expand(tiles, vthreads, level, fused), progress, forbid
             )
             if not kept:
                 break
             idx = int(rng.choice(len(kept), p=probs))
             edge = kept[idx]
             src_level = level
-            tiles, vthreads, level = edge.tiles, edge.vthreads, edge.level
+            tiles, vthreads, level, fused = (
+                edge.tiles, edge.vthreads, edge.level, edge.fused
+            )
             appended = rng.random() < append_probability(temperature)
             if appended:
-                state = self._decode(tiles, vthreads, level)
+                state = self._decode(tiles, vthreads, level, fused)
                 candidates[state.key()] = state
             if tracer.enabled:
-                tracer.emit(
-                    "walk_step",
-                    {
-                        "compute": compute_name,
-                        "chain": tid,
-                        "iteration": iteration,
-                        "temperature": temperature,
-                        "level": src_level,
-                        "actions": [
-                            {
-                                "kind": e.kind,
-                                "axis": e.axis,
-                                "benefit": e.benefit,
-                                "prob": float(p),
-                            }
-                            for e, p in zip(kept, probs)
-                        ],
-                        "chosen": idx,
-                        "appended": appended,
-                    },
-                    tid=tid,
+                emit_walk_step(
+                    tracer, compute_name, tid, iteration, temperature,
+                    src_level, kept, probs, idx, appended,
                 )
             temperature *= cfg.cooling
             iteration += 1
@@ -1420,23 +1532,15 @@ class SoAWalkEngine:
                         candidates,
                     ),
                 )
-        state = self._decode(tiles, vthreads, level)
+        state = self._decode(tiles, vthreads, level, fused)
         candidates[state.key()] = state
         if tracer.enabled:
-            tracer.emit(
-                "chain_end",
-                {
-                    "compute": compute_name,
-                    "chain": tid,
-                    "iterations": iteration,
-                    "final_level": level,
-                    "final_temperature": temperature,
-                },
-                tid=tid,
+            emit_chain_end(
+                tracer, compute_name, tid, iteration, level, temperature
             )
         return iteration
 
-    # -- greedy refinement (mirrors Gensor.polish, batch path) -----------------
+    # -- greedy refinement (mirrors the reference polish) ----------------------
 
     def polish(
         self,
@@ -1448,66 +1552,69 @@ class SoAWalkEngine:
     ) -> ETIR:
         """Greedy value refinement on the packed representation.
 
-        Value-identical to the object path's batched polish: the same
-        neighbor enumeration order, the same full-model latencies (shared
-        pipe), the same first-occurrence ``argmin`` tie-break and strict
-        improvement stop, the same traced event.
+        Value-identical to the reference polish: the same neighbor
+        enumeration order (fuse/unfuse last), the same full-model
+        latencies (shared pipe) plus, for a fusion group, the standalone
+        cost of every epilogue left unfused, the same first-strict-
+        improvement tie-break and stop, the same traced event.  ``state``
+        must carry this engine's epilogue pool.
         """
-        from repro.obs.tracer import NULL_TRACER
-
         tracer = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter() if tracer.enabled else 0.0
         tiles, vthreads = state.config_arrays()
         level = state.cur_level
+        fused = state.fused
         num_levels = tiles.shape[1]
-        start_lat = current_lat = float(
-            self._full_latencies_memo([(tiles, vthreads)])[0]
+        program = bool(self.epilogues)
+        current_lat = float(
+            self._full_latencies_memo([(tiles, vthreads, fused)])[0]
         )
+        if program:
+            current_lat += self._penalty[fused]
+        start_lat = current_lat
         vthread_allowed = ActionKind.VTHREAD_UP not in forbid
         steps = 0
         for _ in range(max_steps):
             if cancel is not None:
                 cancel.check()
             neighbors = self._polish_neighbors(
-                tiles, vthreads, num_levels, vthread_allowed
+                tiles, vthreads, fused, num_levels, vthread_allowed
             )
             if not neighbors:
                 break
             lats = self._full_latencies_memo(neighbors)
+            if program:
+                lats = lats + np.array(
+                    [self._penalty[f] for _t, _v, f in neighbors]
+                )
+            # argmin's first-occurrence rule is the reference loop's "first
+            # strict improvement over all previous" bookkeeping.
             j = int(np.argmin(lats))
             if not lats[j] < current_lat:
                 break
-            tiles, vthreads = neighbors[j]
+            tiles, vthreads, fused = neighbors[j]
             current_lat = float(lats[j])
             steps += 1
         if tracer.enabled:
-            tracer.emit(
-                "polish",
-                {
-                    "compute": state.compute.name,
-                    "steps": steps,
-                    "max_steps": max_steps,
-                    "latency_before_s": start_lat,
-                    "latency_after_s": current_lat,
-                },
-                dur=time.perf_counter() - t0,
+            emit_polish(
+                tracer, state.compute.name, steps, max_steps, start_lat,
+                current_lat, time.perf_counter() - t0,
             )
-        return ETIR.from_arrays(
-            self.compute, tiles, vthreads, level, num_levels
-        )
+        return self._decode(tiles, vthreads, level, fused)
 
     def _polish_neighbors(
         self,
         tiles: np.ndarray,
         vthreads: np.ndarray,
+        fused: int,
         num_levels: int,
         vthread_allowed: bool,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``Gensor._all_level_neighbors`` on arrays, in enumeration order."""
+    ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """The reference ``all_level_neighbors`` on arrays, in order."""
         pack = self.pack
         rows = tiles.tolist()
         vlist = vthreads.tolist()
-        out: list[tuple[np.ndarray, np.ndarray]] = []
+        out: list[tuple[np.ndarray, np.ndarray, int]] = []
         for a in range(pack.num_axes):
             for level in range(1, num_levels + 1):
                 cur = rows[a][level - 1]
@@ -1531,14 +1638,19 @@ class SoAWalkEngine:
                     if new is not None:
                         dst = tiles.copy()
                         dst[a, level - 1] = new
-                        out.append((dst, vthreads))
+                        out.append((dst, vthreads, fused))
             if vthread_allowed and not pack.is_reduce[a]:
                 v = vlist[a]
                 for nv in (v * 2, v // 2, 1):
                     if nv >= 1 and nv != v and nv <= rows[a][0]:
                         dv = vthreads.copy()
                         dv[a] = nv
-                        out.append((tiles, dv))
+                        out.append((tiles, dv, fused))
+        if self.epilogues:
+            if fused < len(self.epilogues):
+                out.append((tiles, vthreads, fused + 1))
+            if fused > 0:
+                out.append((tiles, vthreads, fused - 1))
         return out
 
 
@@ -1554,17 +1666,24 @@ def _assert_same_float(a: float, b: float, context: str) -> None:
         )
 
 
+def _state_config(state: ETIR) -> tuple:
+    """``(tiles, vthreads, cur_level, fused)`` — what ``dst_config`` packs."""
+    return (state.config.tiles, state.config.vthreads, state.cur_level, state.fused)
+
+
 class DifferentialWalker:
     """Runs the object path and the SoA path in lockstep and cross-checks.
 
     Three granularities per state: *slot level* (every enumerated action
     template: legality, memory check, benefit bits, destination config,
-    against a memo-free scalar oracle), *edge level* (the surviving edge
-    lists of ``graph.expand`` vs ``engine.expand``), and *probability
-    level* (the normalized transition distributions, byte-compared).
-    :meth:`walk` drives an annealed walk through both paths on one RNG
-    stream and additionally asserts the chosen edges and the monotone node
-    counts agree.  Any divergence raises :class:`SoAParityError`.
+    against the graph's memo-free scalar oracle), *edge level* (the
+    surviving edge lists of ``graph.expand`` vs ``engine.expand``), and
+    *probability level* (the normalized transition distributions,
+    byte-compared).  :meth:`walk` drives an annealed walk through both
+    paths on one RNG stream and additionally asserts the chosen edges and
+    the monotone node counts agree.  ``epilogues`` makes it a fusion
+    group's walk (FUSE/UNFUSE edges; compared states must carry the pool).
+    Any divergence raises :class:`SoAParityError`.
     """
 
     def __init__(
@@ -1574,19 +1693,18 @@ class DifferentialWalker:
         multi_objective: bool = True,
         num_levels: int | None = None,
         forbid: frozenset[str] = frozenset(),
+        epilogues: tuple[ComputeDef, ...] = (),
     ) -> None:
         from repro.core.graph import ConstructionGraph
 
         self.compute = compute
         self.hw = hardware
+        self.epilogues = tuple(epilogues)
         self.num_levels = (
             num_levels if num_levels is not None else hardware.num_cache_levels
         )
         self.graph = ConstructionGraph(
-            hardware,
-            forbid=forbid,
-            multi_objective=multi_objective,
-            batch_scoring=True,
+            hardware, forbid=forbid, multi_objective=multi_objective
         )
         self.engine = SoAWalkEngine(
             compute,
@@ -1594,6 +1712,7 @@ class DifferentialWalker:
             multi_objective=multi_objective,
             num_levels=self.num_levels,
             forbid=forbid,
+            epilogues=self.epilogues,
         )
 
     def compare_state(
@@ -1610,12 +1729,12 @@ class DifferentialWalker:
         from repro.core.policy import TransitionPolicy
 
         tiles, vthreads = state.config_arrays()
-        level = state.cur_level
+        level, fused = state.cur_level, state.fused
         where = f"{state.compute.name} state {state.key()!r}"
 
         # Slot level: scalar memo-free oracle vs the packed expansion.
         oracle = self.graph.expansion_oracle(state)
-        detail = self.engine.expand_detail(tiles, vthreads, level)
+        detail = self.engine.expand_detail(tiles, vthreads, level, fused)
         if len(oracle) != len(detail):
             raise SoAParityError(
                 f"{where}: slot count {len(oracle)} != {len(detail)}"
@@ -1636,7 +1755,7 @@ class DifferentialWalker:
                     raise SoAParityError(
                         f"{ctx}: mem_ok {mem_ok} != {d['mem_ok']}"
                     )
-                dst_cfg = (nxt.config.tiles, nxt.config.vthreads, nxt.cur_level)
+                dst_cfg = _state_config(nxt)
                 if dst_cfg != d["dst_config"]:
                     raise SoAParityError(
                         f"{ctx}: dst {dst_cfg} != {d['dst_config']}"
@@ -1645,23 +1764,19 @@ class DifferentialWalker:
 
         # Edge level: the memoized surviving frontiers.
         edges = self.graph.expand(state)
-        soa_edges = self.engine.expand(tiles, vthreads, level)
+        soa_edges = self.engine.expand(tiles, vthreads, level, fused)
         if len(edges) != len(soa_edges):
             raise SoAParityError(
                 f"{where}: edge count {len(edges)} != {len(soa_edges)}"
             )
         for i, (edge, se) in enumerate(zip(edges, soa_edges)):
-            ctx = f"{where} edge {i} ({edge.action.kind})"
-            if edge.action.kind != se.kind or edge.action.axis_idx != se.axis:
+            ctx = f"{where} edge {i} ({edge.kind})"
+            if edge.kind != se.kind or edge.axis != se.axis:
                 raise SoAParityError(
                     f"{ctx}: SoA edge is ({se.kind}, axis {se.axis})"
                 )
             _assert_same_float(edge.benefit, se.benefit, f"{ctx} benefit")
-            dst_cfg = (
-                edge.dst.config.tiles,
-                edge.dst.config.vthreads,
-                edge.dst.cur_level,
-            )
+            dst_cfg = _state_config(edge.dst)
             if dst_cfg != se.dst_config():
                 raise SoAParityError(
                     f"{ctx}: dst {dst_cfg} != {se.dst_config()}"
@@ -1695,13 +1810,15 @@ class DifferentialWalker:
         cooling: float = 0.93,
         threshold: float = 0.01,
         forbid: frozenset[str] = frozenset(),
+        start: ETIR | None = None,
     ) -> dict:
         """Drive annealed chains through both paths on one RNG stream.
 
         Every visited state (including the terminal one) is cross-checked
         with :meth:`compare_state`; each step additionally asserts the
         roulette-chosen edge lands on the same destination.  At the end the
-        monotone node counts of both paths must agree.
+        monotone node counts of both paths must agree.  Chains start from
+        the initial state (fused count 0) unless ``start`` is given.
         """
         from repro.core.policy import TransitionPolicy
         from repro.utils.rng import spawn_rng
@@ -1711,9 +1828,16 @@ class DifferentialWalker:
         for chain in range(chains):
             rng = spawn_rng(seed, "diff", self.compute.name, chain)
             policy = TransitionPolicy(self.graph, rng)
-            state = ETIR.initial(self.compute, num_levels=self.num_levels)
+            if start is not None:
+                state = start
+            else:
+                state = ETIR.initial(
+                    self.compute,
+                    num_levels=self.num_levels,
+                    epilogues=self.epilogues,
+                )
             tiles, vthreads = state.config_arrays()
-            level = state.cur_level
+            level, fused = state.cur_level, state.fused
             temperature = initial_temperature
             iteration = 0
             while temperature > threshold and iteration < max_iterations:
@@ -1724,7 +1848,7 @@ class DifferentialWalker:
                 states_compared += 1
                 edges, probs = policy.probabilities(state, progress, forbid)
                 kept, _s_probs = self.engine._probabilities(
-                    self.engine.expand(tiles, vthreads, level),
+                    self.engine.expand(tiles, vthreads, level, fused),
                     progress,
                     forbid,
                 )
@@ -1732,21 +1856,18 @@ class DifferentialWalker:
                     break
                 idx = int(rng.choice(len(edges), p=probs))
                 edge, soa_edge = edges[idx], kept[idx]
-                dst_cfg = (
-                    edge.dst.config.tiles,
-                    edge.dst.config.vthreads,
-                    edge.dst.cur_level,
-                )
+                dst_cfg = _state_config(edge.dst)
                 if dst_cfg != soa_edge.dst_config():
                     raise SoAParityError(
                         f"chain {chain} iter {iteration}: chosen edge {idx} "
                         f"lands on {dst_cfg} != {soa_edge.dst_config()}"
                     )
                 state = edge.dst
-                tiles, vthreads, level = (
+                tiles, vthreads, level, fused = (
                     soa_edge.tiles,
                     soa_edge.vthreads,
                     soa_edge.level,
+                    soa_edge.fused,
                 )
                 temperature *= cooling
                 iteration += 1

@@ -85,11 +85,11 @@ def walk_config_digest(config: "GensorConfig") -> str:
     A checkpoint is only valid for resume under a config whose *walk*
     behaves identically: same seed, annealing schedule, chain structure
     and action space.  Fields that only affect the post-walk pipeline
-    (``top_k``, ``polish_steps``, ``multi_objective`` scoring weights do
-    affect transition probabilities, so they are included) or that both
-    walk paths already prove bit-equivalent (``batch_scoring`` — the SoA
-    gate) are deliberately excluded, so a checkpoint taken on the SoA
-    path resumes on the object path and vice versa.
+    (``top_k``, ``polish_steps``; ``multi_objective`` scoring weights do
+    affect transition probabilities, so they are included) are
+    deliberately excluded.  The digest names no walk engine: the SoA
+    engine and the object-level reference are bit-identical, so a
+    checkpoint taken on one resumes on the other.
     """
     fields = (
         int(config.seed),

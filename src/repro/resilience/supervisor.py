@@ -196,13 +196,13 @@ class SupervisedWorkerPool:
                 self._abandoned.add(dead)
             self.respawns[reason] = self.respawns.get(reason, 0) + 1
             # After a shrink, deaths among the surplus are not replaced.
-            if len(self._roster) >= self._target_workers:
-                if self._on_respawn is not None:
-                    self._on_respawn(reason)
-                return
-        self._spawn()
+            replace = len(self._roster) < self._target_workers
+        # Report before spawning the replacement, so anyone who sees the
+        # replacement's work also sees the callback.
         if self._on_respawn is not None:
             self._on_respawn(reason)
+        if replace:
+            self._spawn()
 
     def _supervise(self) -> None:
         while not self._stop.wait(self.supervise_interval_s):

@@ -31,16 +31,10 @@ import numpy as np
 
 from repro.hardware.memory import coalescing_factor, smem_transaction_factor
 from repro.hardware.spec import HardwareSpec
-from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 from repro.sim.metrics import KernelMetrics
-from repro.utils.caching import HOT_PATH_CACHING
 
 __all__ = ["CostModel", "INFEASIBLE", "pipe_metrics"]
-
-#: frontier size at or below which ``evaluate_batch`` runs the scalar loop
-#: (numpy setup dominates tiny batches; both paths are bit-identical).
-_SCALAR_CUTOVER = 12
 
 #: Metrics object returned for states that violate hardware limits.
 INFEASIBLE = KernelMetrics(
@@ -163,103 +157,6 @@ class CostModel:
     def latency(self, state: ETIR) -> float:
         return self.evaluate(state).latency_s
 
-    def evaluate_batch(self, states: "list[ETIR]") -> "list[KernelMetrics]":
-        """Predict metrics for a frontier of states in one vectorized pass.
-
-        Per-state *features* (residency, footprints, coalescing, conflicts)
-        are extracted in a Python loop — they walk the ETIR structure and are
-        memoized on the state — while the *pipe math* (occupancy, compute /
-        DRAM / L2 / smem times, staging, the latency combine) runs as numpy
-        float64 array expressions written in exactly the scalar
-        :meth:`evaluate` operation order.  Only ``+ - * / min max ceil``
-        appear in that math, so each element of the batch is bit-identical
-        to the scalar result: callers (expansion scoring, polish sweeps) can
-        switch between the two paths without perturbing the annealed walk's
-        RNG stream.
-        """
-        if len(states) <= _SCALAR_CUTOVER:
-            # Below this size the array setup costs more than it saves;
-            # the scalar loop is bit-identical, so callers can't tell.
-            return [self.evaluate(s) for s in states]
-        hw = self.hw
-        results: list[KernelMetrics] = [INFEASIBLE] * len(states)
-        rows: list[int] = []
-        feats: list[tuple] = []
-        for i, state in enumerate(states):
-            if not state.memory_ok(hw):
-                continue
-            tpb = state.threads_per_block()
-            bps = self._blocks_per_sm(state, tpb)
-            if bps == 0:
-                continue
-            compute = state.compute
-            rows.append(i)
-            feats.append(
-                (
-                    float(tpb),
-                    float(bps),
-                    float(state.num_blocks()),
-                    self._padded_flops(state),
-                    self._inner_work(state),
-                    float(state.total_vthreads()),
-                    self._coalescing(state),
-                    float(state.dram_traffic_bytes()),
-                    float(
-                        state.program_io_bytes()
-                        if state.fused
-                        else compute.total_io_bytes()
-                    ),
-                    self._bank_conflicts(state),
-                    float(state.smem_traffic_bytes()),
-                    float(self._reduce_chunks(state)),
-                    float(state.smem_footprint_bytes()),
-                    float(
-                        state.program_flops()
-                        if state.fused
-                        else compute.total_flops
-                    ),
-                )
-            )
-        if not rows:
-            return results
-
-        cols = np.asarray(feats, dtype=np.float64).T
-        (
-            latency,
-            achieved,
-            throughput,
-            sm_occ,
-            mem_busy,
-            l2_hit,
-            dram_bytes,
-            smem_bytes,
-            waves,
-        ) = pipe_metrics(cols, hw)
-        bps = cols[1]
-        conflict = cols[9]
-
-        for j, i in enumerate(rows):
-            results[i] = KernelMetrics(
-                latency_s=float(latency[j]),
-                achieved_flops=float(achieved[j]),
-                compute_throughput=float(throughput[j]),
-                sm_occupancy=float(sm_occ[j]),
-                mem_busy=float(mem_busy[j]),
-                l2_hit_rate=float(l2_hit[j]),
-                dram_bytes=float(dram_bytes[j]),
-                smem_bytes=float(smem_bytes[j]),
-                bank_conflict_factor=float(conflict[j]),
-                blocks_per_sm=int(bps[j]),
-                waves=float(waves[j]),
-            )
-        return results
-
-    def latency_batch(self, states: "list[ETIR]") -> np.ndarray:
-        """Latency column of :meth:`evaluate_batch` as a float64 array."""
-        return np.array(
-            [m.latency_s for m in self.evaluate_batch(states)], dtype=np.float64
-        )
-
     # -- model terms -----------------------------------------------------------------
 
     def _blocks_per_sm(self, state: ETIR, threads_per_block: int) -> int:
@@ -336,21 +233,19 @@ class CostModel:
         shared with :func:`repro.core.score._coalescing`, which runs the
         same weighted average in the same operation order.
         """
-        if HOT_PATH_CACHING.enabled:
-            from repro.ir.access import _tile_cache
+        from repro.ir.access import _tile_cache
 
-            cache = _tile_cache(state.compute)
-            lvl = state.num_levels
-            key = (
-                "coal",
-                tuple(t[lvl - 1] for t in state.config.tiles),
-                self.hw.warp_size,
-            )
-            cached = cache.get(key)
-            if cached is None:
-                cached = cache[key] = self._coalescing_uncached(state)
-            return cached
-        return self._coalescing_uncached(state)
+        cache = _tile_cache(state.compute)
+        lvl = state.num_levels
+        key = (
+            "coal",
+            tuple(t[lvl - 1] for t in state.config.tiles),
+            self.hw.warp_size,
+        )
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = self._coalescing_uncached(state)
+        return cached
 
     def _coalescing_uncached(self, state: ETIR) -> float:
         hw = self.hw
@@ -427,18 +322,17 @@ class CostModel:
 def pipe_metrics(
     cols: np.ndarray, hw: HardwareSpec
 ) -> tuple[np.ndarray, ...]:
-    """The float64 pipe arithmetic of :meth:`CostModel.evaluate_batch`.
+    """The pipe arithmetic of :meth:`CostModel.evaluate` over float64 columns.
 
     ``cols`` is a ``(14, n)`` float64 array with rows ``(tpb, bps, nblk,
     padded_flops, inner_work, vthreads, coalesce, dram_q, unique_bytes,
-    conflict, smem_q, reduce_chunks, smem_fp, useful_flops)`` — exactly the
-    feature tuple ``evaluate_batch`` extracts per state.  Operations run in
-    the scalar :meth:`CostModel.evaluate` order, so every element is
-    bit-identical to the scalar result.  Returns ``(latency, achieved,
+    conflict, smem_q, reduce_chunks, smem_fp, useful_flops)`` — the
+    per-state features :meth:`CostModel.evaluate` derives.  Operations run
+    in the scalar order with only ``+ - * / min max ceil``, so every element
+    is bit-identical to the scalar result.  Returns ``(latency, achieved,
     throughput, sm_occ, mem_busy, l2_hit, dram_bytes, smem_bytes, waves)``.
-    Shared by :meth:`CostModel.evaluate_batch` and the SoA walk core
-    (:mod:`repro.perf.soa`), which builds the same columns without
-    materializing ETIR objects.
+    The SoA walk core (:mod:`repro.perf.soa`) prices its frontiers through
+    it, building the columns without materializing ETIR objects.
     """
     (
         tpb,

@@ -2,7 +2,8 @@
 randomized step and resumed from its last checkpoint must be
 byte-identical — best schedule, top-k, iteration count, states visited,
 and the walk-step trace suffix — to the uninterrupted walk, on both the
-SoA and the object walk paths.
+SoA engine (``Gensor``) and the object-level reference
+(``ReferenceGensor``).
 
 The kill is a cooperative-cancellation bomb (a CancelToken that trips on
 its Nth poll), which models both per-attempt timeouts and, because the
@@ -11,17 +12,16 @@ process death recovered via the persisted store.
 """
 
 import os
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constructor import Gensor, GensorConfig
+from repro.core.reference import ReferenceGensor
 from repro.hardware import rtx4090
 from repro.ir import operators as ops
 from repro.obs.tracer import RecordingTracer
-from repro.perf.soa import soa_walk_disabled
 from repro.resilience.checkpoint import (
     CheckpointPolicy,
     CheckpointStore,
@@ -55,9 +55,9 @@ class Bomb(CancelToken):
         return self.checks >= self.fuse
 
 
-def walk_path(soa: bool):
-    """Context manager selecting the SoA or the object walk path."""
-    return nullcontext() if soa else soa_walk_disabled()
+def walk_path(soa: bool) -> type[Gensor]:
+    """The compiler class running the SoA engine or the object reference."""
+    return Gensor if soa else ReferenceGensor
 
 
 def summarize(result):
@@ -74,8 +74,7 @@ _BASELINE: dict[bool, tuple] = {}
 
 def baseline(soa: bool) -> tuple:
     if soa not in _BASELINE:
-        with walk_path(soa):
-            _BASELINE[soa] = summarize(Gensor(HW, CFG).compile(OP))
+        _BASELINE[soa] = summarize(walk_path(soa)(HW, CFG).compile(OP))
     return _BASELINE[soa]
 
 
@@ -83,15 +82,15 @@ def kill_and_resume(fuse: int, soa: bool):
     """Run to the kill point, resume from the last checkpoint; return
     (summary, checkpointer_of_killed_attempt, was_killed)."""
     ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-    with walk_path(soa):
-        try:
-            result = Gensor(HW, CFG).compile(
-                OP, cancel=Bomb(fuse), checkpointer=ck
-            )
-            return summarize(result), ck, False
-        except CompileCancelled:
-            pass
-        result = Gensor(HW, CFG).compile(OP, resume_from=ck.last)
+    compiler = walk_path(soa)
+    try:
+        result = compiler(HW, CFG).compile(
+            OP, cancel=Bomb(fuse), checkpointer=ck
+        )
+        return summarize(result), ck, False
+    except CompileCancelled:
+        pass
+    result = compiler(HW, CFG).compile(OP, resume_from=ck.last)
     return summarize(result), ck, True
 
 
@@ -124,19 +123,19 @@ def test_kill_before_first_checkpoint_restarts_clean():
 def test_trace_suffix_matches_uninterrupted_walk(soa):
     """The resumed walk's walk_step events equal the uninterrupted run's
     suffix — same chains, same chosen edges, same probabilities."""
-    with walk_path(soa):
-        full_tracer = RecordingTracer()
-        Gensor(HW, CFG, tracer=full_tracer).compile(OP)
-        ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-        try:
-            Gensor(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
-        except CompileCancelled:
-            pass
-        assert ck.last is not None
-        resumed_tracer = RecordingTracer()
-        Gensor(HW, CFG, tracer=resumed_tracer).compile(
-            OP, resume_from=ck.last
-        )
+    compiler = walk_path(soa)
+    full_tracer = RecordingTracer()
+    compiler(HW, CFG, tracer=full_tracer).compile(OP)
+    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
+    try:
+        compiler(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
+    except CompileCancelled:
+        pass
+    assert ck.last is not None
+    resumed_tracer = RecordingTracer()
+    compiler(HW, CFG, tracer=resumed_tracer).compile(
+        OP, resume_from=ck.last
+    )
     full = [e.args for e in full_tracer.events if e.name == "walk_step"]
     resumed = [
         e.args for e in resumed_tracer.events if e.name == "walk_step"
@@ -152,34 +151,34 @@ def test_resume_through_store_round_trip(soa):
     import tempfile
 
     ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-    with walk_path(soa):
-        try:
-            Gensor(HW, CFG).compile(OP, cancel=Bomb(31), checkpointer=ck)
-        except CompileCancelled:
-            pass
-        assert ck.last is not None
-        with tempfile.TemporaryDirectory() as root:
-            store = CheckpointStore(root)
-            store.save("rtx4090", ck.last)
-            loaded = store.load("rtx4090", ck.last.compute_key)
-            assert loaded == ck.last
-            result = Gensor(HW, CFG).compile(OP, resume_from=loaded)
+    compiler = walk_path(soa)
+    try:
+        compiler(HW, CFG).compile(OP, cancel=Bomb(31), checkpointer=ck)
+    except CompileCancelled:
+        pass
+    assert ck.last is not None
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root)
+        store.save("rtx4090", ck.last)
+        loaded = store.load("rtx4090", ck.last.compute_key)
+        assert loaded == ck.last
+        result = compiler(HW, CFG).compile(OP, resume_from=loaded)
     assert summarize(result) == baseline(soa)
 
 
 def test_resume_across_walk_paths():
-    """A checkpoint taken on the SoA path resumes on the object path (and
-    vice versa) — the config digest excludes the path toggle because the
-    paths are proven bit-identical."""
-    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-    try:
-        Gensor(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
-    except CompileCancelled:
-        pass
-    assert ck.last is not None
-    with soa_walk_disabled():
-        result = Gensor(HW, CFG).compile(OP, resume_from=ck.last)
-    assert summarize(result) == baseline(True) == baseline(False)
+    """A checkpoint taken on the SoA engine resumes on the object reference
+    (and vice versa) — the config digest names no engine because the two
+    are proven bit-identical."""
+    for taken_on, resumed_on in ((Gensor, ReferenceGensor), (ReferenceGensor, Gensor)):
+        ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
+        try:
+            taken_on(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
+        except CompileCancelled:
+            pass
+        assert ck.last is not None
+        result = resumed_on(HW, CFG).compile(OP, resume_from=ck.last)
+        assert summarize(result) == baseline(True) == baseline(False)
 
 
 def test_multi_walker_rejects_resume():

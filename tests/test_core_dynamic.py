@@ -76,3 +76,24 @@ class TestStats:
         dyn.compile(ops.matmul(768, 256, 512, "c"))
         assert dyn.stats.total == 3
         assert (dyn.stats.cold, dyn.stats.hits, dyn.stats.warm) == (1, 1, 1)
+
+
+class TestTracing:
+    def test_constructor_tracer_sees_warm_polish(self, dyn):
+        """With no per-call tracer, the walks report to the constructor's
+        tracer — a warm serve's polish events included."""
+        from repro.obs import RecordingTracer
+
+        tracer = RecordingTracer()
+        dyn.gensor.tracer = tracer
+        dyn.compile(ops.matmul(512, 256, 512, "t0"))
+        assert tracer.by_name("walk_step")
+        before = len(tracer.by_name("polish"))
+        res = dyn.compile(ops.matmul(640, 256, 512, "t1"))
+        assert res.source == "warm"
+        warm_polish = tracer.by_name("polish")[before:]
+        assert warm_polish and all(e.args["compute"] == "t1" for e in warm_polish)
+        (served,) = [
+            e for e in tracer.by_name("dynamic_serve") if e.args["source"] == "warm"
+        ]
+        assert served.args["compute"] == "t1"

@@ -79,7 +79,6 @@ class TestBoundedCaches:
         # below the cap even while expansion keeps inserting.
         assert graph.num_cached_nodes <= 50
         assert len(graph._edges) <= 50
-        assert len(graph._quick_cache) <= 50
         # The monotone counter keeps the true visit count.
         assert graph.num_nodes > 50
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import Gensor, GensorConfig
+from repro.core.reference import ReferenceGensor
 from repro.ir import operators as ops
 from repro.obs import RecordingTracer
-from repro.perf.soa import soa_walk_disabled, soa_walk_forced
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,10 +50,14 @@ def fused_workload():
     return anchor, pool
 
 
-def walk_signature(hw, compute, **compile_kwargs):
-    """Deterministic summary of one traced construction walk."""
+def walk_signature(hw, compute, gensor_cls=Gensor, **compile_kwargs):
+    """Deterministic summary of one traced construction walk.
+
+    ``gensor_cls`` picks the walk engine: :class:`Gensor` runs the SoA
+    engine, :class:`ReferenceGensor` the object-level reference.
+    """
     tracer = RecordingTracer()
-    result = Gensor(hw, GOLDEN_CFG).compile(
+    result = gensor_cls(hw, GOLDEN_CFG).compile(
         compute, tracer=tracer, **compile_kwargs
     )
     steps = []
@@ -180,12 +184,13 @@ def test_empty_epilogue_pool_matches_fixture_bytes(hw, fixture_name):
     )
 
 
-@pytest.mark.parametrize("fixture_name", sorted(WORKLOADS))
+@pytest.mark.parametrize("fixture_name", sorted([*WORKLOADS, FUSED_FIXTURE]))
 def test_golden_trace_byte_identical_on_both_walk_paths(hw, fixture_name):
-    """The SoA walk core replays every golden fixture byte-for-byte.
+    """Every golden fixture replays byte-for-byte on both walk engines.
 
-    Each workload runs once under the forced SoA path and once under the
-    object path; both serialized signatures must equal the stored fixture
+    Each workload compiles once through :class:`Gensor` (the SoA engine)
+    and once through :class:`ReferenceGensor` (the object-level
+    reference); both serialized signatures must equal the stored fixture
     *bytes*.  Nothing is regenerated here — a parity drift on either path
     (or any fixture churn) fails loudly instead of being papered over.
     """
@@ -195,9 +200,13 @@ def test_golden_trace_byte_identical_on_both_walk_paths(hw, fixture_name):
         "REPRO_REGEN_GOLDEN=1 to create it"
     )
     expected_bytes = path.read_text()
-    with soa_walk_forced():
-        soa_bytes = _dump(walk_signature(hw, WORKLOADS[fixture_name]()))
-    with soa_walk_disabled():
-        object_bytes = _dump(walk_signature(hw, WORKLOADS[fixture_name]()))
-    assert soa_bytes == expected_bytes, "SoA path drifted from the fixture"
-    assert object_bytes == expected_bytes, "object path drifted from the fixture"
+    for gensor_cls in (Gensor, ReferenceGensor):
+        if fixture_name == FUSED_FIXTURE:
+            sig = fused_signature(hw, gensor_cls=gensor_cls)
+        else:
+            sig = walk_signature(
+                hw, WORKLOADS[fixture_name](), gensor_cls=gensor_cls
+            )
+        assert _dump(sig) == expected_bytes, (
+            f"{gensor_cls.__name__} drifted from {fixture_name}"
+        )

@@ -1,28 +1,48 @@
-"""Batched evaluation parity: every element bit-identical to the scalar path.
+"""Vectorized pricing parity: every element bit-identical to the scalar models.
 
-The entire golden-trace argument for routing the walk, polish, and rank
-through ``evaluate_batch`` / ``quick_latency_batch`` rests on element-wise
-bit-identity with the scalar calls — including INFEASIBLE states and both
-hardware generations.  These properties pin that contract.
+The walk, polish, and rank are priced by the SoA engine's feature columns
+through the shared pipes (:func:`repro.core.score.quick_pipe` and
+:func:`repro.sim.costmodel.pipe_metrics`) and by the memo's
+``evaluate_batch``.  The golden-trace argument rests on element-wise
+bit-identity with the scalar ``quick_latency`` / ``CostModel.evaluate`` —
+including INFEASIBLE states and both hardware generations.  These
+properties pin that contract.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.score import quick_latency, quick_latency_batch
+from repro.core.score import quick_latency
 from repro.hardware import orin_nano, rtx4090
 from repro.ir import operators as ops
 from repro.ir.etir import ETIR
-from repro.sim.costmodel import INFEASIBLE, CostModel
+from repro.obs.metrics import MetricsRegistry
+from repro.perf.memo import MetricsMemo
+from repro.perf.soa import SoAWalkEngine
+from repro.sim.costmodel import INFEASIBLE, CostModel, pipe_metrics
 
 RTX = rtx4090()
 NANO = orin_nano()
 GEMM = ops.matmul(512, 256, 512, "parity_g")
 
 _POW2 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
+
+#: the ``pipe_metrics`` outputs, named as the scalar KernelMetrics fields.
+_PIPE_FIELDS = (
+    "latency_s",
+    "achieved_flops",
+    "compute_throughput",
+    "sm_occupancy",
+    "mem_busy",
+    "l2_hit_rate",
+    "dram_bytes",
+    "smem_bytes",
+    "waves",
+)
 
 
 @st.composite
@@ -31,7 +51,7 @@ def tile_states(draw):
 
     Tile sizes are drawn as unconstrained powers of two, so oversized
     block tiles routinely blow the shared-memory budget — exactly the
-    INFEASIBLE inputs the batch path must reproduce as such.
+    INFEASIBLE inputs the vectorized paths must reproduce as such.
     """
     block = {}
     thread = {}
@@ -55,47 +75,88 @@ def batches(min_size=1, max_size=24):
     )
 
 
+def _packed(states):
+    arrays = [s.config_arrays() for s in states]
+    tiles = [t for t, _v in arrays]
+    vthreads = [v for _t, v in arrays]
+    return np.stack(tiles), np.stack(vthreads)
+
+
+def _memo():
+    return MetricsMemo(registry=MetricsRegistry())
+
+
 class TestEvaluateBatchParity:
     @settings(max_examples=30, deadline=None)
     @given(states=batches())
     @pytest.mark.parametrize("hw", [RTX, NANO], ids=["rtx4090", "orin_nano"])
     def test_bit_identical_to_scalar(self, hw, states):
+        """``pipe_metrics`` over the SoA feature columns reproduces every
+        pipe output of ``CostModel.evaluate``, and the memo's batch call
+        returns exactly the scalar metrics."""
         model = CostModel(hw)
-        batch = model.evaluate_batch(states)
+        batch = _memo().evaluate_batch(hw, states)
         assert len(batch) == len(states)
         for state, got in zip(states, batch):
             assert got == model.evaluate(state)
+        if not states:
+            return
+        tiles, vthreads = _packed(states)
+        idx, cols = SoAWalkEngine(GEMM, hw)._full_features(tiles, vthreads)
+        feasible = {int(i) for i in idx}
+        assert feasible == {
+            i for i, s in enumerate(states) if model.evaluate(s) is not INFEASIBLE
+        }
+        if cols is None:
+            return
+        columns = pipe_metrics(cols, hw)
+        for j, i in enumerate(idx):
+            want = model.evaluate(states[int(i)])
+            for field, column in zip(_PIPE_FIELDS, columns):
+                assert float(column[j]).hex() == float(getattr(want, field)).hex(), field
 
     @settings(max_examples=20, deadline=None)
     @given(states=batches())
     def test_infeasible_states_marked(self, states):
-        model = CostModel(RTX)
-        batch = model.evaluate_batch(states)
-        for state, got in zip(states, batch):
+        batch = _memo().evaluate_batch(RTX, states)
+        if states:
+            tiles, vthreads = _packed(states)
+            lats = SoAWalkEngine(GEMM, RTX)._full_latencies(tiles, vthreads)
+        for i, (state, got) in enumerate(zip(states, batch)):
             if not state.memory_ok(RTX):
                 assert got is INFEASIBLE
                 assert not got.feasible
+                assert lats[i] == math.inf
 
     def test_empty_batch(self):
-        assert CostModel(RTX).evaluate_batch([]) == []
+        assert _memo().evaluate_batch(RTX, []) == []
 
     def test_all_infeasible_batch(self):
         state = ETIR.from_tiles(
             GEMM, {"i": 512, "j": 256, "k": 512}, {"i": 1, "j": 1, "k": 1}
         )
         assert not state.memory_ok(RTX)
-        # Wide enough to clear the scalar cut-over into the numpy path.
-        batch = CostModel(RTX).evaluate_batch([state] * 20)
+        batch = _memo().evaluate_batch(RTX, [state] * 20)
         assert all(m is INFEASIBLE for m in batch)
+        tiles, vthreads = _packed([state] * 20)
+        engine = SoAWalkEngine(GEMM, RTX)
+        idx, cols = engine._full_features(tiles, vthreads)
+        assert idx.size == 0 and cols is None
+        assert all(lat == math.inf for lat in engine._full_latencies(tiles, vthreads))
 
 
 class TestQuickLatencyBatchParity:
     @settings(max_examples=30, deadline=None)
-    @given(states=batches(), strict=st.booleans())
+    @given(states=batches())
     @pytest.mark.parametrize("hw", [RTX, NANO], ids=["rtx4090", "orin_nano"])
-    def test_bit_identical_to_scalar(self, hw, states, strict):
-        lats = quick_latency_batch(states, hw, strict=strict)
+    def test_bit_identical_to_scalar(self, hw, states):
+        """``quick_pipe`` over the SoA columns equals the traversal-time
+        ``quick_latency`` (``strict=False``, the walk's roofline)."""
+        if not states:
+            return
+        tiles, vthreads = _packed(states)
+        lats = SoAWalkEngine(GEMM, hw)._quick_latencies(tiles, vthreads)
         assert lats.shape == (len(states),)
         for state, got in zip(states, lats):
-            want = quick_latency(state, hw, strict=strict)
-            assert (got == want) or (math.isinf(got) and math.isinf(want))
+            want = quick_latency(state, hw, strict=False)
+            assert float(got).hex() == float(want).hex()

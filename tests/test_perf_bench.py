@@ -105,13 +105,13 @@ class TestRunWalkBench:
         assert payload["device"] == hw.name
         assert payload["quick"] is True
         assert payload["suite"] == ["V1"]
-        for section in ("scalar", "batched", "soa"):
+        for section in ("reference", "soa"):
             run = payload[section]
             assert run["total_iterations"] > 0
             assert run["states_per_sec"] > 0
             assert [op["label"] for op in run["ops"]] == ["V1"]
             assert [r["seed"] for r in run["repeat_runs"]] == [0]
-        assert payload["speedup_states_per_sec"] > 0
+        assert "scalar" not in payload and "batched" not in payload
         assert payload["soa_speedup_states_per_sec"] > 0
         assert payload["repeat_seeds"] == [0]
         assert set(payload["walker_scaling"]["runs"]) == {"1", "4"}
@@ -119,34 +119,22 @@ class TestRunWalkBench:
         assert payload["memo"]["misses"] > 0
         micro = payload["micro"]
         assert micro["sampled_states"] > 0
-        assert micro["evaluate_scalar_us"] > 0
-        assert micro["expand_batch_us"] > 0
+        assert micro["evaluate_us"] > 0
+        assert micro["expand_reference_us"] > 0
         assert micro["expand_soa_us"] > 0
 
         out = write_bench(payload, tmp_path / "BENCH_walk.json")
         assert json.loads(out.read_text())["schema"] == BENCH_SCHEMA
 
     def test_walks_identical_across_paths(self, hw, tiny_bench):
-        # Scalar, batched, and SoA pricing must walk the same states:
+        # The reference and the SoA engine must walk the same states:
         # identical iteration counts and identical best latencies per op
-        # (repeats=1, so all three sections run the same seed).
+        # (repeats=1, so both sections run the same seed).
         payload = run_walk_bench(hw, quick=True)
-        for s_op, b_op, a_op in zip(
-            payload["scalar"]["ops"],
-            payload["batched"]["ops"],
-            payload["soa"]["ops"],
-        ):
-            assert s_op["iterations"] == b_op["iterations"] == a_op["iterations"]
-            assert (
-                s_op["best_latency_s"]
-                == b_op["best_latency_s"]
-                == a_op["best_latency_s"]
-            )
-            assert (
-                s_op["states_visited"]
-                == b_op["states_visited"]
-                == a_op["states_visited"]
-            )
+        for r_op, s_op in zip(payload["reference"]["ops"], payload["soa"]["ops"]):
+            assert r_op["iterations"] == s_op["iterations"]
+            assert r_op["best_latency_s"] == s_op["best_latency_s"]
+            assert r_op["states_visited"] == s_op["states_visited"]
 
     def test_repeats_reported(self, hw, tiny_bench):
         payload = run_walk_bench(hw, quick=True, repeats=2)
@@ -161,7 +149,7 @@ class TestRunWalkBench:
         a = run_walk_bench(hw, quick=True, repeats=2, seed=5)
         b = run_walk_bench(hw, quick=True, repeats=2, seed=5)
         assert a["repeat_seeds"] == b["repeat_seeds"]
-        for section in ("scalar", "batched", "soa"):
+        for section in ("reference", "soa"):
             fa = [
                 (r["seed"], r["total_iterations"], r["states_visited"])
                 for r in a[section]["repeat_runs"]
@@ -176,23 +164,22 @@ class TestRunWalkBench:
 
 
 class TestCliGates:
-    def _payload(self, speedup, scaling, soa_speedup=5.0):
+    def _payload(self, scaling, soa_speedup=2.0):
         return {
             "schema": BENCH_SCHEMA,
             "device": "rtx4090",
             "quick": True,
             "repeats": 1,
             "suite": ["V1"],
-            "scalar": {"states_per_sec": 100.0},
-            "batched": {"states_per_sec": 100.0 * speedup},
+            "reference": {"states_per_sec": 100.0},
             "soa": {"states_per_sec": 100.0 * soa_speedup},
-            "speedup_states_per_sec": speedup,
             "soa_speedup_states_per_sec": soa_speedup,
             "memo": {"hits": 1, "misses": 1, "hit_rate": 0.5, "size": 1},
             "micro": {
                 "sampled_states": 1,
-                "evaluate_scalar_us": 1.0,
-                "evaluate_batch_us_per_state": 1.0,
+                "evaluate_us": 1.0,
+                "expand_reference_us": 1.0,
+                "expand_soa_us": 1.0,
             },
             "walker_scaling": {"counts": [1, 4], "scaling": scaling},
         }
@@ -208,42 +195,45 @@ class TestCliGates:
 
     def test_passing_gates_exit_zero(self, monkeypatch, tmp_path):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(3.5, 2.5),
-            "--min-speedup", "3.0", "--min-walker-scaling", "2.0",
+            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=2.0),
+            "--min-soa-speedup", "1.5", "--min-walker-scaling", "2.0",
         )
         assert rc == 0
 
-    def test_speedup_gate_fails(self, monkeypatch, tmp_path, capsys):
-        rc = self._run(
-            monkeypatch, tmp_path, self._payload(2.0, 2.5),
-            "--min-speedup", "3.0",
-        )
-        assert rc == 1
-        assert "speedup" in capsys.readouterr().err
+    def test_min_speedup_flag_is_gone(self, monkeypatch, tmp_path, capsys):
+        # --min-speedup gated batched-over-scalar, two paths that no longer
+        # exist; argparse now rejects it (exit 2) instead of ignoring it.
+        with pytest.raises(SystemExit) as exc:
+            self._run(
+                monkeypatch, tmp_path, self._payload(2.5),
+                "--min-speedup", "3.0",
+            )
+        assert exc.value.code == 2
+        assert "--min-speedup" in capsys.readouterr().err
 
     def test_soa_speedup_gate_fails(self, monkeypatch, tmp_path, capsys):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(3.5, 2.5, soa_speedup=3.0),
-            "--min-soa-speedup", "4.0",
+            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=1.2),
+            "--min-soa-speedup", "1.5",
         )
         assert rc == 1
         assert "soa speedup" in capsys.readouterr().err
 
     def test_soa_speedup_gate_passes(self, monkeypatch, tmp_path):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(3.5, 2.5, soa_speedup=4.5),
-            "--min-soa-speedup", "4.0",
+            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=1.8),
+            "--min-soa-speedup", "1.5",
         )
         assert rc == 0
 
     def test_scaling_gate_fails(self, monkeypatch, tmp_path, capsys):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(3.5, 1.4),
+            monkeypatch, tmp_path, self._payload(1.4),
             "--min-walker-scaling", "2.0",
         )
         assert rc == 1
         assert "walker scaling" in capsys.readouterr().err
 
     def test_no_gates_always_pass(self, monkeypatch, tmp_path):
-        rc = self._run(monkeypatch, tmp_path, self._payload(0.5, 0.5))
+        rc = self._run(monkeypatch, tmp_path, self._payload(0.5, soa_speedup=0.5))
         assert rc == 0

@@ -71,6 +71,30 @@ class TestMemoization:
         assert len(memo) == 2
         assert server.latency_s != edge.latency_s
 
+    def test_same_named_ops_of_different_shapes_get_distinct_slots(
+        self, hw, registry
+    ):
+        """State keys name the op, not its extents: model factories reuse
+        names like ``x_proj`` across batch sizes.  The memo must still price
+        each shape as a fresh cost model would."""
+        small = ops.matmul(512, 768, 768, "x_proj")
+        large = ops.matmul(4096, 768, 768, "x_proj")
+        tiles = {"i": 64, "j": 64, "k": 32}
+        threads = {"i": 4, "j": 4, "k": 2}
+        s_small = ETIR.from_tiles(small, tiles, threads)
+        s_large = ETIR.from_tiles(large, tiles, threads)
+        assert s_small == s_large  # equal keys: the collision under test
+        memo = MetricsMemo(registry=registry)
+        got_small = memo.latency(hw, s_small)
+        got_large = memo.latency(hw, s_large)
+        assert got_small == CostModel(hw).latency(s_small)
+        assert got_large == CostModel(hw).latency(s_large)
+        assert got_large != got_small
+        assert list(memo.latency_batch(hw, [s_small, s_large])) == [
+            got_small,
+            got_large,
+        ]
+
     def test_latency_batch_matches_scalar(self, hw, registry):
         memo = MetricsMemo(registry=registry)
         states = walk_states(hw, 8)

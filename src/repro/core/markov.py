@@ -112,6 +112,7 @@ def build_transition_matrix(
             graph.hw,
             multi_objective=graph.multi_objective,
             forbid=graph.forbid,
+            epilogues=start.epilogue_pool,
         )
         for state in list(graph.nodes.values()):
             diff.compare_state(state, forbid=graph.forbid)

@@ -1012,13 +1012,23 @@ class SoAWalkEngine:
             if afters[k] is None:
                 missing.append(k)
         if missing:
+            # These candidates already passed the relaxed memory check in
+            # _expansion_slots, so their columns go straight to the pipe.
             batch_t = np.stack(
                 [candidates[needs_accel[k]][1].tiles for k in missing]
             )
             batch_v = np.stack(
                 [candidates[needs_accel[k]][1].vthreads for k in missing]
             )
-            lats = self._quick_latencies(batch_t, batch_v, fused)
+            lats = quick_pipe(
+                self._quick_cols(
+                    batch_t[:, :, -1],
+                    batch_t[:, :, 0],
+                    batch_v,
+                    np.full(len(missing), fused, dtype=np.int64),
+                ),
+                self.hw,
+            )
             for k, lat in zip(missing, lats):
                 afters[k] = float(lat)
                 quick[keys[k]] = float(lat)
@@ -1084,8 +1094,11 @@ class SoAWalkEngine:
             )
         return nblk
 
-    def _dram_q(self, block: np.ndarray, fused: np.ndarray) -> np.ndarray:
-        """``float(ETIR.dram_traffic_bytes())`` per row.
+    def _dram_q(
+        self, block: np.ndarray, fused: np.ndarray, nblk: np.ndarray
+    ) -> np.ndarray:
+        """``float(ETIR.dram_traffic_bytes())`` per row (``nblk`` is
+        :meth:`_nblk` of ``block``).
 
         Fused rows add their epilogues' extra inputs, streamed once per
         block at the spatial block tile — exact Python ints, as the object
@@ -1095,12 +1108,11 @@ class SoAWalkEngine:
         if not self.epilogues or not fused.any():
             return np.array([float(q) for q in traffic], dtype=np.float64)
         ep_bytes = self._ep_bytes[fused].tolist()
-        nblk = self._nblk(block).tolist()
         pts = self._spatial_points(block).tolist()
         return np.array(
             [
                 float(q + nb * (p * eb))
-                for q, nb, p, eb in zip(traffic, nblk, pts, ep_bytes)
+                for q, nb, p, eb in zip(traffic, nblk.tolist(), pts, ep_bytes)
             ],
             dtype=np.float64,
         )
@@ -1211,20 +1223,20 @@ class SoAWalkEngine:
         pack = self.pack
         n = block.shape[0]
         tpb = self._tpb(block, thread).astype(np.float64)
-        nblk = self._nblk(block).astype(np.float64)
+        nblk = self._nblk(block)
         inner_work = np.ones(n)
         for a in range(pack.num_axes):
             inner_work = inner_work * thread[:, a].astype(np.float64)
         coalesce = self._coalescing(block)
         conflict = self._conflict(block, thread, vthreads)
-        dram_q = self._dram_q(block, fused)
+        dram_q = self._dram_q(block, fused, nblk)
         smem_q = np.array(
             [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
         )
         return np.stack(
             [
                 tpb,
-                nblk,
+                nblk.astype(np.float64),
                 inner_work,
                 coalesce,
                 conflict,
@@ -1312,7 +1324,7 @@ class SoAWalkEngine:
         """
         pack = self.pack
         n = block.shape[0]
-        nblk = self._nblk(block).astype(np.float64)
+        nblk = self._nblk(block)
         padded = np.ones(n)
         padded_sp = np.ones(n)
         for a in range(pack.num_axes):
@@ -1345,7 +1357,7 @@ class SoAWalkEngine:
         for a in range(pack.num_axes):
             vt = vt * vthreads[:, a]
         coalesce = self._coalescing(block)
-        dram_q = self._dram_q(block, fused)
+        dram_q = self._dram_q(block, fused, nblk)
         unique_bytes = self._io[fused]
         conflict = self._conflict(block, thread, vthreads)
         smem_q = np.array(
@@ -1360,7 +1372,7 @@ class SoAWalkEngine:
             [
                 tpb.astype(np.float64),
                 bps.astype(np.float64),
-                nblk,
+                nblk.astype(np.float64),
                 padded_flops,
                 inner_work,
                 vt.astype(np.float64),

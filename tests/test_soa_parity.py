@@ -384,8 +384,15 @@ def test_fused_polish_parity(device, op, pool_size):
 
 def test_markov_soa_check_covers_subgraph(hw):
     compute = ops.matmul(32, 24, 40, "soa_markov")
-    graph = ConstructionGraph(hw)
-    start = ETIR.initial(compute, num_levels=hw.num_cache_levels)
-    tm = build_transition_matrix(graph, start, max_nodes=40, soa_check=True)
-    assert tm.n > 0
-    tm.validate()
+    pool = (
+        ops.elementwise((32, 40), "gelu", "soa_markov_gelu"),
+        ops.add((32, 40), "soa_markov_res"),
+    )
+    for epilogues in ((), pool):
+        graph = ConstructionGraph(hw)
+        start = ETIR.initial(
+            compute, num_levels=hw.num_cache_levels, epilogues=epilogues
+        )
+        tm = build_transition_matrix(graph, start, max_nodes=40, soa_check=True)
+        assert tm.n > 0
+        tm.validate()

@@ -41,10 +41,9 @@ from repro.workloads.table4 import TABLE4_CONFIGS
 
 __all__ = ["run_walk_bench", "write_bench", "QUICK_LABELS", "BENCH_SCHEMA"]
 
-#: v3 replaces the ``scalar``/``batched`` sections (paths that no longer
-#: exist) with ``reference``, measures walker scaling on the SoA engine,
-#: redefines ``soa_speedup_states_per_sec`` as SoA over the reference, and
-#: trims ``micro`` to ``evaluate_us``/``expand_reference_us``/``expand_soa_us``.
+#: v3: ``reference`` and ``soa`` sections, ``soa_speedup_states_per_sec``
+#: as SoA over the reference, walker scaling on the SoA engine, and
+#: ``micro`` = ``evaluate_us``/``expand_reference_us``/``expand_soa_us``.
 BENCH_SCHEMA = "repro.bench.walk/v3"
 
 #: one operator per family — the CI smoke subset.

@@ -2,11 +2,13 @@
 
 Production tensor compilers keep a tuning database (TVM's tophub, Ansor's
 log files) so a shape is only ever optimized once per device.  The cache
-stores winning ETIR configurations keyed by (device, operator-shape
-fingerprint) and can persist itself as JSON.  It also powers
-:mod:`repro.core.dynamic`: for an unseen shape it returns the *nearest*
-cached entry of the same operator family, which seeds warm-started
-re-optimization.
+stores winning ETIR configurations keyed by (device, group fingerprint)
+and can persist itself as JSON.  A group is a bare operator or a program
+fusion group (anchor plus epilogue pool); :func:`group_fingerprint` of a
+bare operator is its shape fingerprint.  The cache also powers
+:mod:`repro.core.dynamic`: for an unseen group it returns the *nearest*
+cached entry of the same anchor and pool families, which seeds
+warm-started re-optimization.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ try:  # POSIX advisory file locking; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.core.score import pending_penalty_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
@@ -38,6 +41,7 @@ __all__ = [
     "entry_checksum",
     "shape_fingerprint",
     "family_fingerprint",
+    "group_fingerprint",
 ]
 
 
@@ -47,30 +51,72 @@ def shape_fingerprint(compute: ComputeDef) -> str:
     return f"{compute.kind}[{axes}]"
 
 
-def family_fingerprint(compute: ComputeDef) -> str:
+def group_fingerprint(
+    compute: ComputeDef, epilogues: Iterable[ComputeDef] = ()
+) -> str:
+    """Canonical key for a fusion group: anchor shape plus pool shapes.
+
+    The schedule cache, single-flight and the fleet's checkpoint discard
+    all key by it, so a fused winner never answers for its bare anchor
+    (or the other way round).  An empty pool gives exactly
+    :func:`shape_fingerprint`.
+    """
+    return shape_fingerprint(compute) + "".join(
+        f"+{shape_fingerprint(ep)}" for ep in epilogues
+    )
+
+
+def family_fingerprint(
+    compute: ComputeDef, epilogues: Iterable[ComputeDef] = ()
+) -> str:
     """Canonical key for an operator *family* (kind + axis set, any extents).
 
-    Two shapes share a family exactly when :meth:`ScheduleCache.nearest`
+    Two groups share a family exactly when :meth:`ScheduleCache.nearest`
     could warm-start one from the other — the granularity at which the
-    serving layer guards against cold-start stampedes.
+    serving layer guards against cold-start stampedes.  A fusion group's
+    family adds its pool's families, in pool order.
     """
     axes = ",".join(f"{ax.name}:{ax.kind[0]}" for ax in compute.axes)
-    return f"{compute.kind}[{axes}]"
+    return f"{compute.kind}[{axes}]" + "".join(
+        f"+{family_fingerprint(ep)}" for ep in epilogues
+    )
 
 
 @dataclass
 class CachedSchedule:
-    """A winning configuration, stored shape-independently by axis name."""
+    """A winning configuration, stored shape-independently by axis name.
+
+    A fusion group's entry also records its pool's operator families, how
+    many pool epilogues the winner fused, and the standalone cost of the
+    ones it left unfused; a bare operator's entry leaves all three empty
+    and serializes exactly as before they existed.
+    """
 
     kind: str
     extents: dict[str, int]
     block_tiles: dict[str, int]
     thread_tiles: dict[str, int]
     vthreads: dict[str, int]
+    #: kernel latency of the winner.
     latency_s: float
+    #: :func:`family_fingerprint` of every pool epilogue, in pool order.
+    pool: tuple[str, ...] = ()
+    #: pool epilogues the winner fused into the kernel.
+    fused: int = 0
+    #: standalone cost of the pool epilogues the winner left unfused.
+    pending_s: float = 0.0
+
+    @property
+    def cost_s(self) -> float:
+        """Program cost (kernel latency plus unfused-epilogue penalty):
+        the objective faster-wins compares on a key collision."""
+        return self.latency_s + self.pending_s
 
     @classmethod
-    def from_state(cls, state: ETIR, latency_s: float) -> "CachedSchedule":
+    def from_state(
+        cls, state: ETIR, latency_s: float, pending_s: float = 0.0
+    ) -> "CachedSchedule":
+        """``pending_s`` is the state's :func:`pending_penalty_s`."""
         compute = state.compute
         return cls(
             kind=compute.kind,
@@ -83,25 +129,38 @@ class CachedSchedule:
                 if not ax.is_reduce
             },
             latency_s=latency_s,
+            pool=tuple(family_fingerprint(ep) for ep in state.epilogue_pool),
+            fused=state.fused,
+            pending_s=pending_s,
         )
 
-    def instantiate(self, compute: ComputeDef) -> ETIR | None:
+    def instantiate(
+        self, compute: ComputeDef, epilogues: tuple[ComputeDef, ...] = ()
+    ) -> ETIR | None:
         """Adapt this entry to ``compute`` (tiles clip to the new extents).
 
-        Returns ``None`` when the operator has different axes entirely.
+        With ``epilogues`` the state carries that pool and this entry's
+        fused count; without, it is the bare tiling (also of a fused
+        entry).  Returns ``None`` when the operator has different axes
+        entirely.
         """
         names = {ax.name for ax in compute.axes}
         if set(self.block_tiles) - names:
             return None
         try:
             return ETIR.from_tiles(
-                compute, self.block_tiles, self.thread_tiles, self.vthreads
+                compute,
+                self.block_tiles,
+                self.thread_tiles,
+                self.vthreads,
+                epilogue_pool=tuple(epilogues),
+                fused=self.fused if epilogues else 0,
             )
         except ValueError:
             return None
 
     def to_json(self) -> dict:
-        return {
+        data = {
             "kind": self.kind,
             "extents": self.extents,
             "block_tiles": self.block_tiles,
@@ -109,6 +168,13 @@ class CachedSchedule:
             "vthreads": self.vthreads,
             "latency_s": self.latency_s,
         }
+        if self.pool:
+            data.update(
+                pool=list(self.pool),
+                fused=self.fused,
+                pending_s=self.pending_s,
+            )
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "CachedSchedule":
@@ -119,11 +185,14 @@ class CachedSchedule:
             thread_tiles={k: int(v) for k, v in data["thread_tiles"].items()},
             vthreads={k: int(v) for k, v in data["vthreads"].items()},
             latency_s=float(data["latency_s"]),
+            pool=tuple(str(f) for f in data.get("pool", ())),
+            fused=int(data.get("fused", 0)),
+            pending_s=float(data.get("pending_s", 0.0)),
         )
 
 
 class ScheduleCache:
-    """Per-device map from shape fingerprint to winning schedule.
+    """Per-device map from group fingerprint to winning schedule.
 
     Thread-safe: the serving layer (:mod:`repro.serve`) reads and writes
     one shared cache from many worker threads, so every entry operation
@@ -142,30 +211,43 @@ class ScheduleCache:
             return len(self._entries)
 
     def put(self, state: ETIR, latency_s: float) -> None:
-        """Record a winner; keeps the faster entry on fingerprint collision."""
-        key = shape_fingerprint(state.compute)
-        entry = CachedSchedule.from_state(state, latency_s)
+        """Record a winner under its group key (the state's anchor and
+        pool); keeps the lower program cost on collision."""
+        key = group_fingerprint(state.compute, state.epilogue_pool)
+        entry = CachedSchedule.from_state(
+            state, latency_s, pending_penalty_s(state, self.hw)
+        )
         with self._lock:
             existing = self._entries.get(key)
-            if existing is None or latency_s < existing.latency_s:
+            if existing is None or entry.cost_s < existing.cost_s:
                 self._entries[key] = entry
 
-    def get(self, compute: ComputeDef) -> CachedSchedule | None:
-        """Exact-shape hit."""
+    def get(
+        self, compute: ComputeDef, epilogues: tuple[ComputeDef, ...] = ()
+    ) -> CachedSchedule | None:
+        """Exact hit for the group ``compute`` + ``epilogues``."""
         with self._lock:
-            return self._entries.get(shape_fingerprint(compute))
+            return self._entries.get(group_fingerprint(compute, epilogues))
 
-    def nearest(self, compute: ComputeDef) -> CachedSchedule | None:
-        """Closest cached entry of the same kind and axis set.
+    def nearest(
+        self, compute: ComputeDef, epilogues: tuple[ComputeDef, ...] = ()
+    ) -> CachedSchedule | None:
+        """Closest cached entry of the same anchor kind and axis set and
+        the same pool families (none, for a bare operator).
 
-        Distance is the sum of absolute log2 extent ratios — the natural
-        metric on a power-of-two tile lattice.
+        Distance is the sum of absolute log2 anchor-extent ratios — the
+        natural metric on a power-of-two tile lattice.
         """
         target = {ax.name: ax.extent for ax in compute.axes}
+        pool = tuple(family_fingerprint(ep) for ep in epilogues)
         best: CachedSchedule | None = None
         best_dist = math.inf
         for entry in self.entries():
-            if entry.kind != compute.kind or set(entry.extents) != set(target):
+            if (
+                entry.kind != compute.kind
+                or entry.pool != pool
+                or set(entry.extents) != set(target)
+            ):
                 continue
             dist = sum(
                 abs(math.log2(entry.extents[name] / target[name]))
@@ -212,7 +294,7 @@ class ScheduleCache:
     # -- cross-process merge ----------------------------------------------------
 
     def merge_entries(self, entries: Mapping[str, "CachedSchedule"]) -> int:
-        """Union ``entries`` into memory; the faster latency wins per key.
+        """Union ``entries`` into memory; the lower program cost wins per key.
 
         Returns how many keys were added or improved.  This is the in-memory
         half of cross-process replication: a sibling's published winners
@@ -222,7 +304,7 @@ class ScheduleCache:
         with self._lock:
             for key, entry in entries.items():
                 existing = self._entries.get(key)
-                if existing is None or entry.latency_s < existing.latency_s:
+                if existing is None or entry.cost_s < existing.cost_s:
                     self._entries[key] = entry
                     updated += 1
         return updated
@@ -247,7 +329,7 @@ class ScheduleCache:
         """Push+pull: union memory with the on-disk database, write both.
 
         Under one advisory file lock, the current file is read, its entries
-        are merged into memory (faster latency wins), and the merged view
+        are merged into memory (lower program cost wins), and the merged view
         is written back crash-safely.  Concurrent syncers from different
         processes serialize on the lock, so no process's published entries
         are ever lost to a last-writer-wins race.  Returns the number of
@@ -272,7 +354,7 @@ class ScheduleCache:
         Saves from different processes additionally serialize on an
         advisory lock file (``<name>.lock``, :mod:`fcntl`) and, with
         ``merge=True`` (the default), union the in-memory entries with
-        whatever is already on disk — keeping the faster entry per key —
+        whatever is already on disk — keeping the cheaper entry per key —
         instead of last-writer-wins.  Two processes saving concurrently
         therefore never interleave their :func:`os.replace` calls and
         never drop each other's entries.  ``merge=False`` restores plain

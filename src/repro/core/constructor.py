@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.actions import ActionKind
-from repro.core.score import pending_penalty_s
+from repro.core.score import program_cost_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
@@ -522,17 +522,11 @@ class Gensor:
                     thread[ax.name] = min(2, ax.extent)
                     block[ax.name] = min(32, ax.extent)
                 try:
-                    state = ETIR.from_tiles(compute, block, thread)
+                    state = ETIR.from_tiles(
+                        compute, block, thread, epilogue_pool=epilogues
+                    )
                 except ValueError:
                     continue
-                if epilogues:
-                    state = ETIR(
-                        compute,
-                        state.config,
-                        state.cur_level,
-                        state.num_levels,
-                        epilogue_pool=epilogues,
-                    )
                 if state.memory_ok(self.hw):
                     seeds.append(state)
                 if epilogues:
@@ -560,13 +554,7 @@ class Gensor:
         ]
         lats = self.memo.latency_batch(self.hw, [s for _i, s in feasible])
         scored = [
-            (
-                float(lat) + pending_penalty_s(s, self.hw)
-                if s.epilogue_pool
-                else float(lat),
-                i,
-                s,
-            )
+            (program_cost_s(s, lat, self.hw), i, s)
             for (i, s), lat in zip(feasible, lats)
         ]
         scored.sort(key=lambda item: (item[0], item[1]))
@@ -582,9 +570,7 @@ class Gensor:
         best_obj = math.inf
         for state in shortlist:
             metrics = measurer.measure(state)
-            obj = metrics.latency_s
-            if state.epilogue_pool:
-                obj += pending_penalty_s(state, self.hw)
+            obj = program_cost_s(state, metrics.latency_s, self.hw)
             if best_metrics is None or obj < best_obj:
                 best, best_metrics, best_obj = state, metrics, obj
         assert best is not None and best_metrics is not None

@@ -13,6 +13,10 @@ dynamic deep neural networks" — this module implements that system:
 * shapes with no usable neighbor fall back to the full Gensor
   construction — whose winner then enters the cache.
 
+Program fusion groups (an anchor plus its epilogue pool) take the same
+three tiers under their group key, so a whole-model program compiles
+cold once and then hits or warm-starts group by group.
+
 The result is amortized seconds-to-microseconds compilation across a
 dynamic shape stream, at schedule quality matching cold construction
 (see ``benchmarks/test_dynamic_gensor.py``).
@@ -24,12 +28,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.cache import ScheduleCache
 from repro.core.constructor import Gensor, GensorConfig, GensorResult
+from repro.core.score import program_cost_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
+from repro.ir.etir import ETIR
 from repro.obs.tracer import Tracer
 from repro.resilience.deadline import CancelToken
 from repro.sim.measure import MICROBENCH_SECONDS, Measurer
@@ -136,11 +140,17 @@ class DynamicGensor:
         nothing to checkpoint or resume there (a stale checkpoint simply
         rides along unused when the cache answers first).
 
-        ``epilogues`` (a program fusion group's pool) bypasses the cache
-        entirely and runs the full fused construction: cache entries store
-        bare tile configs keyed by the anchor shape, so a fused winner
-        must never be served for — or seeded from — the plain kernel.
+        ``epilogues`` (a program fusion group's pool) serves the group
+        through the same tiers under its group key
+        (:func:`~repro.core.cache.group_fingerprint`): a hit rebuilds the
+        cached tiling with the entry's fused count, a warm start adapts
+        the nearest entry of the same anchor and pool families and
+        polishes it with the pool, and every tier ranks by program cost
+        (:func:`~repro.core.score.program_cost_s`).  A fused entry never
+        answers for the bare anchor, nor a bare entry for the group.
+        Fused cold walks take no checkpointer.
         """
+        epilogues = tuple(epilogues)
         tracer = tracer if tracer is not None else self.gensor.tracer
         measurer = measurer or Measurer(
             self.hw,
@@ -151,21 +161,9 @@ class DynamicGensor:
         )
         t0 = time.perf_counter()
 
-        if epilogues:
-            self.stats.count("cold")
-            result = self.gensor.compile(
-                compute,
-                measurer,
-                tracer=tracer,
-                cancel=cancel,
-                epilogues=tuple(epilogues),
-            )
-            self._trace(tracer, compute, "cold", time.perf_counter() - t0)
-            return DynamicCompileResult(result, source="cold")
-
-        exact = self.cache.get(compute)
+        exact = self.cache.get(compute, epilogues)
         if exact is not None:
-            state = exact.instantiate(compute)
+            state = exact.instantiate(compute, epilogues)
             if state is not None and state.memory_ok(self.hw):
                 self.stats.count("hit")
                 metrics = self.memo.evaluate(self.hw, state)
@@ -184,24 +182,22 @@ class DynamicGensor:
                     source="hit",
                 )
 
-        neighbor = self.cache.nearest(compute)
+        neighbor = self.cache.nearest(compute, epilogues)
         if neighbor is not None:
-            warm = neighbor.instantiate(compute)
+            warm = neighbor.instantiate(compute, epilogues)
             if warm is not None and warm.memory_ok(self.hw):
                 self.stats.count("warm")
                 measured_before = measurer.simulated_seconds
                 # Refine the adapted entry alongside the best canonical dim
                 # configs — a few deterministic polish runs instead of the
                 # full annealed walk.
-                pool = [warm] + self.gensor.seed_states(compute)
+                pool = [warm] + self.gensor.seed_states(compute, epilogues)
                 # Batched pricing; a stable index sort preserves the tie
                 # order of the old ``pool.sort(key=latency)``.
-                pool_lats = self.memo.latency_batch(self.hw, pool)
+                costs = self._costs(pool)
                 pool = [
                     pool[i]
-                    for i in sorted(
-                        range(len(pool)), key=lambda i: pool_lats[i]
-                    )
+                    for i in sorted(range(len(pool)), key=costs.__getitem__)
                 ]
                 polished = [
                     self.gensor.polish(
@@ -213,8 +209,9 @@ class DynamicGensor:
                     )
                     for s in pool[: self.warm_pool]
                 ]
+                costs = self._costs(polished)
                 refined = polished[
-                    int(np.argmin(self.memo.latency_batch(self.hw, polished)))
+                    min(range(len(polished)), key=costs.__getitem__)
                 ]
                 metrics = measurer.measure(refined)
                 wall = time.perf_counter() - t0
@@ -240,6 +237,7 @@ class DynamicGensor:
             cancel=cancel,
             resume_from=resume_from,
             checkpointer=checkpointer,
+            epilogues=epilogues,
         )
         self.cache.put(result.best, result.best_metrics.latency_s)
         self._trace(tracer, compute, "cold", time.perf_counter() - t0)
@@ -253,13 +251,26 @@ class DynamicGensor:
         tracer: Tracer | None = None,
     ):
         """Compile a :class:`~repro.models.graph.ModelGraph` as one program
-        (see :meth:`Gensor.compile_graph`); fused groups always run cold,
-        single-op groups go through the cache tiers."""
+        (see :meth:`Gensor.compile_graph`); every group, fused or single-op,
+        is served through the cache tiers under its group key."""
+        from types import SimpleNamespace
+
         from repro.models.program import compile_program
 
-        return compile_program(
-            self, model_graph, fusion=fusion, measurer=measurer, tracer=tracer
+        # compile_program drives a Gensor-shaped compiler: ``hw`` and a
+        # ``compile`` that returns the GensorResult.
+        tiered = SimpleNamespace(
+            hw=self.hw,
+            compile=lambda compute, **kw: self.compile(compute, **kw).result,
         )
+        return compile_program(
+            tiered, model_graph, fusion=fusion, measurer=measurer, tracer=tracer
+        )
+
+    def _costs(self, states: list[ETIR]) -> list[float]:
+        """Program cost of each state (one batched memo round trip)."""
+        lats = self.memo.latency_batch(self.hw, states)
+        return [program_cost_s(s, lat, self.hw) for s, lat in zip(states, lats)]
 
     @staticmethod
     def _trace(

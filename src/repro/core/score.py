@@ -26,6 +26,7 @@ __all__ = [
     "quick_score",
     "epilogue_standalone_s",
     "pending_penalty_s",
+    "program_cost_s",
 ]
 
 def quick_latency(state: ETIR, hw: HardwareSpec, strict: bool = True) -> float:
@@ -168,6 +169,16 @@ def pending_penalty_s(state: ETIR, hw: HardwareSpec) -> float:
     if not state.epilogue_pool or state.fused >= len(state.epilogue_pool):
         return 0.0
     return sum(epilogue_standalone_s(ep, hw) for ep in state.pending_epilogues)
+
+
+def program_cost_s(state: ETIR, latency_s: float, hw: HardwareSpec) -> float:
+    """The one ranking objective: kernel latency plus :func:`pending_penalty_s`.
+
+    Candidate ranking, warm starts, the degraded seed pick and the schedule
+    cache's faster-wins rule all compare this.  The penalty is exactly 0.0
+    for a bare operator, so there it orders states by latency alone.
+    """
+    return float(latency_s) + pending_penalty_s(state, hw)
 
 
 def quick_score(state: ETIR, hw: HardwareSpec) -> float:

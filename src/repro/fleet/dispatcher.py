@@ -10,7 +10,7 @@ The dispatcher reuses the serving layer's semantics wholesale:
 
 * **fleet-wide single-flight** — the same
   :class:`~repro.serve.singleflight.SingleFlight` keyed by
-  ``(device, shape_fingerprint)`` guards admission, so duplicate
+  ``(device, group_fingerprint)`` guards admission, so duplicate
   in-flight shapes are deduped *before* they cross a process boundary;
   followers share the leader's wire response.
 * **tickets** — :meth:`submit` returns the familiar
@@ -43,7 +43,7 @@ from typing import cast
 from repro.core.cache import (
     CachedSchedule,
     family_fingerprint,
-    shape_fingerprint,
+    group_fingerprint,
 )
 from repro.fleet.routing import FamilyRouter
 from repro.fleet.shard import (
@@ -228,8 +228,8 @@ class FleetDispatcher:
         """Admit one request; always returns a ticket.
 
         ``epilogues`` (a program fusion group's pool) travels on the wire
-        with the anchor and widens the single-flight key — a fused
-        compilation must never coalesce with the bare kernel's.
+        with the anchor, and the single-flight key is the group key — a
+        fused compilation must never coalesce with the bare kernel's.
         """
         epilogues = tuple(epilogues)
         request = CompileRequest(
@@ -240,9 +240,7 @@ class FleetDispatcher:
         if self._closed:
             self._resolve_refused(ticket, "shutting_down")
             return ticket
-        key = f"{self.options.device}/{shape_fingerprint(compute)}"
-        if epilogues:
-            key += "".join(f"+{shape_fingerprint(ep)}" for ep in epilogues)
+        key = f"{self.options.device}/{group_fingerprint(compute, epilogues)}"
         if self._flight.attach_or_lead(key, ticket):
             self.registry.counter("fleet_coalesced_total").inc()
             return ticket  # follower: the leader's wire response is shared
@@ -481,7 +479,9 @@ class FleetDispatcher:
                 # checkpoint interval instead of the whole walk so far).
                 checkpoint = self._ckpt_store.load(
                     self.options.device,
-                    shape_fingerprint(cast(ComputeDef, wire.compute)),
+                    group_fingerprint(
+                        cast(ComputeDef, wire.compute), wire.epilogues
+                    ),
                 )
                 if checkpoint is not None:
                     resent = replace(resent, checkpoint=checkpoint)

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import cast
 
-from repro.core.cache import CachedSchedule, ScheduleCache, shape_fingerprint
+from repro.core.cache import CachedSchedule, ScheduleCache, group_fingerprint
 from repro.core.constructor import GensorConfig
 from repro.fleet.autoscale import AutoscalePolicy, Autoscaler
 from repro.hardware import generic_gpu, orin_nano, rtx4090
@@ -114,7 +114,8 @@ class WireRequest:
     checkpoint: object | None = None
     #: program fusion: epilogue-pool ComputeDefs the construction walk may
     #: fuse into this operator's kernel (plain picklable IR, like
-    #: ``compute``).  Fused requests bypass cache and checkpointing.
+    #: ``compute``).  Fused requests are cached under their group key
+    #: (:func:`~repro.core.cache.group_fingerprint`) and never checkpointed.
     epilogues: tuple = ()
 
 
@@ -198,13 +199,15 @@ def _encode(shard: int, request_id: int, response, hw=None) -> WireResponse:
     if response.result is not None:
         best = response.result.best
         kernel_latency_s = response.result.best_metrics.latency_s
-        schedule = CachedSchedule.from_state(best, kernel_latency_s)
         compile_seconds = response.result.compile_seconds
         if getattr(best, "epilogue_pool", ()) and hw is not None:
             from repro.core.score import pending_penalty_s
 
             fused = best.fused
             pending_cost_s = pending_penalty_s(best, hw)
+        schedule = CachedSchedule.from_state(
+            best, kernel_latency_s, pending_cost_s
+        )
     return WireResponse(
         shard=shard,
         request_id=request_id,
@@ -315,12 +318,16 @@ def run_shard(shard_index: int, options: ShardOptions, req_q, resp_q) -> None:
         def on_done(response) -> None:
             if response.ok and ckpt_store is not None:
                 # The walk landed: its persisted checkpoint is spent.
-                # Dropping it keeps a later crash of the *same shape* from
-                # resuming a finished walk's stale snapshot.
+                # Dropping it keeps a later crash of the *same group* from
+                # resuming a finished walk's stale snapshot; a fused group's
+                # key never names its bare anchor's checkpoint.
                 try:
                     ckpt_store.discard(
                         options.device,
-                        shape_fingerprint(cast("ComputeDef", message.compute)),
+                        group_fingerprint(
+                            cast("ComputeDef", message.compute),
+                            message.epilogues,
+                        ),
                     )
                 except OSError as exc:
                     registry.counter(

@@ -251,11 +251,14 @@ class ETIR:
         thread_tiles: Mapping[str, int] | None = None,
         vthreads: Mapping[str, int] | None = None,
         num_levels: int = 2,
+        epilogue_pool: tuple[ComputeDef, ...] = (),
+        fused: int = 0,
     ) -> "ETIR":
         """Build a fully specified state by axis name (used by baselines).
 
         Tile values are clipped to each axis extent and the nesting
         invariant is enforced by raising if violated.
+        ``epilogue_pool``/``fused`` build a fusion group's state.
         """
         thread_tiles = thread_tiles or {}
         vthreads = vthreads or {}
@@ -268,7 +271,14 @@ class ETIR:
             tiles.append(tuple(inner))
             vts.append(1 if ax.is_reduce else int(vthreads.get(ax.name, 1)))
         config = TileConfig(tiles=tuple(tiles), vthreads=tuple(vts))
-        return cls(compute, config, cur_level=1, num_levels=num_levels)
+        return cls(
+            compute,
+            config,
+            cur_level=1,
+            num_levels=num_levels,
+            epilogue_pool=epilogue_pool,
+            fused=fused,
+        )
 
     # -- SoA packing boundary (repro.perf.soa) -----------------------------------
 

@@ -65,9 +65,11 @@ class CompileRequest:
     #: walk steps the last checkpoint had banked (resilience accounting).
     progress_steps: int = 0
     #: program fusion: epilogue pool (ComputeDefs) the construction walk
-    #: may fuse into this operator's kernel.  Non-empty pools bypass the
-    #: schedule cache and checkpointing (fused states are not cacheable
-    #: or resumable) and widen the single-flight coalescing key.
+    #: may fuse into this operator's kernel.  A non-empty pool makes this a
+    #: group request: the cache tiers and single-flight key it by
+    #: :func:`~repro.core.cache.group_fingerprint` (anchor plus pool
+    #: shapes), and its walks are never checkpointed (fused walks are not
+    #: resumable).
     epilogues: tuple = ()
 
     def remaining_s(self, now: float | None = None) -> float | None:

@@ -34,11 +34,11 @@ from dataclasses import replace
 from repro.core.cache import (
     ScheduleCache,
     family_fingerprint,
-    shape_fingerprint,
+    group_fingerprint,
 )
 from repro.core.constructor import GensorConfig, GensorResult
 from repro.core.dynamic import DynamicGensor
-from repro.core.score import pending_penalty_s
+from repro.core.score import program_cost_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -229,7 +229,8 @@ class CompileService:
         ``epilogues`` carries a program fusion group's pool: the walk then
         explores fusing those ops into this kernel.  Fused requests must
         not coalesce with the bare kernel (their winners differ), so the
-        single-flight key grows the pool's shape fingerprints.
+        single-flight key is the group key
+        (:func:`~repro.core.cache.group_fingerprint`), as in the cache.
         """
         epilogues = tuple(epilogues)
         request = CompileRequest(
@@ -241,9 +242,7 @@ class CompileService:
         )
         ticket = ServeTicket(request)
         self.stats.record_submitted()
-        key = f"{self.hw.name}/{shape_fingerprint(compute)}"
-        if epilogues:
-            key += "".join(f"+{shape_fingerprint(ep)}" for ep in epilogues)
+        key = f"{self.hw.name}/{group_fingerprint(compute, epilogues)}"
         if self._flight.attach_or_lead(key, ticket):
             return ticket  # follower: resolved by the leader's completion
         try:
@@ -505,13 +504,12 @@ class CompileService:
         )
         if served is not None:
             result, tier = served
-            if not shed_by_breaker and not request.epilogues:
+            if not shed_by_breaker:
                 # Transient failure: schedule the full construction in the
                 # background so repeats of this shape heal to a cache hit.
                 # Breaker-shed families skip backfill — it would burn the
-                # workers the breaker just protected.  Fused shapes skip it
-                # too: their winners never enter the cache.
-                self._schedule_backfill(compute)
+                # workers the breaker just protected.
+                self._schedule_backfill(compute, request.epilogues)
             return CompileResponse(
                 request_id=request.request_id,
                 tier=tier,
@@ -591,9 +589,11 @@ class CompileService:
     ) -> CompileResponse:
         """One compile attempt (the pre-resilience serve-tier logic)."""
         compute = request.compute
+        epilogues = request.epilogues
+        group_key = group_fingerprint(compute, epilogues)
         measurer = self._measurer_factory()
         resume: WalkCheckpoint | None = None
-        cp = request.checkpoint if not request.epilogues else None
+        cp = request.checkpoint if not epilogues else None
         if cp is not None and isinstance(cp, WalkCheckpoint):
             if cp.matches(compute, self.dynamic.config):
                 resume = cp
@@ -608,32 +608,27 @@ class CompileService:
                 ).inc()
         if self._injector is not None:
             spec = self._injector.draw(
-                family_fingerprint(compute),
-                attempt,
-                key=shape_fingerprint(compute),
+                family_fingerprint(compute), attempt, key=group_key
             )
             if spec is not None:
                 if spec.kind == "corrupt-cache":
-                    self.cache.corrupt(compute)
+                    self.cache.corrupt(group_key)
                 else:
                     measurer = FaultyMeasurer(measurer, spec, token)
         remaining = request.remaining_s()
         degrade = (
             remaining is not None
             and remaining < self.cold_cost_estimate_s
-            and self.cache.get(compute) is None
+            and self.cache.get(compute, epilogues) is None
         )
         if degrade:
-            served = self._degraded(compute, measurer, request.epilogues)
+            served = self._degraded(compute, measurer, epilogues)
             if served is not None:
                 result, tier = served
                 # Compile-ahead: a degraded answer is a promise, not an end
                 # state — schedule the full construction in the background
                 # (lowest priority) so repeats of this shape hit the cache.
-                # Fused shapes skip backfill: fused winners never enter the
-                # cache, so backfilling them could not heal anything.
-                if not request.epilogues:
-                    self._schedule_backfill(compute)
+                self._schedule_backfill(compute, epilogues)
                 return CompileResponse(
                     request_id=request.request_id,
                     tier=tier,
@@ -644,19 +639,22 @@ class CompileService:
             # No neighbor and no feasible seed: a cold construction is the
             # only correct answer — serve it late rather than not at all.
         t0 = time.perf_counter()
-        if self.cache.get(compute) is None and self.cache.nearest(compute) is None:
+        if (
+            self.cache.get(compute, epilogues) is None
+            and self.cache.nearest(compute, epilogues) is None
+        ):
             # Looks cold: serialize per family so a stampede of near shapes
             # produces one cold construction plus warm starts, not N colds.
             # DynamicGensor re-checks the cache once the lock is held, so
             # waiters land on the warm path.
-            with self._family_lock(family_fingerprint(compute)):
+            with self._family_lock(family_fingerprint(compute, epilogues)):
                 dyn = self.dynamic.compile(
                     compute,
                     measurer,
                     cancel=token,
                     resume_from=resume,
                     checkpointer=checkpointer,
-                    epilogues=request.epilogues,
+                    epilogues=epilogues,
                 )
         else:
             dyn = self.dynamic.compile(
@@ -665,7 +663,7 @@ class CompileService:
                 cancel=token,
                 resume_from=resume,
                 checkpointer=checkpointer,
-                epilogues=request.epilogues,
+                epilogues=epilogues,
             )
         if dyn.source == "cold":
             self._observe_cold(time.perf_counter() - t0)
@@ -682,16 +680,16 @@ class CompileService:
     ) -> tuple[GensorResult, str] | None:
         """Deadline/failure fallbacks, best first: reduced-polish warm, seed.
 
-        Fused (``epilogues``) requests skip the warm-neighbor tier — cache
-        entries are bare tile configs that cannot carry an epilogue pool —
-        and fall straight to the analytical seed pick, ranked by program
-        objective (kernel latency plus unfused-epilogue penalty).
+        A fusion group (``epilogues``) warm-starts from the nearest entry
+        of its own anchor and pool families, like DynamicGensor's warm
+        tier; both tiers rank by program cost
+        (:func:`~repro.core.score.program_cost_s`).
         """
         t0 = time.perf_counter()
         gensor = self.dynamic.gensor
-        neighbor = self.cache.nearest(compute) if not epilogues else None
+        neighbor = self.cache.nearest(compute, epilogues)
         if neighbor is not None:
-            warm = neighbor.instantiate(compute)
+            warm = neighbor.instantiate(compute, epilogues)
             if warm is not None and warm.memory_ok(self.hw):
                 measured_before = measurer.simulated_seconds
                 refined = gensor.polish(
@@ -720,14 +718,10 @@ class CompileService:
         if not seeds:
             return None
         seed_lats = self._memo.latency_batch(self.hw, seeds)
-        if epilogues:
-            objectives = [
-                float(lat) + pending_penalty_s(s, self.hw)
-                for lat, s in zip(seed_lats, seeds)
-            ]
-            best = seeds[min(range(len(seeds)), key=objectives.__getitem__)]
-        else:
-            best = seeds[int(seed_lats.argmin())]
+        costs = [
+            program_cost_s(s, lat, self.hw) for s, lat in zip(seeds, seed_lats)
+        ]
+        best = seeds[min(range(len(seeds)), key=costs.__getitem__)]
         # Purely analytical pick — not even one micro-benchmark round, so
         # the tightest deadlines still get a schedule in milliseconds.  Not
         # cached: seed quality would pollute future warm starts.
@@ -745,16 +739,18 @@ class CompileService:
             "degraded_seed",
         )
 
-    def _schedule_backfill(self, compute: ComputeDef) -> None:
-        """Queue a background full compile for a degraded-served shape.
+    def _schedule_backfill(
+        self, compute: ComputeDef, epilogues: tuple = ()
+    ) -> None:
+        """Queue a background full compile for a degraded-served group.
 
-        Deduplicated per fingerprint and shed outright when the pool is
+        Deduplicated per group key and shed outright when the pool is
         saturated or shutting down — backfill must never displace tenant
         traffic, and admission is atomic against :meth:`close` so a
         backfill scheduled during shutdown is refused instead of leaking
         into a stopped pool.
         """
-        key = shape_fingerprint(compute)
+        key = group_fingerprint(compute, epilogues)
         with self._backfill_guard:
             if key in self._backfills:
                 return
@@ -762,11 +758,15 @@ class CompileService:
 
         def run() -> None:
             try:
-                if self.cache.get(compute) is None:
+                if self.cache.get(compute, epilogues) is None:
                     t0 = time.perf_counter()
-                    with self._family_lock(family_fingerprint(compute)):
+                    with self._family_lock(
+                        family_fingerprint(compute, epilogues)
+                    ):
                         dyn = self.dynamic.compile(
-                            compute, self._measurer_factory()
+                            compute,
+                            self._measurer_factory(),
+                            epilogues=epilogues,
                         )
                     if dyn.source == "cold":
                         self._observe_cold(time.perf_counter() - t0)

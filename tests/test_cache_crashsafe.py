@@ -50,6 +50,46 @@ class TestChecksums:
         assert entry_checksum(tampered) != crc
 
 
+#: A database written before group entries existed (one bare record).
+PARENT_FORMAT = """{
+  "device": "rtx4090",
+  "entries": {
+    "gemm[i:512:s,j:512:s,k:256:r]": {
+      "block_tiles": {"i": 64, "j": 64, "k": 32},
+      "crc": 1737077226,
+      "extents": {"i": 512, "j": 512, "k": 256},
+      "kind": "gemm",
+      "latency_s": 0.001,
+      "thread_tiles": {"i": 4, "j": 4, "k": 1},
+      "vthreads": {"i": 2, "j": 1}
+    }
+  }
+}"""
+
+
+class TestParentFormat:
+    def test_loads_with_every_crc_valid_and_serves_bare_hits(self, hw, tmp_path):
+        from repro.core.dynamic import DynamicGensor
+
+        path = tmp_path / "cache.json"
+        path.write_text(PARENT_FORMAT)
+        loaded = ScheduleCache.load(path, hw, strict=True)
+        assert len(loaded) == 1 and not loaded.quarantined
+        state = make_state()
+        assert loaded.get(state.compute) == CachedSchedule.from_state(state, 1e-3)
+        served = DynamicGensor(hw, cache=loaded).compile(
+            ops.matmul(512, 256, 512, "client")
+        )
+        assert served.source == "hit"
+        assert served.result.best.config == state.config
+
+    def test_bare_records_save_byte_identically(self, hw, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(PARENT_FORMAT)
+        ScheduleCache.load(path, hw).save(path)
+        assert json.loads(path.read_text()) == json.loads(PARENT_FORMAT)
+
+
 class TestTruncatedFile:
     def test_loads_empty_with_quarantine(self, hw, tmp_path):
         path = saved_cache(hw, tmp_path)
@@ -117,6 +157,25 @@ class TestFlippedBit:
         path.write_text(json.dumps(payload))
         loaded = ScheduleCache.load(path, hw)
         assert len(loaded) == 1 and len(loaded.quarantined) == 1
+
+    def test_flipped_bit_in_fused_record_is_quarantined(self, hw, tmp_path):
+        bare = make_state()
+        fused = ETIR(
+            bare.compute, bare.config, bare.cur_level, bare.num_levels,
+            epilogue_pool=(ops.elementwise((512, 512), "relu", "ep"),),
+            fused=1,
+        )
+        path = saved_cache(hw, tmp_path, states=[bare, fused])
+        payload = json.loads(path.read_text())
+        fused_key = next(k for k in payload["entries"] if "+" in k)
+        payload["entries"][fused_key]["fused"] = 0  # bit-rot, stale crc
+        path.write_text(json.dumps(payload))
+        loaded = ScheduleCache.load(path, hw)
+        assert len(loaded) == 1 and loaded.get(bare.compute) is not None
+        assert loaded.get(fused.compute, fused.epilogue_pool) is None
+        assert len(loaded.quarantined) == 1
+        assert loaded.quarantined[0].startswith(fused_key)
+        assert "checksum mismatch" in loaded.quarantined[0]
 
     def test_legacy_entry_without_crc_still_loads(self, hw, tmp_path):
         path = saved_cache(hw, tmp_path)

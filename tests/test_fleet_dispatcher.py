@@ -149,27 +149,40 @@ class TestSharedCache:
     def test_replicated_cache_warms_a_new_fleet(self, tmp_path):
         cache_path = str(tmp_path / "shared" / "fleet_cache.json")
         compute = gemm(name="shared_cache")
+        pool = (ops.elementwise((64, 64), "relu", "shared_ep"),)
         with FleetDispatcher(
             tiny_options(cache_path=cache_path), 1
         ) as fleet:
             cold = fleet.serve(compute, timeout=60)
             assert cold.tier == "cold"
+            fused_cold = fleet.submit(compute, epilogues=pool).result(60)
+            assert fused_cold.tier == "cold"
             fleet.sync()
             deadline = time.monotonic() + 15
             loaded = ScheduleCache(rtx4090())
             while time.monotonic() < deadline:
                 if Path(cache_path).exists():
                     loaded = ScheduleCache.load(cache_path, rtx4090())
-                    if len(loaded):
+                    if len(loaded) == 2:
                         break
                 time.sleep(0.1)
             assert loaded.get(compute) is not None
+            assert loaded.get(compute, pool).fused == fused_cold.fused
         # a brand-new fleet boots warm off the shared database
         with FleetDispatcher(
             tiny_options(cache_path=cache_path), 1
         ) as fresh:
             hit = fresh.serve(compute, timeout=60)
             assert hit.tier == "hit"
+            fused_hit = fresh.submit(
+                gemm(name="shared_again"),
+                epilogues=(ops.elementwise((64, 64), "relu", "again_ep"),),
+            ).result(60)
+        assert fused_hit.tier == "hit"
+        assert fused_hit.schedule_key() == fused_cold.schedule_key()
+        assert fused_hit.fused == fused_cold.fused
+        assert fused_hit.kernel_latency_s == fused_cold.kernel_latency_s
+        assert fused_hit.pending_cost_s == fused_cold.pending_cost_s
 
 
 class TestProgramServing:

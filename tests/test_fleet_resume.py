@@ -13,6 +13,7 @@ from repro.core.constructor import GensorConfig
 from repro.fleet import FleetDispatcher, ShardOptions, WireControl
 from repro.fleet.shard import WireRequest
 from repro.ir import operators as ops
+from repro.ir.etir import ETIR
 from repro.resilience.checkpoint import CheckpointStore, WalkCheckpoint
 from repro.utils.rng import spawn_rng
 
@@ -101,6 +102,33 @@ class TestShardCrashResume:
                 )
                 is True
             )
+
+
+class TestCheckpointDiscard:
+    def test_fused_response_keeps_the_bare_anchor_checkpoint(self, tmp_path):
+        """A landed fused group discards by its group key: the persisted
+        checkpoint of a bare walk of the same anchor survives it."""
+        compute = gemm(name="discard_anchor")
+        options = slow_walk_options(
+            tmp_path,
+            config=GensorConfig(
+                seed=0, num_chains=1, top_k=2, polish_steps=2,
+                max_iterations_per_chain=8,
+            ),
+        )
+        store = CheckpointStore(options.checkpoint_path)
+        state = ETIR.from_tiles(
+            compute, {"i": 32, "j": 32, "k": 16}, {"i": 4, "j": 4}
+        )
+        store.save(options.device, WalkCheckpoint.for_polish(compute, state, 1))
+        pool = (ops.elementwise((64, 64), "relu", "discard_ep"),)
+        with FleetDispatcher(options, 1) as fleet:
+            response = fleet.submit(
+                gemm(name="discard_group"), epilogues=pool
+            ).result(timeout=120)
+        assert response.ok
+        banked = store.load(options.device, shape_fingerprint(compute))
+        assert banked is not None and banked.matches_polish(compute)
 
 
 class TestWirePayload:

@@ -255,17 +255,75 @@ class TestProgramCompilation:
 
 
 class TestDynamicFusedPath:
-    def test_fused_compile_bypasses_cache_tiers(self, hw):
+    def test_fused_group_compiles_cold_then_hits(self, hw):
         dyn = DynamicGensor(hw, QUICK)
         mm = ops.matmul(64, 32, 64, "dyn_mm")
         pool = (ops.elementwise((64, 64), "relu", "dyn_ep"),)
         first = dyn.compile(mm, epilogues=pool)
-        second = dyn.compile(mm, epilogues=pool)
-        # Fused states are not cacheable: every fused request is a cold
-        # construction and nothing lands in the single-op cache.
-        assert first.source == "cold" and second.source == "cold"
-        assert dyn.stats.cold == 2 and dyn.stats.hits == 0
-        assert len(dyn.cache) == 0
+        # A fresh request decoded from a client: same shapes, new objects.
+        again_pool = (ops.elementwise((64, 64), "relu", "dyn_ep2"),)
+        second = dyn.compile(ops.matmul(64, 32, 64, "dyn_mm2"), epilogues=again_pool)
+        assert (first.source, second.source) == ("cold", "hit")
+        assert (dyn.stats.cold, dyn.stats.hits) == (1, 1)
+        cold, hit = first.result.best, second.result.best
+        assert hit.epilogue_pool == again_pool
+        assert hit.fused == cold.fused
+        assert hit.config == cold.config
+        assert second.latency_s == first.latency_s
+        # The entry lives under the group key, not the anchor's.
+        assert dyn.cache.get(mm) is None
+        assert dyn.cache.get(mm, pool).fused == cold.fused
+
+    def test_fused_entry_never_serves_the_bare_anchor(self, hw):
+        dyn = DynamicGensor(hw, QUICK)
+        mm = ops.matmul(64, 32, 64, "dyn_mm")
+        pool = (ops.elementwise((64, 64), "relu", "dyn_ep"),)
+        dyn.compile(mm, epilogues=pool)
+        bare = dyn.compile(mm)
+        assert bare.source == "cold"
+        assert bare.result.best.epilogue_pool == ()
+
+    def test_bare_entry_never_serves_the_fused_group(self, hw):
+        dyn = DynamicGensor(hw, QUICK)
+        mm = ops.matmul(64, 32, 64, "dyn_mm")
+        pool = (ops.elementwise((64, 64), "relu", "dyn_ep"),)
+        dyn.compile(mm)
+        # Neither as a hit nor as a warm-start neighbour.
+        fused = dyn.compile(mm, epilogues=pool)
+        assert fused.source == "cold"
+        assert fused.result.best.epilogue_pool == pool
+
+    def test_fused_group_warm_starts_from_its_own_families(self, hw):
+        dyn = DynamicGensor(hw, QUICK)
+        dyn.compile(
+            ops.matmul(64, 32, 64, "small"),
+            epilogues=(ops.elementwise((64, 64), "relu", "small_ep"),),
+        )
+        pool = (ops.elementwise((128, 64), "relu", "big_ep"),)
+        warm = dyn.compile(ops.matmul(128, 32, 64, "big"), epilogues=pool)
+        assert warm.source == "warm"
+        assert warm.result.best.epilogue_pool == pool
+        assert dyn.compile(
+            ops.matmul(128, 32, 64, "big2"), epilogues=pool
+        ).source == "hit"
+        # Another pool family (an add, not an elementwise) has no neighbour.
+        other = dyn.compile(
+            ops.matmul(128, 32, 64, "big3"),
+            epilogues=(ops.add((128, 64), "big_add"),),
+        )
+        assert other.source == "cold"
+
+    def test_compile_graph_twice_serves_every_group_as_a_hit(self, hw):
+        dyn = DynamicGensor(hw, QUICK)
+        graph = bert_small(batch=1, seq=64)
+        first = dyn.compile_graph(graph)
+        hits, total = dyn.stats.hits, dyn.stats.total
+        second = dyn.compile_graph(graph)
+        assert any(g.epilogue_names for g in second.groups)
+        assert dyn.stats.hits - hits == len(second.groups)
+        assert dyn.stats.total - total == len(second.groups)
+        assert second.latency_s == first.latency_s
+        assert [g.fused for g in second.groups] == [g.fused for g in first.groups]
 
     def test_bare_compile_still_caches_after_fused_requests(self, hw):
         dyn = DynamicGensor(hw, QUICK)

@@ -225,6 +225,41 @@ class TestDeadlineDegradation:
             response = service.serve(gemm(), deadline_s=0.5, timeout=30.0)
         assert response.tier == "hit"
 
+    def test_fused_group_degrades_when_only_its_bare_anchor_is_cached(
+        self, hw
+    ):
+        """The degrade decision looks up the group's entry, not the
+        anchor's: a cached bare anchor must not make a fused request with
+        a tight deadline walk cold."""
+        pool = (ops.elementwise((64, 64), "relu", "ep"),)
+        with make_service(hw, cold_cost_estimate_s=1e9) as service:
+            assert service.serve(gemm(), timeout=30.0).tier == "cold"
+            response = service.submit(
+                gemm(name="fused"), deadline_s=10.0, epilogues=pool
+            ).result(timeout=30.0)
+            assert response.tier == "degraded_seed"
+            assert response.result.best.epilogue_pool == pool
+        # the group's backfill healed it into the cache under its own key
+        assert service.cache.get(gemm(), pool) is not None
+        assert service.stats.snapshot()["backfilled"] == 1
+
+    def test_fused_group_degrades_warm_from_its_own_family(self, hw):
+        pool = (ops.elementwise((64, 64), "relu", "ep"),)
+        with make_service(hw, cold_cost_estimate_s=1e9) as service:
+            neighbor = ETIR.from_tiles(
+                gemm(128, 32, 64, "seed"),
+                {"i": 32, "j": 32, "k": 16}, {"i": 4, "j": 4}, {"i": 1},
+                epilogue_pool=(ops.elementwise((128, 64), "relu", "sep"),),
+                fused=1,
+            )
+            service.cache.put(neighbor, 1e-3)
+            response = service.submit(
+                gemm(), deadline_s=10.0, epilogues=pool
+            ).result(timeout=30.0)
+        assert response.tier == "degraded_warm"
+        assert response.result.best.epilogue_pool == pool
+        assert service.cache.get(gemm(), pool) is not None
+
     def test_cold_observation_updates_estimate(self, hw):
         with make_service(hw, cold_cost_estimate_s=100.0) as service:
             before = service.cold_cost_estimate_s
@@ -264,6 +299,35 @@ class TestProgramServing:
         assert [g.anchor_name for g in prog.groups] == ["mm", "act", "mm2"]
         assert all(g.epilogue_names == () for g in prog.groups)
         assert prog.num_fused_ops == 0
+
+    def test_repeat_program_hits_every_group(self, hw):
+        with make_service(hw) as service:
+            first = service.compile_program(self.program_graph(), timeout=60.0)
+            again = service.compile_program(self.program_graph(), timeout=60.0)
+        assert first.ok and again.ok
+        assert again.tiers == ("hit", "hit")
+        assert again.program.groups[0].epilogue_names == ("act",)
+        assert again.latency_s == first.latency_s
+
+    def test_corrupt_cache_fault_hits_the_group_entry(self, hw):
+        from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
+
+        pool = (ops.elementwise((64, 64), "relu", "ep"),)
+        # Every attempt corrupts its own cache entry first (a no-op while
+        # there is none): the bare anchor, then the group, then the group.
+        injector = FaultInjector(FaultPlan(faults=(FaultSpec("corrupt-cache"),)))
+        with make_service(hw, fault_injector=injector) as service:
+            service.serve(gemm(), timeout=30.0)
+            service.submit(gemm(), epilogues=pool).result(timeout=30.0)
+            bare = service.cache.get(gemm())
+            response = service.submit(
+                gemm(name="again"), epilogues=pool
+            ).result(timeout=30.0)
+        # the group's entry was the one corrupted (and recompiled) ...
+        assert response.ok and response.tier == "cold"
+        assert service.cache.get(gemm(), pool).instantiate(gemm()) is not None
+        # ... while the bare anchor's entry is untouched
+        assert service.cache.get(gemm()) == bare
 
     def test_fused_and_bare_submissions_never_coalesce(self, hw):
         """A fused-group request must not attach to an in-flight bare

@@ -232,6 +232,11 @@ class TestScheduleCache:
         assert sibling.sync(path) == 1
         assert sibling.get(*key) == writer.get(*key)
         assert len(ScheduleCache.load(path, hw)) == 2
+        # in-memory replication carries the entry unchanged as well
+        replica = ScheduleCache(hw)
+        assert replica.merge_entries(sibling.snapshot_entries()) == 2
+        assert replica.get(*key) == writer.get(*key)
+        assert replica.get(*key).fused == 1
 
     def test_save_load_round_trip(self, hw, tmp_path):
         cache = ScheduleCache(hw)

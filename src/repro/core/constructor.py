@@ -145,7 +145,9 @@ class Gensor:
     ):
         """The engine one compile (or one polish) runs on.
 
-        Engines expose ``run_chain``, ``polish``, ``num_nodes`` and
+        Engines expose ``run_chain`` (which fills a candidate pool, a
+        dict the engine owns the row format of), ``add_states`` and
+        ``rank`` over that pool, batched ``polish``, ``num_nodes`` and
         ``restore_nodes``; one is built per call because its node memo
         feeds ``states_visited``.
         """
@@ -242,12 +244,12 @@ class Gensor:
         )
         engine = self._walk_engine(compute, epilogues)
         if n_walkers == 1:
-            candidates, total_iterations = self._run_walker(
+            pool, total_iterations = self._run_walker(
                 engine, compute, forbid, tracer, cancel, walker=0,
                 resume_from=resume_from, checkpointer=checkpointer,
             )
         else:
-            candidates, total_iterations = self._run_walkers(
+            pool, total_iterations = self._run_walkers(
                 engine, compute, forbid, tracer, cancel, n_walkers
             )
         states_visited = engine.num_nodes
@@ -255,17 +257,15 @@ class Gensor:
         # Algorithm 1 receives dim_configs as input: canonical dimension
         # configurations seed the pool alongside the walked states, so the
         # refinement stage always starts from at least one sane anchor.
-        for seed_state in self.seed_states(compute, epilogues=epilogues):
-            candidates.setdefault(seed_state.key(), seed_state)
-        shortlist = self._rank(candidates.values())[: cfg.top_k]
+        engine.add_states(pool, self.seed_states(compute, epilogues=epilogues))
+        shortlist = engine.rank(pool, cfg.top_k)
         if cfg.polish_steps > 0:
-            polished = {s.key(): s for s in shortlist}
-            for s in shortlist:
-                p = self.polish(
-                    s, cfg.polish_steps, forbid, tracer=tracer, cancel=cancel
-                )
-                polished[p.key()] = p
-            shortlist = self._rank(polished.values())[: cfg.top_k]
+            polished = engine.polish(
+                shortlist, cfg.polish_steps, forbid, tracer=tracer, cancel=cancel
+            )
+            refined: dict[tuple, object] = {}
+            engine.add_states(refined, shortlist + polished)
+            shortlist = engine.rank(refined, cfg.top_k)
         best, best_metrics = self._measure_shortlist(shortlist, measurer)
         wall = time.perf_counter() - t_start
         if tracer.enabled:
@@ -326,7 +326,7 @@ class Gensor:
         walker: int,
         resume_from=None,
         checkpointer=None,
-    ) -> tuple[dict[tuple, ETIR], int]:
+    ) -> tuple[dict[tuple, object], int]:
         """Run one walker's ``num_chains`` annealed chains on ``engine``;
         return its candidate pool (insertion-ordered) and iteration count.
 
@@ -356,7 +356,7 @@ class Gensor:
             if walker > 0
             else None
         )
-        candidates: dict[tuple, ETIR] = {}
+        pool: dict[tuple, object] = {}
         total_iterations = 0
         start_chain = 0
         if resume_from is not None and walker == 0:
@@ -364,11 +364,13 @@ class Gensor:
 
             start_chain = resume_from.chain
             total_iterations = resume_from.total_steps - resume_from.iteration
-            for state_cfg in resume_from.candidates:
-                state = config_to_state(
-                    compute, state_cfg, resume_from.num_levels
-                )
-                candidates[state.key()] = state
+            engine.add_states(
+                pool,
+                [
+                    config_to_state(compute, c, resume_from.num_levels)
+                    for c in resume_from.candidates
+                ],
+            )
             engine.restore_nodes(resume_from.node_keys, resume_from.nodes_seen)
             if checkpointer is not None:
                 checkpointer.start_from(resume_from)
@@ -390,11 +392,11 @@ class Gensor:
                 rng = substreams[chain]
             total_iterations += engine.run_chain(
                 cfg, rng, forbid, tracer, cancel,
-                walker * cfg.num_chains + chain, candidates,
+                walker * cfg.num_chains + chain, pool,
                 checkpointer=checkpointer, base_steps=total_iterations,
                 resume=resume,
             )
-        return candidates, total_iterations
+        return pool, total_iterations
 
     def _run_walkers(
         self,
@@ -404,7 +406,7 @@ class Gensor:
         tracer: Tracer,
         cancel: CancelToken | None,
         n_walkers: int,
-    ) -> tuple[dict[tuple, ETIR], int]:
+    ) -> tuple[dict[tuple, object], int]:
         """Run ``n_walkers`` independent walkers concurrently and merge.
 
         Each walker owns its RNG substreams and candidate dict; they share
@@ -416,7 +418,7 @@ class Gensor:
         """
         from repro.serve.pool import WorkerPool
 
-        results: list[tuple[dict[tuple, ETIR], int] | None] = [None] * n_walkers
+        results: list[tuple[dict[tuple, object], int] | None] = [None] * n_walkers
         errors: list[BaseException] = []
 
         def make_task(w: int):
@@ -440,15 +442,15 @@ class Gensor:
             pool.shutdown(wait=True)
         if errors:
             raise errors[0]
-        candidates: dict[tuple, ETIR] = {}
+        pool: dict[tuple, object] = {}
         total_iterations = 0
         for res in results:
             assert res is not None
-            walker_candidates, iterations = res
-            for key, state in walker_candidates.items():
-                candidates.setdefault(key, state)
+            walker_pool, iterations = res
+            for key, row in walker_pool.items():
+                pool.setdefault(key, row)
             total_iterations += iterations
-        return candidates, total_iterations
+        return pool, total_iterations
 
     # -- warm-start hooks (public: used by DynamicGensor and repro.serve) --------
 
@@ -489,8 +491,8 @@ class Gensor:
             max_steps = max(0, max_steps - resume_from.iteration)
         engine = self._walk_engine(state.compute, state.epilogue_pool)
         return engine.polish(
-            state, max_steps, forbid, tracer=tracer, cancel=cancel
-        )
+            [state], max_steps, forbid, tracer=tracer, cancel=cancel
+        )[0]
 
     def seed_states(
         self,
@@ -541,24 +543,6 @@ class Gensor:
         return seeds
 
     # -- internals ---------------------------------------------------------------
-
-    def _rank(self, states) -> list[ETIR]:
-        """Order candidates by the internal analytical model (best first).
-
-        One memo round-trip prices the feasible pool; the insertion index
-        is the tie-break.  Program groups rank on program cost: unfused
-        epilogues cost their own kernels.
-        """
-        feasible = [
-            (i, s) for i, s in enumerate(states) if s.memory_ok(self.hw)
-        ]
-        lats = self.memo.latency_batch(self.hw, [s for _i, s in feasible])
-        scored = [
-            (program_cost_s(s, lat, self.hw), i, s)
-            for (i, s), lat in zip(feasible, lats)
-        ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [s for _lat, _i, s in scored if math.isfinite(_lat)]
 
     def _measure_shortlist(
         self, shortlist: list[ETIR], measurer: Measurer

@@ -29,7 +29,7 @@ from repro.core.constructor import Gensor
 from repro.core.events import emit_chain_end, emit_polish, emit_walk_step
 from repro.core.graph import ConstructionGraph
 from repro.core.policy import TransitionPolicy, append_probability
-from repro.core.score import pending_penalty_s
+from repro.core.score import pending_penalty_s, program_cost_s
 from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
@@ -66,8 +66,10 @@ def all_level_neighbors(state: ETIR, vthread_allowed: bool) -> Iterator[ETIR]:
 
 
 class ReferenceWalkEngine:
-    """The walk engine protocol (``run_chain``, ``polish``, ``num_nodes``,
-    ``restore_nodes``) on the object-level construction graph."""
+    """The walk engine protocol (``run_chain``, ``add_states``, ``rank``,
+    ``polish``, ``num_nodes``, ``restore_nodes``) on the object-level
+    construction graph.  Its candidate pool holds ETIR states keyed by
+    state key."""
 
     def __init__(
         self,
@@ -99,7 +101,7 @@ class ReferenceWalkEngine:
         tracer: Tracer,
         cancel: "CancelToken | None",
         tid: int,
-        candidates: dict[tuple, ETIR],
+        pool: dict[tuple, ETIR],
         *,
         checkpointer=None,
         base_steps: int = 0,
@@ -134,7 +136,7 @@ class ReferenceWalkEngine:
             state = edges[idx].dst
             appended = rng.random() < append_probability(temperature)
             if appended:
-                candidates[state.key()] = state
+                pool[state.key()] = state
             if tracer.enabled:
                 emit_walk_step(
                     tracer, self.compute.name, tid, iteration, temperature,
@@ -147,10 +149,10 @@ class ReferenceWalkEngine:
                     cancel,
                     lambda: self._checkpoint(
                         cfg, tid, iteration, base_steps + iteration,
-                        temperature, state, rng, candidates,
+                        temperature, state, rng, pool,
                     ),
                 )
-        candidates[state.key()] = state
+        pool[state.key()] = state
         if tracer.enabled:
             emit_chain_end(
                 tracer, self.compute.name, tid, iteration, state.cur_level,
@@ -167,7 +169,7 @@ class ReferenceWalkEngine:
         temperature: float,
         state: ETIR,
         rng: np.random.Generator,
-        candidates: dict[tuple, ETIR],
+        pool: dict[tuple, ETIR],
     ):
         from repro.resilience.checkpoint import build_walk_checkpoint, state_config
 
@@ -182,10 +184,29 @@ class ReferenceWalkEngine:
             temperature=temperature,
             state_config=state_config(state),
             rng=rng,
-            candidate_configs=[state_config(s) for s in candidates.values()],
+            candidate_configs=[state_config(s) for s in pool.values()],
             node_keys=node_keys,
             nodes_seen=nodes_seen,
         )
+
+    def add_states(self, pool: dict[tuple, ETIR], states: Iterable[ETIR]) -> None:
+        for state in states:
+            pool.setdefault(state.key(), state)
+
+    def rank(self, pool: dict[tuple, ETIR], top_k: int) -> list[ETIR]:
+        """The ``top_k`` best pool states by program cost, best first: one
+        memo round-trip prices the memory-feasible states one at a time
+        through the scalar cost model; the insertion index breaks ties."""
+        feasible = [
+            (i, s) for i, s in enumerate(pool.values()) if s.memory_ok(self.hw)
+        ]
+        lats = self.memo.latency_batch(self.hw, [s for _i, s in feasible])
+        scored = [
+            (program_cost_s(s, lat, self.hw), i, s)
+            for (i, s), lat in zip(feasible, lats)
+        ]
+        scored.sort(key=lambda item: (item[0], item[1]))
+        return [s for cost, _i, s in scored if math.isfinite(cost)][:top_k]
 
     def _value(self, state: ETIR) -> float:
         """Polish objective: kernel latency, plus the standalone cost of
@@ -197,11 +218,24 @@ class ReferenceWalkEngine:
 
     def polish(
         self,
-        state: ETIR,
+        states: list[ETIR],
         max_steps: int,
         forbid: frozenset[str] = frozenset(),
         tracer: Tracer | None = None,
         cancel: "CancelToken | None" = None,
+    ) -> list[ETIR]:
+        """Polish each state on its own, in order."""
+        return [
+            self._polish_one(s, max_steps, forbid, tracer, cancel) for s in states
+        ]
+
+    def _polish_one(
+        self,
+        state: ETIR,
+        max_steps: int,
+        forbid: frozenset[str],
+        tracer: Tracer | None,
+        cancel: "CancelToken | None",
     ) -> ETIR:
         """Greedy refinement: move to the best strictly improving neighbour
         until none improves (the optimal policy of the paper's §IV-D)."""

@@ -20,8 +20,8 @@ Scaling here is wall-clock real: each shard's simulated profiling cost
 elapses in real time (``time_scale=1.0``) and the construction walks are
 CPU-bound Python, so added processes buy both GIL-free CPU parallelism
 (on multi-core runners) and deeper profiling overlap.  The CI gate
-(``--min-process-scaling``) runs on the quick suite like the
-walker-scaling gate of ``bench walk``.
+(``--min-process-scaling``) runs on the quick suite like the SoA
+speedup gate of ``bench walk``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ program fusion group, with candidate generation, legality masks, and
 benefit scoring vectorized across the whole frontier in one shot.
 :meth:`Gensor.compile <repro.core.constructor.Gensor.compile>` and
 :meth:`Gensor.polish <repro.core.constructor.Gensor.polish>` run every
-walk here, bare operators and fusion groups alike.
+walk here, bare operators and fusion groups alike, and so does the rest
+of a compile: the walk's candidate pool stays packed, is ranked in one
+priced pass, and its shortlist is polished as one lockstep batch.
 
 **Parity contract.**  The engine is *bit-faithful* to the object-level
 reference (``ConstructionGraph`` + ``TransitionPolicy`` + the scalar
@@ -85,6 +87,16 @@ class SoAParityError(AssertionError):
     """The SoA path diverged from the object-path oracle."""
 
 
+def _portable_config(tiles: np.ndarray, vthreads: np.ndarray, level) -> tuple:
+    """A packed state as the checkpoint's portable ``(tiles, vthreads,
+    level)`` plain-int tuples (``checkpoint.state_config`` of its ETIR)."""
+    return (
+        tuple(tuple(row) for row in tiles.tolist()),
+        tuple(vthreads.tolist()),
+        int(level),
+    )
+
+
 # -- static per-compute packing ----------------------------------------------
 
 
@@ -105,7 +117,10 @@ class SoAPack:
         "extents_f",
         "is_reduce",
         "spatial_idx",
-        "reduce_idx",
+        "spatial_cols",
+        "reduce_cols",
+        "spatial_extents",
+        "reduce_extents",
         "last_spatial",
         "all_inputs",
         "unique_inputs",
@@ -114,6 +129,7 @@ class SoAPack:
         "total_flops",
         "total_io",
         "traffic_int64_safe",
+        "products_f64_exact",
         "_fp_cache",
         "_fpo_cache",
         "_traffic_cache",
@@ -128,8 +144,14 @@ class SoAPack:
         self.extents_f = self.extents.astype(np.float64)
         self.is_reduce = [ax.is_reduce for ax in axes]
         reduce_mask = np.array(self.is_reduce, dtype=bool)
-        self.spatial_idx = [int(i) for i in np.nonzero(~reduce_mask)[0]]
-        self.reduce_idx = [int(i) for i in np.nonzero(reduce_mask)[0]]
+        # Index arrays for the per-row products over one axis kind: an
+        # int64 product is exact (or wraps identically) in any order, so
+        # one indexed ``prod(axis=1)`` replaces a per-axis loop.
+        self.spatial_cols = np.nonzero(~reduce_mask)[0]
+        self.reduce_cols = np.nonzero(reduce_mask)[0]
+        self.spatial_idx = self.spatial_cols.tolist()
+        self.spatial_extents = self.extents[self.spatial_cols]
+        self.reduce_extents = self.extents[self.reduce_cols]
         self.last_spatial = self.spatial_idx[-1] if self.spatial_idx else None
         name_to_idx = {ax.name: i for i, ax in enumerate(axes)}
         # One (coefs, dims, dtype_bytes) triple per access, in declaration
@@ -177,6 +199,9 @@ class SoAPack:
             ote_bound *= self.extent_list[a]
         traffic_bound = count_bound * fp_bound + count_bound * ote_bound * self.out_bytes
         self.traffic_int64_safe = traffic_bound < 2**62
+        # Whether every product of per-axis tile sizes is below 2**53, so
+        # a float64 running product is exact and equals the int64 one.
+        self.products_f64_exact = count_bound < 2**53
         self._fp_cache: dict[bytes, int] = {}
         self._fpo_cache: dict[bytes, int] = {}
         self._traffic_cache: dict[bytes, int] = {}
@@ -226,9 +251,9 @@ class SoAPack:
             elems = np.minimum(spans, dims).prod(axis=1)
             total = total + elems * nbytes
         if include_output:
-            out = np.ones(tiles.shape[0], dtype=np.int64)
-            for a in self.spatial_idx:
-                out = out * np.minimum(tiles[:, a], self.extent_list[a])
+            out = np.minimum(
+                tiles[:, self.spatial_cols], self.spatial_extents
+            ).prod(axis=1)
             total = total + out * self.out_bytes
         return total
 
@@ -271,16 +296,9 @@ class SoAPack:
         )
         fin = self.footprint_bytes(tiles, include_output=False)
         if self.traffic_int64_safe:
-            n = tiles.shape[0]
-            sp = np.ones(n, dtype=np.int64)
-            rt = np.ones(n, dtype=np.int64)
-            ote = np.ones(n, dtype=np.int64)
-            for a, red in enumerate(self.is_reduce):
-                if red:
-                    rt = rt * counts[:, a]
-                else:
-                    sp = sp * counts[:, a]
-                    ote = ote * clipped[:, a]
+            sp = counts[:, self.spatial_cols].prod(axis=1)
+            rt = counts[:, self.reduce_cols].prod(axis=1)
+            ote = clipped[:, self.spatial_cols].prod(axis=1)
             return (sp * rt * fin + sp * ote * self.out_bytes).tolist()
         out: list[int] = []
         for crow, trow, f in zip(counts.tolist(), clipped.tolist(), fin.tolist()):
@@ -348,13 +366,24 @@ class SoAFrontier:
     """A batch of walk states packed as structure-of-arrays.
 
     ``tiles`` is ``(n, A, L)`` int64, ``vthreads`` ``(n, A)`` int64, and
-    ``cur_levels`` ``(n,)`` int64.  :meth:`encode` / :meth:`decode` are the
-    only crossings between ETIR objects and the packed representation; the
-    round trip is exact (plain Python ints on the way out, re-validated by
-    the ETIR constructor).
+    ``cur_levels`` and ``fused`` ``(n,)`` int64; ``epilogues`` is the
+    fusion group's pool every row's fused count indexes (empty for a bare
+    operator).  :meth:`encode` / :meth:`decode` cross between ETIR objects
+    and the packed representation; the round trip is exact (plain Python
+    ints on the way out, re-validated by the ETIR constructor).
+    :meth:`from_rows` packs a walk's candidate pool, which never held ETIR
+    objects, and :meth:`check` validates it in one array pass.
     """
 
-    __slots__ = ("compute", "num_levels", "tiles", "vthreads", "cur_levels")
+    __slots__ = (
+        "compute",
+        "num_levels",
+        "epilogues",
+        "tiles",
+        "vthreads",
+        "cur_levels",
+        "fused",
+    )
 
     def __init__(
         self,
@@ -363,12 +392,16 @@ class SoAFrontier:
         tiles: np.ndarray,
         vthreads: np.ndarray,
         cur_levels: np.ndarray,
+        fused: np.ndarray,
+        epilogues: tuple[ComputeDef, ...],
     ) -> None:
         self.compute = compute
         self.num_levels = num_levels
+        self.epilogues = epilogues
         self.tiles = tiles
         self.vthreads = vthreads
         self.cur_levels = cur_levels
+        self.fused = fused
 
     @classmethod
     def encode(cls, states: list[ETIR]) -> "SoAFrontier":
@@ -376,34 +409,92 @@ class SoAFrontier:
             raise ValueError("cannot encode an empty frontier")
         compute = states[0].compute
         num_levels = states[0].num_levels
+        epilogues = states[0].epilogue_pool
         for s in states:
             if s.compute is not compute and s.compute != compute:
                 raise ValueError("frontier mixes computes")
             if s.num_levels != num_levels:
                 raise ValueError("frontier mixes num_levels")
+            if s.epilogue_pool != epilogues:
+                raise ValueError("frontier mixes epilogue pools")
         tiles = np.empty(
             (len(states), len(compute.axes), num_levels), dtype=np.int64
         )
         vthreads = np.empty((len(states), len(compute.axes)), dtype=np.int64)
         cur_levels = np.empty(len(states), dtype=np.int64)
+        fused = np.empty(len(states), dtype=np.int64)
         for i, s in enumerate(states):
             t, v = s.config_arrays()
             tiles[i] = t
             vthreads[i] = v
             cur_levels[i] = s.cur_level
-        return cls(compute, num_levels, tiles, vthreads, cur_levels)
+            fused[i] = s.fused
+        return cls(
+            compute, num_levels, tiles, vthreads, cur_levels, fused, epilogues
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        compute: ComputeDef,
+        epilogues: tuple[ComputeDef, ...],
+        rows: list[tuple[np.ndarray, np.ndarray, int, int]],
+    ) -> "SoAFrontier":
+        """Pack ``(tiles, vthreads, level, fused)`` rows (at least one)."""
+        tiles = np.array([r[0] for r in rows])
+        return cls(
+            compute,
+            tiles.shape[2],
+            tiles,
+            np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows], dtype=np.int64),
+            np.array([r[3] for r in rows], dtype=np.int64),
+            epilogues,
+        )
+
+    def check(self) -> None:
+        """Raise ``ValueError`` on the first row that breaks an ETIR
+        invariant — every check the ETIR constructor makes, for the whole
+        batch at once: ``1 <= T_1 <= ... <= T_L <= extent``, ``1 <= V <=
+        T_1`` with ``V == 1`` on reduce axes, the level in ``[1, L]`` and
+        the fused count in ``[0, len(epilogues)]``."""
+        pack = pack_for(self.compute)
+        tiles, vthreads, thread = self.tiles, self.vthreads, self.tiles[:, :, 0]
+        bad = (
+            (thread < 1).any(axis=1)
+            | (np.diff(tiles, axis=2) < 0).any(axis=(1, 2))
+            | (tiles[:, :, -1] > pack.extents).any(axis=1)
+            | (vthreads < 1).any(axis=1)
+            | (vthreads > thread).any(axis=1)
+            | (vthreads[:, pack.reduce_cols] != 1).any(axis=1)
+            | (self.cur_levels < 1)
+            | (self.cur_levels > self.num_levels)
+            | (self.fused < 0)
+            | (self.fused > len(self.epilogues))
+        )
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"{self.compute.name}: pool row {i} breaks an ETIR invariant:"
+                f" tiles {self.tiles[i].tolist()}, vthreads"
+                f" {self.vthreads[i].tolist()}, level {int(self.cur_levels[i])},"
+                f" fused {int(self.fused[i])}"
+            )
+
+    def state(self, i: int) -> ETIR:
+        """Row ``i`` as a validated ETIR."""
+        return ETIR.from_arrays(
+            self.compute,
+            self.tiles[i],
+            self.vthreads[i],
+            int(self.cur_levels[i]),
+            self.num_levels,
+            epilogue_pool=self.epilogues,
+            fused=int(self.fused[i]),
+        )
 
     def decode(self) -> list[ETIR]:
-        return [
-            ETIR.from_arrays(
-                self.compute,
-                self.tiles[i],
-                self.vthreads[i],
-                int(self.cur_levels[i]),
-                self.num_levels,
-            )
-            for i in range(len(self))
-        ]
+        return [self.state(i) for i in range(len(self))]
 
     def __len__(self) -> int:
         return self.tiles.shape[0]
@@ -476,8 +567,8 @@ class _Slot:
 
 
 class SoAWalkEngine:
-    """Vectorized construction-graph expansion, walk, and polish for one
-    operator (and, for a program fusion group, its epilogue pool).
+    """Vectorized construction-graph expansion, walk, ranking and polish
+    for one operator (and, for a program fusion group, its epilogue pool).
 
     Mirrors ``ConstructionGraph`` + ``TransitionPolicy`` bit-for-bit (see
     the module docstring for the contract): same node bookkeeping, same
@@ -545,7 +636,7 @@ class SoAWalkEngine:
         self._ep_fpp = np.array([s.epilogue_flops_per_point() for s in ladder])
         self._flops = np.array([s.program_flops() for s in ladder])
         self._io = np.array([s.program_io_bytes() for s in ladder])
-        self._penalty = [pending_penalty_s(s, hw) for s in ladder]
+        self._penalty = np.array([pending_penalty_s(s, hw) for s in ladder])
         self._fuse_benefit = [
             _fusion_benefit(a, b, hw) for a, b in zip(ladder, ladder[1:])
         ]
@@ -615,13 +706,7 @@ class SoAWalkEngine:
         for tiles_b, vthreads_b, level, _fused in self._nodes:
             tiles = np.frombuffer(tiles_b, dtype=np.int64).reshape(a_count, -1)
             vthreads = np.frombuffer(vthreads_b, dtype=np.int64)
-            configs.append(
-                (
-                    tuple(tuple(row) for row in tiles.tolist()),
-                    tuple(vthreads.tolist()),
-                    int(level),
-                )
-            )
+            configs.append(_portable_config(tiles, vthreads, level))
         return configs, self._nodes_seen
 
     def restore_nodes(self, configs: Iterable[tuple], nodes_seen: int) -> None:
@@ -649,12 +734,13 @@ class SoAWalkEngine:
         vthreads: np.ndarray,
         level: int,
         rng: np.random.Generator,
-        candidates: dict[tuple, ETIR],
+        pool: dict[tuple, tuple],
     ):
         """Assemble a walk checkpoint from the chain's packed state.
 
         Runs only on the (rare) steps the cadence fires, at the iteration
-        boundary — never inside the scored hot loop.
+        boundary — never inside the scored hot loop.  The packed pool rows
+        become the same portable ``candidate_configs`` an ETIR pool gave.
         """
         from repro.resilience.checkpoint import build_walk_checkpoint
 
@@ -667,15 +753,10 @@ class SoAWalkEngine:
             iteration=iteration,
             total_steps=total_steps,
             temperature=temperature,
-            state_config=(
-                tuple(tuple(row) for row in tiles.tolist()),
-                tuple(vthreads.tolist()),
-                int(level),
-            ),
+            state_config=_portable_config(tiles, vthreads, level),
             rng=rng,
             candidate_configs=[
-                (s.config.tiles, s.config.vthreads, s.cur_level)
-                for s in candidates.values()
+                _portable_config(t, v, lvl) for t, v, lvl, _f in pool.values()
             ],
             node_keys=node_keys,
             nodes_seen=nodes_seen,
@@ -855,7 +936,7 @@ class SoAWalkEngine:
         if n == 0:
             return slots, candidates, [], np.zeros(0, dtype=bool)
 
-        dst_tiles = np.stack([s.tiles for _i, s in candidates])
+        dst_tiles = np.array([s.tiles for _i, s in candidates])
         block = dst_tiles[:, :, num_levels - 1]
         thread = dst_tiles[:, :, 0]
         dst_fused = np.array([s.fused for _i, s in candidates], dtype=np.int64)
@@ -1014,10 +1095,10 @@ class SoAWalkEngine:
         if missing:
             # These candidates already passed the relaxed memory check in
             # _expansion_slots, so their columns go straight to the pipe.
-            batch_t = np.stack(
+            batch_t = np.array(
                 [candidates[needs_accel[k]][1].tiles for k in missing]
             )
-            batch_v = np.stack(
+            batch_v = np.array(
                 [candidates[needs_accel[k]][1].vthreads for k in missing]
             )
             lats = quick_pipe(
@@ -1049,10 +1130,7 @@ class SoAWalkEngine:
 
     def _spatial_points(self, tiles: np.ndarray) -> np.ndarray:
         """Points of the spatial tile per row (``ETIR._spatial_tile_points``)."""
-        pts = np.ones(tiles.shape[0], dtype=np.int64)
-        for a in self.pack.spatial_idx:
-            pts = pts * tiles[:, a]
-        return pts
+        return tiles[:, self.pack.spatial_cols].prod(axis=1)
 
     def _memok_relaxed(
         self, block: np.ndarray, thread: np.ndarray, fused: np.ndarray
@@ -1079,20 +1157,17 @@ class SoAWalkEngine:
 
     def _tpb(self, block: np.ndarray, thread: np.ndarray) -> np.ndarray:
         """threads_per_block per row (exact int64)."""
-        tpb = np.ones(block.shape[0], dtype=np.int64)
-        for a in self.pack.spatial_idx:
-            tpb = tpb * np.ceil(block[:, a] / thread[:, a]).astype(np.int64)
-        return tpb
+        sp = self.pack.spatial_cols
+        return np.ceil(block[:, sp] / thread[:, sp]).astype(np.int64).prod(axis=1)
 
     def _nblk(self, block: np.ndarray) -> np.ndarray:
         """num_blocks per row (exact int64)."""
         pack = self.pack
-        nblk = np.ones(block.shape[0], dtype=np.int64)
-        for a in pack.spatial_idx:
-            nblk = nblk * np.ceil(pack.extent_list[a] / block[:, a]).astype(
-                np.int64
-            )
-        return nblk
+        return (
+            np.ceil(pack.spatial_extents / block[:, pack.spatial_cols])
+            .astype(np.int64)
+            .prod(axis=1)
+        )
 
     def _dram_q(
         self, block: np.ndarray, fused: np.ndarray, nblk: np.ndarray
@@ -1177,9 +1252,7 @@ class SoAWalkEngine:
         t_block = block[:, ls]
         threads_row = np.maximum(1, t_block // np.maximum(1, t1))
         span = np.maximum(1, np.minimum(self.hw.warp_size, threads_row) * t1)
-        vt = np.ones(n, dtype=np.int64)
-        for a in range(pack.num_axes):
-            vt = vt * vthreads[:, a]
+        vt = vthreads.prod(axis=1)
         groups = np.ceil(
             span.astype(np.float64)
             / (vt * self.hw.bank_width_elems).astype(np.float64)
@@ -1224,16 +1297,19 @@ class SoAWalkEngine:
         n = block.shape[0]
         tpb = self._tpb(block, thread).astype(np.float64)
         nblk = self._nblk(block)
-        inner_work = np.ones(n)
-        for a in range(pack.num_axes):
-            inner_work = inner_work * thread[:, a].astype(np.float64)
+        if pack.products_f64_exact:
+            inner_work = thread.prod(axis=1).astype(np.float64)
+        else:
+            inner_work = np.ones(n)
+            for a in range(pack.num_axes):
+                inner_work = inner_work * thread[:, a].astype(np.float64)
         coalesce = self._coalescing(block)
         conflict = self._conflict(block, thread, vthreads)
         dram_q = self._dram_q(block, fused, nblk)
         smem_q = np.array(
             [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
         )
-        return np.stack(
+        return np.array(
             [
                 tpb,
                 nblk.astype(np.float64),
@@ -1353,9 +1429,7 @@ class SoAWalkEngine:
             inner_work = np.where(
                 is_fused, inner_work + sp_thread * ep_fpp / 2.0, inner_work
             )
-        vt = np.ones(n, dtype=np.int64)
-        for a in range(pack.num_axes):
-            vt = vt * vthreads[:, a]
+        vt = vthreads.prod(axis=1)
         coalesce = self._coalescing(block)
         dram_q = self._dram_q(block, fused, nblk)
         unique_bytes = self._io[fused]
@@ -1363,12 +1437,12 @@ class SoAWalkEngine:
         smem_q = np.array(
             [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
         )
-        reduce_chunks = np.ones(n, dtype=np.int64)
-        for a in pack.reduce_idx:
-            reduce_chunks = reduce_chunks * np.ceil(
-                pack.extent_list[a] / block[:, a]
-            ).astype(np.int64)
-        return np.stack(
+        reduce_chunks = (
+            np.ceil(pack.reduce_extents / block[:, pack.reduce_cols])
+            .astype(np.int64)
+            .prod(axis=1)
+        )
+        return np.array(
             [
                 tpb.astype(np.float64),
                 bps.astype(np.float64),
@@ -1407,8 +1481,8 @@ class SoAWalkEngine:
                 out[i] = lat
         if missing:
             lats = self._full_latencies(
-                np.stack([states[i][0] for i in missing]),
-                np.stack([states[i][1] for i in missing]),
+                np.array([states[i][0] for i in missing]),
+                np.array([states[i][1] for i in missing]),
                 np.array([states[i][2] for i in missing], dtype=np.int64),
             )
             for i, lat in zip(missing, lats):
@@ -1463,7 +1537,7 @@ class SoAWalkEngine:
         tracer: Tracer,
         cancel: "CancelToken | None",
         tid: int,
-        candidates: dict[tuple, ETIR],
+        pool: dict[tuple, tuple],
         *,
         checkpointer=None,
         base_steps: int = 0,
@@ -1473,8 +1547,13 @@ class SoAWalkEngine:
 
         Byte-identical to the reference chain: same RNG consumption (one
         ``choice`` + one ``random`` per step, nothing at a sink), same
-        candidate-pool keys and overwrite order, same ``walk_step`` /
-        ``chain_end`` events.  Returns the iteration count.
+        candidate-pool membership and insertion order, same ``walk_step``
+        / ``chain_end`` events.  Returns the iteration count.
+
+        ``pool`` is the packed candidate pool: ``(tiles, vthreads, level,
+        fused)`` rows keyed by the node key, in insertion order.  Appended
+        states are never decoded; :meth:`rank` validates and prices the
+        whole pool at once.
 
         ``resume`` restarts the chain mid-anneal from a checkpoint's
         ``(tiles, vthreads, level, temperature, iteration)`` — the caller
@@ -1519,8 +1598,9 @@ class SoAWalkEngine:
             )
             appended = rng.random() < append_probability(temperature)
             if appended:
-                state = self._decode(tiles, vthreads, level, fused)
-                candidates[state.key()] = state
+                pool[self._key(tiles, vthreads, level, fused)] = (
+                    tiles, vthreads, level, fused
+                )
             if tracer.enabled:
                 emit_walk_step(
                     tracer, compute_name, tid, iteration, temperature,
@@ -1541,78 +1621,134 @@ class SoAWalkEngine:
                         vthreads,
                         level,
                         rng,
-                        candidates,
+                        pool,
                     ),
                 )
-        state = self._decode(tiles, vthreads, level, fused)
-        candidates[state.key()] = state
+        pool[self._key(tiles, vthreads, level, fused)] = (
+            tiles, vthreads, level, fused
+        )
         if tracer.enabled:
             emit_chain_end(
                 tracer, compute_name, tid, iteration, level, temperature
             )
         return iteration
 
+    # -- the candidate pool: packing and ranking ---------------------------------
+
+    def add_states(self, pool: dict[tuple, tuple], states: Iterable[ETIR]) -> None:
+        """Add ETIR states (seeds, restored or polished candidates) to a
+        packed pool; a state already present keeps its place."""
+        for state in states:
+            tiles, vthreads = state.config_arrays()
+            pool.setdefault(
+                self._key(tiles, vthreads, state.cur_level, state.fused),
+                (tiles, vthreads, state.cur_level, state.fused),
+            )
+
+    def rank(self, pool: dict[tuple, tuple], top_k: int) -> list[ETIR]:
+        """The ``top_k`` best pool states by program cost, best first.
+
+        The reference ranking on the packed pool: the whole pool is checked
+        against the ETIR invariants and priced in one memo-backed full-model
+        pass, plus the pending-epilogue penalty of each row's fused count;
+        ties keep insertion order, infeasible rows (non-finite cost) drop
+        out, and only the survivors that make the cut are decoded.
+        """
+        if not pool:
+            return []
+        rows = list(pool.values())
+        frontier = SoAFrontier.from_rows(self.compute, self.epilogues, rows)
+        frontier.check()
+        costs = self._program_latencies([(t, v, f) for t, v, _l, f in rows])
+        order = np.argsort(costs, kind="stable")
+        order = order[np.isfinite(costs[order])][:top_k]
+        return [frontier.state(int(i)) for i in order]
+
     # -- greedy refinement (mirrors the reference polish) ----------------------
 
     def polish(
         self,
-        state: ETIR,
+        states: "list[ETIR] | ETIR",
         max_steps: int,
         forbid: frozenset[str] = frozenset(),
         tracer: Tracer | None = None,
         cancel: "CancelToken | None" = None,
-    ) -> ETIR:
-        """Greedy value refinement on the packed representation.
+    ) -> "list[ETIR] | ETIR":
+        """Greedy value refinement of a batch of states, stepped together.
 
-        Value-identical to the reference polish: the same neighbor
-        enumeration order (fuse/unfuse last), the same full-model
-        latencies (shared pipe) plus, for a fusion group, the standalone
-        cost of every epilogue left unfused, the same first-strict-
-        improvement tie-break and stop, the same traced event.  ``state``
-        must carry this engine's epilogue pool.
+        Value-identical to polishing each state alone on the reference:
+        the same neighbor enumeration order (fuse/unfuse last), the same
+        full-model latencies (shared pipe) plus, for a fusion group, the
+        standalone cost of every epilogue left unfused, and per state the
+        same first-strict-improvement tie-break, step count and stop.
+        Each step prices the neighbours of every state still improving in
+        one memo-backed pass.  One ``polish`` event per state is emitted,
+        in batch order, each carrying an even share of the batch's wall
+        time.  States must carry this engine's epilogue pool; a single
+        state polishes as a batch of one and is returned unwrapped.
         """
+        if isinstance(states, ETIR):
+            return self.polish([states], max_steps, forbid, tracer, cancel)[0]
         tracer = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        tiles, vthreads = state.config_arrays()
-        level = state.cur_level
-        fused = state.fused
-        num_levels = tiles.shape[1]
-        program = bool(self.epilogues)
-        current_lat = float(
-            self._full_latencies_memo([(tiles, vthreads, fused)])[0]
-        )
-        if program:
-            current_lat += self._penalty[fused]
-        start_lat = current_lat
         vthread_allowed = ActionKind.VTHREAD_UP not in forbid
-        steps = 0
+        current = [(*s.config_arrays(), s.fused) for s in states]
+        start_lats = self._program_latencies(current).tolist()
+        best_lats = list(start_lats)
+        steps = [0] * len(states)
+        active = list(range(len(states)))
         for _ in range(max_steps):
+            if not active:
+                break
             if cancel is not None:
                 cancel.check()
-            neighbors = self._polish_neighbors(
-                tiles, vthreads, fused, num_levels, vthread_allowed
-            )
-            if not neighbors:
-                break
-            lats = self._full_latencies_memo(neighbors)
-            if program:
-                lats = lats + np.array(
-                    [self._penalty[f] for _t, _v, f in neighbors]
+            rows: list[tuple[np.ndarray, np.ndarray, int]] = []
+            spans = []
+            for i in active:
+                tiles, vthreads, fused = current[i]
+                lo = len(rows)
+                rows += self._polish_neighbors(
+                    tiles, vthreads, fused, tiles.shape[1], vthread_allowed
                 )
-            # argmin's first-occurrence rule is the reference loop's "first
-            # strict improvement over all previous" bookkeeping.
-            j = int(np.argmin(lats))
-            if not lats[j] < current_lat:
+                spans.append((i, lo, len(rows)))
+            if not rows:
                 break
-            tiles, vthreads, fused = neighbors[j]
-            current_lat = float(lats[j])
-            steps += 1
+            lats = self._program_latencies(rows)
+            active = []
+            for i, lo, hi in spans:
+                if lo == hi:
+                    continue
+                # argmin's first-occurrence rule is the reference loop's
+                # "first strict improvement over all previous" bookkeeping.
+                j = lo + int(np.argmin(lats[lo:hi]))
+                if not lats[j] < best_lats[i]:
+                    continue
+                current[i] = rows[j]
+                best_lats[i] = float(lats[j])
+                steps[i] += 1
+                active.append(i)
+        polished = [
+            self._decode(tiles, vthreads, s.cur_level, fused)
+            for (tiles, vthreads, fused), s in zip(current, states)
+        ]
         if tracer.enabled:
-            emit_polish(
-                tracer, state.compute.name, steps, max_steps, start_lat,
-                current_lat, time.perf_counter() - t0,
-            )
-        return self._decode(tiles, vthreads, level, fused)
+            dur = (time.perf_counter() - t0) / max(1, len(states))
+            for s, n, before, after in zip(states, steps, start_lats, best_lats):
+                emit_polish(
+                    tracer, s.compute.name, n, max_steps, before, after, dur
+                )
+        return polished
+
+    def _program_latencies(
+        self, rows: list[tuple[np.ndarray, np.ndarray, int]]
+    ) -> np.ndarray:
+        """Program cost (the rank and polish objective) per ``(tiles,
+        vthreads, fused)`` row: full-model latency, plus the
+        pending-epilogue penalty for a fusion group."""
+        lats = self._full_latencies_memo(rows)
+        if self.epilogues:
+            lats = lats + self._penalty[[f for _t, _v, f in rows]]
+        return lats
 
     def _polish_neighbors(
         self,

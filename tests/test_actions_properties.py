@@ -8,7 +8,7 @@ per-transition memory check that zeroes infeasible probabilities.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ConstructionGraph
@@ -34,6 +34,20 @@ def random_walk(compute, steps, choices):
         state = graph.nodes[edges[pick % len(edges)].dst_key]
         visited.append(state)
     return visited
+
+
+def reachable_tiles(extent):
+    """Every tile size reachable from 1 by doubling clamped to ``extent``
+    and by halving (the tiling and inverse-tiling moves)."""
+    seen = {1}
+    todo = [1]
+    while todo:
+        t = todo.pop()
+        for nxt in (min(2 * t, extent), t // 2):
+            if nxt >= 1 and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def assert_invariants(state):
@@ -89,21 +103,22 @@ class TestReachableStates:
         steps=st.integers(1, 25),
         choices=st.lists(st.integers(0, 10 ** 6), min_size=25, max_size=25),
     )
+    # Inverse tiling halves a clamped tile: the 48-extent block tile goes
+    # 32 -> 48 -> 24, which is neither a power of two nor an upper bound.
+    @example(m=48, k=16, n=16, steps=7, choices=[0] * 25)
     def test_tiles_are_pow2_or_extent_capped(self, m, k, n, steps, choices):
-        # Doubling from 1 only ever lands on powers of two, except when a
-        # non-pow2 axis extent (or the outer tile) clamps the final step.
+        # Every tile, at every level, is reachable from 1 by doubling
+        # clamped to the axis extent and by halving: an inner level clamps
+        # to its outer tile, which is itself such a value.
         compute = ops.matmul(m, k, n, "prop_mm2")
         for state in random_walk(compute, steps, choices):
             for idx, ax in enumerate(state.compute.axes):
-                tiles = state.config.tiles[idx]
-                for lvl, t in enumerate(tiles, start=1):
-                    upper = (
-                        ax.extent if lvl == len(tiles) else tiles[lvl]
-                    )
-                    is_pow2 = t & (t - 1) == 0
-                    assert is_pow2 or t == upper, (
-                        f"{ax.name} tile {t} at level {lvl} is neither a"
-                        f" power of two nor its upper bound {upper}"
+                allowed = reachable_tiles(ax.extent)
+                for lvl, t in enumerate(state.config.tiles[idx], start=1):
+                    assert t in allowed, (
+                        f"{ax.name} tile {t} at level {lvl} is not reachable"
+                        f" from 1 by clamped doubling and halving under"
+                        f" extent {ax.extent}: {sorted(allowed)}"
                     )
 
 

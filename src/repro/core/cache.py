@@ -134,6 +134,14 @@ class CachedSchedule:
             pending_s=pending_s,
         )
 
+    @classmethod
+    def priced(
+        cls, state: ETIR, latency_s: float, hw: HardwareSpec
+    ) -> "CachedSchedule":
+        """:meth:`from_state` with the unfused-epilogue cost priced on
+        ``hw`` — the record a served answer and a cache entry share."""
+        return cls.from_state(state, latency_s, pending_penalty_s(state, hw))
+
     def instantiate(
         self, compute: ComputeDef, epilogues: tuple[ComputeDef, ...] = ()
     ) -> ETIR | None:
@@ -214,9 +222,7 @@ class ScheduleCache:
         """Record a winner under its group key (the state's anchor and
         pool); keeps the lower program cost on collision."""
         key = group_fingerprint(state.compute, state.epilogue_pool)
-        entry = CachedSchedule.from_state(
-            state, latency_s, pending_penalty_s(state, self.hw)
-        )
+        entry = CachedSchedule.priced(state, latency_s, self.hw)
         with self._lock:
             existing = self._entries.get(key)
             if existing is None or entry.cost_s < existing.cost_s:

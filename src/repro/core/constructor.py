@@ -33,7 +33,7 @@ from repro.perf.memo import MetricsMemo, get_memo
 from repro.resilience.deadline import CancelToken
 from repro.sim.measure import MICROBENCH_SECONDS, Measurer
 from repro.sim.metrics import KernelMetrics
-from repro.utils.rng import restore_rng, spawn_rng, spawn_substreams
+from repro.utils.rng import restore_rng, spawn_rng
 
 __all__ = ["GensorConfig", "GensorResult", "Gensor"]
 
@@ -64,11 +64,6 @@ class GensorConfig:
     #: False drops the roofline term from transition benefits, leaving the
     #: bare Formula 1-3 ratios (the single-objective guidance ablation).
     multi_objective: bool = True
-    #: independent annealed walks run per compile; each walker runs
-    #: ``num_chains`` chains on its own deterministic RNG substream and the
-    #: candidate pools are merged.  ``walkers=1`` consumes exactly the
-    #: single-walker RNG stream (golden-trace parity).
-    walkers: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cooling < 1.0):
@@ -77,8 +72,6 @@ class GensorConfig:
             raise ValueError("initial temperature must exceed threshold")
         if self.num_chains < 1 or self.top_k < 1:
             raise ValueError("num_chains and top_k must be >= 1")
-        if self.walkers < 1:
-            raise ValueError(f"walkers must be >= 1, got {self.walkers}")
 
 
 @dataclass
@@ -166,7 +159,6 @@ class Gensor:
         measurer: Measurer | None = None,
         tracer: Tracer | None = None,
         cancel: CancelToken | None = None,
-        walkers: int | None = None,
         resume_from=None,
         checkpointer=None,
         epilogues: "tuple[ComputeDef, ...]" = (),
@@ -190,11 +182,6 @@ class Gensor:
         :class:`~repro.resilience.deadline.CompileCancelled` — polling
         never touches the RNG streams, so cancellation preserves the
         walk's determinism for attempts that do finish.
-        ``walkers`` overrides ``config.walkers`` for this call: ``k > 1``
-        runs k independent annealed walks over one shared walk engine on
-        the worker pool and merges their candidate pools in
-        walker order (deterministic regardless of thread scheduling);
-        ``1`` consumes exactly the historical single-walker RNG stream.
 
         ``resume_from`` restarts the walk mid-anneal from a
         :class:`~repro.resilience.checkpoint.WalkCheckpoint`: completed
@@ -203,9 +190,7 @@ class Gensor:
         byte-identical (schedule, trace suffix, RNG consumption, node
         counts) to the uninterrupted walk.  ``checkpointer`` (a
         :class:`~repro.resilience.checkpoint.Checkpointer`) snapshots the
-        walk on its policy's cadence so a later attempt can resume.  Both
-        require the effective single-walker path — multi-walker walks are
-        deliberately not checkpointed (their merge couples substreams).
+        walk on its policy's cadence so a later attempt can resume.
         """
         t_start = time.perf_counter()
         cfg = self.config
@@ -215,16 +200,6 @@ class Gensor:
                 "checkpoint/resume is not supported for fused program "
                 "groups; compile them without a checkpointer"
             )
-        n_walkers = cfg.walkers if walkers is None else int(walkers)
-        if n_walkers < 1:
-            raise ValueError(f"walkers must be >= 1, got {n_walkers}")
-        if n_walkers > 1:
-            if resume_from is not None:
-                raise ValueError(
-                    "resume_from requires a single walker; multi-walker "
-                    "walks are not checkpointed"
-                )
-            checkpointer = None
         if resume_from is not None:
             resume_from.require(compute, cfg)
         tracer = tracer if tracer is not None else self.tracer
@@ -243,15 +218,10 @@ class Gensor:
             else frozenset({ActionKind.VTHREAD_UP, ActionKind.VTHREAD_DOWN})
         )
         engine = self._walk_engine(compute, epilogues)
-        if n_walkers == 1:
-            pool, total_iterations = self._run_walker(
-                engine, compute, forbid, tracer, cancel, walker=0,
-                resume_from=resume_from, checkpointer=checkpointer,
-            )
-        else:
-            pool, total_iterations = self._run_walkers(
-                engine, compute, forbid, tracer, cancel, n_walkers
-            )
+        pool, total_iterations = self._run_walker(
+            engine, compute, forbid, tracer, cancel,
+            resume_from=resume_from, checkpointer=checkpointer,
+        )
         states_visited = engine.num_nodes
 
         # Algorithm 1 receives dim_configs as input: canonical dimension
@@ -323,43 +293,28 @@ class Gensor:
         forbid: frozenset[str],
         tracer: Tracer,
         cancel: CancelToken | None,
-        walker: int,
         resume_from=None,
         checkpointer=None,
     ) -> tuple[dict[tuple, object], int]:
-        """Run one walker's ``num_chains`` annealed chains on ``engine``;
-        return its candidate pool (insertion-ordered) and iteration count.
+        """Run the ``num_chains`` annealed chains on ``engine``; return the
+        candidate pool (insertion-ordered) and iteration count.
 
-        Walker 0 derives each chain's generator exactly as the historical
-        single-walker path did (``spawn_rng(seed, "gensor", name, chain)``),
-        so ``walkers=1`` is byte-identical to the pre-walker RNG stream.
-        Walkers ``w > 0`` draw their chains from ``SeedSequence.spawn``
-        substreams of a walker-labeled seed — independent of walker 0 and
-        of each other by construction.
+        Chain ``c`` draws from ``spawn_rng(seed, "gensor", name, c)``.
 
-        ``resume_from`` (walker 0 only) rebuilds the mid-walk view its
-        checkpoint froze — the candidate pool in insertion order (ranking
-        tie-breaks depend on it), the node bookkeeping (membership drives
-        future ``num_nodes`` increments), the completed-chain iteration
-        total — then skips the completed chains and continues the
-        interrupted one from its snapshotted state, temperature, and
-        exact RNG bit state.  Later chains spawn their generators
-        normally, so they consume the streams the uninterrupted walk
-        would have.
+        ``resume_from`` rebuilds the mid-walk view its checkpoint froze —
+        the candidate pool in insertion order (ranking tie-breaks depend
+        on it), the node bookkeeping (membership drives future
+        ``num_nodes`` increments), the completed-chain iteration total —
+        then skips the completed chains and continues the interrupted one
+        from its snapshotted state, temperature, and exact RNG bit state.
+        Later chains spawn their generators normally, so they consume the
+        streams the uninterrupted walk would have.
         """
         cfg = self.config
-        substreams = (
-            spawn_substreams(
-                cfg.seed, "gensor", compute.name, "walker", walker,
-                n=cfg.num_chains,
-            )
-            if walker > 0
-            else None
-        )
         pool: dict[tuple, object] = {}
         total_iterations = 0
         start_chain = 0
-        if resume_from is not None and walker == 0:
+        if resume_from is not None:
             from repro.resilience.checkpoint import config_to_state
 
             start_chain = resume_from.chain
@@ -376,7 +331,7 @@ class Gensor:
                 checkpointer.start_from(resume_from)
         for chain in range(start_chain, cfg.num_chains):
             resume = None
-            if resume_from is not None and walker == 0 and chain == resume_from.chain:
+            if resume_from is not None and chain == resume_from.chain:
                 rng = restore_rng(resume_from.rng_state)
                 r_tiles, r_vthreads, r_level = resume_from.state
                 resume = (
@@ -386,70 +341,13 @@ class Gensor:
                     resume_from.temperature,
                     resume_from.iteration,
                 )
-            elif substreams is None:
-                rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
             else:
-                rng = substreams[chain]
+                rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
             total_iterations += engine.run_chain(
-                cfg, rng, forbid, tracer, cancel,
-                walker * cfg.num_chains + chain, pool,
+                cfg, rng, forbid, tracer, cancel, chain, pool,
                 checkpointer=checkpointer, base_steps=total_iterations,
                 resume=resume,
             )
-        return pool, total_iterations
-
-    def _run_walkers(
-        self,
-        engine,
-        compute: ComputeDef,
-        forbid: frozenset[str],
-        tracer: Tracer,
-        cancel: CancelToken | None,
-        n_walkers: int,
-    ) -> tuple[dict[tuple, object], int]:
-        """Run ``n_walkers`` independent walkers concurrently and merge.
-
-        Each walker owns its RNG substreams and candidate dict; they share
-        the engine and the metrics memo (both value-identical under
-        recomputation, so races only affect cache hit rates).  The merge
-        happens in walker order, so the pooled candidate ordering — and
-        therefore ranking tie-breaks — is deterministic regardless of
-        thread scheduling.
-        """
-        from repro.serve.pool import WorkerPool
-
-        results: list[tuple[dict[tuple, object], int] | None] = [None] * n_walkers
-        errors: list[BaseException] = []
-
-        def make_task(w: int):
-            def task() -> None:
-                try:
-                    results[w] = self._run_walker(
-                        engine, compute, forbid, tracer, cancel, walker=w
-                    )
-                except BaseException as exc:  # repro: ignore[broad-except] - transported, re-raised on the caller thread
-                    errors.append(exc)
-
-            return task
-
-        pool = WorkerPool(
-            workers=n_walkers, capacity=n_walkers, name="gensor-walker"
-        )
-        try:
-            for w in range(n_walkers):
-                pool.submit_nowait(make_task(w))
-        finally:
-            pool.shutdown(wait=True)
-        if errors:
-            raise errors[0]
-        pool: dict[tuple, object] = {}
-        total_iterations = 0
-        for res in results:
-            assert res is not None
-            walker_pool, iterations = res
-            for key, row in walker_pool.items():
-                pool.setdefault(key, row)
-            total_iterations += iterations
         return pool, total_iterations
 
     # -- warm-start hooks (public: used by DynamicGensor and repro.serve) --------

@@ -252,20 +252,25 @@ class DynamicGensor:
     ):
         """Compile a :class:`~repro.models.graph.ModelGraph` as one program
         (see :meth:`Gensor.compile_graph`); every group, fused or single-op,
-        is served through the cache tiers under its group key."""
-        from types import SimpleNamespace
-
-        from repro.models.program import compile_program
-
-        # compile_program drives a Gensor-shaped compiler: ``hw`` and a
-        # ``compile`` that returns the GensorResult.
-        tiered = SimpleNamespace(
-            hw=self.hw,
-            compile=lambda compute, **kw: self.compile(compute, **kw).result,
+        is served through the cache tiers under its group key, and each
+        :class:`~repro.models.program.CompiledGroup` records its tier."""
+        from repro.serve.program import (
+            ProgramRequest,
+            inline_submit,
+            serve_program,
         )
-        return compile_program(
-            tiered, model_graph, fusion=fusion, measurer=measurer, tracer=tracer
-        )
+
+        def compile_group(compute, epilogues):
+            served = self.compile(
+                compute, measurer, tracer=tracer, epilogues=epilogues
+            )
+            return served.result, served.source
+
+        return serve_program(
+            inline_submit(compile_group, self.hw),
+            ProgramRequest.from_graph(model_graph, fusion=fusion),
+            tracer=tracer,
+        ).program
 
     def _costs(self, states: list[ETIR]) -> list[float]:
         """Program cost of each state (one batched memo round trip)."""

@@ -77,26 +77,36 @@ class FleetResponse:
     tier: str
     ok: bool
     shard: int = -1
-    #: portable tile configuration of the served schedule (``None`` for
+    #: portable tile configuration of the served schedule with its kernel
+    #: latency, fused count and pending-epilogue cost (``None`` for
     #: rejected/failed); ``schedule.instantiate(compute)`` rebuilds ETIR.
     schedule: CachedSchedule | None = None
-    #: predicted kernel latency of the served schedule.
-    kernel_latency_s: float | None = None
     reason: str | None = None
     coalesced: bool = False
     #: submission-to-completion wall clock for *this* request.
     service_latency_s: float = 0.0
     deadline_s: float | None = None
-    #: program fusion: pool epilogues the winning schedule fused.
-    fused: int = 0
-    #: standalone cost of the pool epilogues the winner left unfused.
-    pending_cost_s: float = 0.0
     #: compile cost (wall + simulated profiling) inside the shard.
     compile_seconds: float = 0.0
 
     @property
     def degraded(self) -> bool:
         return self.tier.startswith("degraded")
+
+    @property
+    def kernel_latency_s(self) -> float | None:
+        """Predicted kernel latency of the served schedule."""
+        return None if self.schedule is None else self.schedule.latency_s
+
+    @property
+    def fused(self) -> int:
+        """Program fusion: pool epilogues the winning schedule fused."""
+        return 0 if self.schedule is None else self.schedule.fused
+
+    @property
+    def pending_cost_s(self) -> float:
+        """Standalone cost of the pool epilogues the winner left unfused."""
+        return 0.0 if self.schedule is None else self.schedule.pending_s
 
     def schedule_key(self) -> tuple | None:
         """Canonical comparable summary (the serve-bench parity key)."""
@@ -286,69 +296,18 @@ class FleetDispatcher:
     ):
         """Compile a whole ModelGraph as one program across the fleet.
 
-        Fusion groups are planned dispatcher-side, every group's anchor +
-        epilogue pool goes on the wire as an ordinary (family-routed,
-        coalescable) request, and the program is reassembled from the
-        shards' wire responses.  ``best_config`` per group is left empty:
-        schedules travel as :class:`CachedSchedule`, available on each
-        ticket's :class:`FleetResponse`.
+        Every group's anchor + epilogue pool goes on the wire through
+        :meth:`submit` as an ordinary (family-routed, coalescable)
+        request; :func:`~repro.serve.program.serve_program` assembles the
+        program from the shards' portable schedules.
         """
-        import time as time_mod
-
-        from repro.models.program import CompiledProgram
-        from repro.serve.program import (
-            ProgramRequest,
-            ProgramResponse,
-            build_group,
-        )
+        from repro.serve.program import ProgramRequest, serve_program
 
         request = ProgramRequest.from_graph(
             graph, fusion=fusion, deadline_s=deadline_s, priority=priority
         )
-        t0 = time_mod.perf_counter()
-        tickets = [
-            self.submit(
-                group.anchor,
-                deadline_s=deadline_s,
-                priority=priority,
-                epilogues=group.epilogues,
-            )
-            for group in request.groups
-        ]
-        compiled = []
-        tiers = []
-        for group, ticket in zip(request.groups, tickets):
-            response = ticket.result(timeout)
-            if not response.ok or response.kernel_latency_s is None:
-                return ProgramResponse(
-                    request_id=request.request_id,
-                    ok=False,
-                    reason=f"group {group.anchor.name!r}: "
-                           f"{response.reason or response.tier}",
-                    service_latency_s=time_mod.perf_counter() - t0,
-                )
-            compiled.append(
-                build_group(
-                    group,
-                    fused=response.fused,
-                    kernel_latency_s=response.kernel_latency_s,
-                    pending_cost_s=response.pending_cost_s,
-                    compile_seconds=response.compile_seconds,
-                )
-            )
-            tiers.append(response.tier)
-        program = CompiledProgram(
-            model=request.model,
-            batch=request.batch,
-            groups=compiled,
-            method="gensor",
-        )
-        return ProgramResponse(
-            request_id=request.request_id,
-            ok=True,
-            program=program,
-            tiers=tuple(tiers),
-            service_latency_s=time_mod.perf_counter() - t0,
+        return serve_program(
+            self.submit, request, timeout=timeout, registry=self.registry
         )
 
     def sync(self) -> None:
@@ -536,11 +495,8 @@ class FleetDispatcher:
             ok=wire.ok,
             shard=wire.shard,
             schedule=wire.schedule,
-            kernel_latency_s=wire.kernel_latency_s,
             reason=wire.reason,
             deadline_s=flight.deadline_s,
-            fused=wire.fused,
-            pending_cost_s=wire.pending_cost_s,
             compile_seconds=wire.compile_seconds,
         )
         self._fulfill_with_followers(flight, response)

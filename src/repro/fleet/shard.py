@@ -146,18 +146,12 @@ class WireResponse:
     tier: str
     ok: bool
     reason: str | None = None
-    #: the served schedule as a portable tile configuration (``None`` for
+    #: the served schedule as a portable tile configuration with its
+    #: kernel latency, fused count and pending-epilogue cost (``None`` for
     #: rejected/failed responses); re-instantiable against the ComputeDef.
     schedule: CachedSchedule | None = None
-    #: predicted kernel latency of the served schedule.
-    kernel_latency_s: float | None = None
     #: wall time the request spent inside the shard's service.
     shard_latency_s: float = 0.0
-    #: program fusion: pool epilogues the winning schedule fused (0 for
-    #: plain kernel requests).
-    fused: int = 0
-    #: standalone cost of the pool epilogues the winner left unfused.
-    pending_cost_s: float = 0.0
     #: compile cost (wall + simulated profiling) of the serving walk.
     compile_seconds: float = 0.0
 
@@ -183,43 +177,22 @@ class ShardBye:
     shard: int
 
 
-def _encode(shard: int, request_id: int, response, hw=None) -> WireResponse:
+def _encode(shard: int, request_id: int, response) -> WireResponse:
     """Flatten a CompileResponse into plain wire data.
 
     ``request_id`` is the *dispatcher's* id from the WireRequest — the
     shard's CompileService mints its own local ids, which mean nothing
-    across the process boundary.  ``hw`` prices the unfused-epilogue
-    penalty of program (fused) responses; plain responses never need it.
+    across the process boundary.
     """
-    schedule = None
-    kernel_latency_s = None
-    fused = 0
-    pending_cost_s = 0.0
-    compile_seconds = 0.0
-    if response.result is not None:
-        best = response.result.best
-        kernel_latency_s = response.result.best_metrics.latency_s
-        compile_seconds = response.result.compile_seconds
-        if getattr(best, "epilogue_pool", ()) and hw is not None:
-            from repro.core.score import pending_penalty_s
-
-            fused = best.fused
-            pending_cost_s = pending_penalty_s(best, hw)
-        schedule = CachedSchedule.from_state(
-            best, kernel_latency_s, pending_cost_s
-        )
     return WireResponse(
         shard=shard,
         request_id=request_id,
         tier=response.tier,
         ok=response.ok,
         reason=response.reason,
-        schedule=schedule,
-        kernel_latency_s=kernel_latency_s,
+        schedule=response.schedule,
         shard_latency_s=response.service_latency_s,
-        fused=fused,
-        pending_cost_s=pending_cost_s,
-        compile_seconds=compile_seconds,
+        compile_seconds=response.compile_seconds,
     )
 
 
@@ -334,7 +307,7 @@ def run_shard(shard_index: int, options: ShardOptions, req_q, resp_q) -> None:
                         "fleet_checkpoint_errors_total",
                         kind=type(exc).__name__,
                     ).inc()
-            resp_q.put(_encode(shard_index, wire_id, response, hw))
+            resp_q.put(_encode(shard_index, wire_id, response))
             with drained:
                 outstanding.discard(wire_id)
                 drained.notify_all()

@@ -10,17 +10,20 @@ annealed walk explores fuse/unfuse decisions alongside tiling ones (see
 ``repro.core.actions``).
 
 The result is a :class:`CompiledProgram`: one :class:`CompiledGroup` per
-fusion group — a wire-safe plain-data record (portable best config, names,
-latencies) that serve/fleet responses can carry across process boundaries
-— plus program-level latency/compile accounting consumed by
+fusion group — a wire-safe plain-data record (names, serve tier, the
+portable :class:`~repro.core.cache.CachedSchedule`) that serve/fleet
+responses can carry across process boundaries — plus program-level
+latency/compile accounting consumed by
 ``repro.models.runner.compile_and_time``, the fig09/fig11 experiments, the
-``compile-graph`` CLI, and ``CompileService.compile_program``.
+``compile-graph`` CLI, and ``CompileService.compile_program``.  Every
+path builds it through one driver, :func:`repro.serve.program.serve_program`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.cache import CachedSchedule
 from repro.ir.compute import ComputeDef
 from repro.models.graph import ModelGraph, OpInstance
 
@@ -84,35 +87,48 @@ class ProgramState:
 class CompiledGroup:
     """Wire-safe result of compiling one fusion group.
 
-    Plain data only (names, tuples, floats) — this crosses pickle/process
-    boundaries in serve/fleet responses, so it must never carry live ETIR
-    states or ComputeDefs.
+    Plain data only (names, tuples, floats, the portable schedule) — this
+    crosses pickle/process boundaries in serve/fleet responses, so it must
+    never carry live ETIR states or ComputeDefs.  The group's answer is its
+    ``schedule``: with two tile levels it holds the whole tiling, the fused
+    count, the kernel latency and the pending-epilogue cost.
     """
 
     anchor_name: str
     #: the group's full epilogue pool, by name.
     epilogue_names: tuple[str, ...]
-    #: how many pool epilogues the winning schedule actually fused.
-    fused: int
     #: executions of this group per inference.
     count: int
-    #: measured latency of the group's fused kernel (one execution).
-    kernel_latency_s: float
-    #: standalone cost of the epilogues the winner left unfused.
-    pending_cost_s: float
-    #: compile cost (wall + simulated measurement) of this group's walk.
+    #: serve tier that answered the group (``cold`` for a plain compile).
+    tier: str
+    #: the winning schedule, shape-independent.
+    schedule: CachedSchedule
+    #: compile cost (wall + simulated measurement) of this group's answer.
     compile_seconds: float
-    #: portable winning schedule: (tiles, vthreads, cur_level).
-    best_config: tuple = ()
     #: shape-suffixed anchor label (``name@ExtentxExtent...``) — unlike
     #: ``anchor_name``, unique across same-named ops at different shapes.
     anchor_label: str = ""
 
     @property
+    def fused(self) -> int:
+        """How many pool epilogues the winning schedule fused."""
+        return self.schedule.fused
+
+    @property
+    def kernel_latency_s(self) -> float:
+        """Measured latency of the group's fused kernel (one execution)."""
+        return self.schedule.latency_s
+
+    @property
+    def pending_cost_s(self) -> float:
+        """Standalone cost of the epilogues the winner left unfused."""
+        return self.schedule.pending_s
+
+    @property
     def latency_s(self) -> float:
         """Program latency of one group execution: the fused kernel plus
         every epilogue kernel the schedule did not absorb."""
-        return self.kernel_latency_s + self.pending_cost_s
+        return self.schedule.cost_s
 
 
 @dataclass
@@ -231,61 +247,25 @@ def compile_program(
     """Compile ``graph`` as one program: one construction walk per group.
 
     ``compiler`` is a :class:`~repro.core.constructor.Gensor` (or anything
-    with its ``compile(compute, measurer=..., epilogues=...)`` signature).
-    Each group's walk carries the group's epilogue pool, so the annealed
-    chains decide fusion; the group result records what the winner fused
-    and what it left as standalone kernels.
+    with its ``hw`` and ``compile(compute, measurer=..., epilogues=...,
+    tracer=...)``).  Each group's walk carries the group's epilogue pool,
+    so the annealed chains decide fusion; every group compiles in-line, in
+    group order, through :func:`repro.serve.program.serve_program`.
     """
-    from repro.core.score import pending_penalty_s
-    from repro.obs.metrics import get_registry
+    from repro.serve.program import ProgramRequest, inline_submit, serve_program
 
-    state = plan_fusion(graph, fusion=fusion)
-    registry = get_registry()
-    registry.counter("fusion_groups_total", model=graph.name).inc(
-        len(state.groups)
-    )
-    registry.counter("fusion_fused_ops_total", model=graph.name).inc(
-        state.num_fused_ops
-    )
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            "fusion_plan",
-            {
-                "model": graph.name,
-                "batch": graph.batch,
-                "groups": [g.describe() for g in state.groups],
-                "num_fused_ops": state.num_fused_ops,
-            },
-        )
-    compiled: list[CompiledGroup] = []
-    for group in state.groups:
-        kwargs = {}
-        if measurer is not None:
-            kwargs["measurer"] = measurer
-        if tracer is not None:
-            kwargs["tracer"] = tracer
+    def compile_group(compute, epilogues):
         result = compiler.compile(
-            group.anchor, epilogues=group.epilogues, **kwargs
+            compute, measurer=measurer, epilogues=epilogues, tracer=tracer
         )
-        best = result.best
-        pending = pending_penalty_s(best, compiler.hw)
-        compiled.append(
-            CompiledGroup(
-                anchor_name=group.anchor.name,
-                epilogue_names=tuple(ep.name for ep in group.epilogues),
-                fused=best.fused,
-                count=group.count,
-                kernel_latency_s=result.best_metrics.latency_s,
-                pending_cost_s=pending,
-                compile_seconds=result.compile_seconds,
-                best_config=(
-                    best.config.tiles,
-                    best.config.vthreads,
-                    best.cur_level,
-                ),
-                anchor_label=ModelGraph.op_label(group.anchor),
-            )
-        )
-    return CompiledProgram(
-        model=graph.name, batch=graph.batch, groups=compiled, method=method
-    )
+        return result, "cold"
+
+    # In-line answers are always ok (a failed walk raises out of here), so
+    # the program is always present.
+    program = serve_program(
+        inline_submit(compile_group, compiler.hw),
+        ProgramRequest.from_graph(graph, fusion=fusion),
+        tracer=tracer,
+    ).program
+    program.method = method
+    return program

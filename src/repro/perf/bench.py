@@ -11,18 +11,15 @@ comparable perf datapoint:
   bit-identical schedules, so the ratio is pure pricing/bookkeeping
   overhead;
 * **expand / evaluate micro-latencies** over a sampled frontier;
-* **memo hit rate** of the shared :class:`~repro.perf.memo.MetricsMemo`;
-* **walker scaling** — aggregate walk throughput with ``walkers=4`` vs
-  ``walkers=1`` on the SoA engine (reported, not gated: under the GIL
-  extra walkers only add walk time).
+* **memo hit rate** of the shared :class:`~repro.perf.memo.MetricsMemo`.
 
 Every run is fully deterministic given ``seed``: ``--repeats N`` draws
 each repeat's walk seed from a ``SeedSequence`` substream of the root
 seed (repeat 0 keeps the root seed itself), so repeated runs sample
-distinct walks while the whole family stays reproducible.  Speedup and
-scaling ratios compare *matched-seed* repeats and report the best pair
-(see :func:`_matched_speedup`); section headline throughputs are the
-best single repeat of that section.
+distinct walks while the whole family stays reproducible.  The speedup
+compares *matched-seed* repeats and reports the best pair (see
+:func:`_matched_speedup`); section headline throughputs are the best
+single repeat of that section.
 """
 
 from __future__ import annotations
@@ -42,10 +39,10 @@ from repro.workloads.table4 import TABLE4_CONFIGS
 
 __all__ = ["run_walk_bench", "write_bench", "QUICK_LABELS", "BENCH_SCHEMA"]
 
-#: v3: ``reference`` and ``soa`` sections, ``soa_speedup_states_per_sec``
-#: as SoA over the reference, walker scaling on the SoA engine, and
-#: ``micro`` = ``evaluate_us``/``expand_reference_us``/``expand_soa_us``.
-BENCH_SCHEMA = "repro.bench.walk/v3"
+#: v4: ``reference`` and ``soa`` sections, ``soa_speedup_states_per_sec``
+#: as SoA over the reference, and ``micro`` =
+#: ``evaluate_us``/``expand_reference_us``/``expand_soa_us``.
+BENCH_SCHEMA = "repro.bench.walk/v4"
 
 #: one operator per family — the CI smoke subset.
 QUICK_LABELS = ("C1", "M1", "V1", "P1")
@@ -67,7 +64,6 @@ def _compile_suite(
     hardware: HardwareSpec,
     configs,
     cfg: GensorConfig,
-    walkers: int,
     shared_memo: MetricsMemo,
     gensor_cls: type[Gensor] = Gensor,
 ) -> dict:
@@ -79,7 +75,7 @@ def _compile_suite(
         compute = op.build()
         gensor = gensor_cls(hardware, cfg, memo=shared_memo)
         t0 = time.perf_counter()
-        result = gensor.compile(compute, walkers=walkers)
+        result = gensor.compile(compute)
         wall = time.perf_counter() - t0
         total_iterations += result.iterations
         total_wall += wall
@@ -233,7 +229,6 @@ def run_walk_bench(
     device,
     seed: int = 0,
     quick: bool = False,
-    walker_counts: tuple[int, int] = (1, 4),
     repeats: int = 1,
 ) -> dict:
     """Run the full walk benchmark; returns the ``BENCH_walk.json`` payload.
@@ -254,7 +249,7 @@ def run_walk_bench(
     # scalar action_benefit, per-neighbour polish.
     def _reference_run(s: int) -> dict:
         return _compile_suite(
-            device, configs, _cfg(s), walkers=1, shared_memo=MetricsMemo(),
+            device, configs, _cfg(s), shared_memo=MetricsMemo(),
             gensor_cls=ReferenceGensor,
         )
 
@@ -263,39 +258,13 @@ def run_walk_bench(
     # The SoA engine every compile runs on.
     def _soa_run(s: int) -> dict:
         memo = MetricsMemo()
-        run = _compile_suite(
-            device, configs, _cfg(s), walkers=1, shared_memo=memo
-        )
+        run = _compile_suite(device, configs, _cfg(s), shared_memo=memo)
         run["memo_stats"] = memo.stats()
         return run
 
     soa = _best_of(seeds, _soa_run)
     memo_stats = soa.pop("memo_stats")
     soa_speedup = _matched_speedup(soa, reference)
-
-    # Walker scaling: aggregate walk throughput on the SoA engine, fresh
-    # memo per count so the second run doesn't free-ride on the first
-    # run's pricing.
-    low, high = walker_counts
-    scaling_runs = {}
-    for walkers in (low, high):
-
-        def _scaling_run(s: int, walkers: int = walkers) -> dict:
-            return _compile_suite(
-                device, configs, _cfg(s), walkers=walkers,
-                shared_memo=MetricsMemo(),
-            )
-
-        run = _best_of(seeds, _scaling_run)
-        scaling_runs[str(walkers)] = {
-            "total_iterations": run["total_iterations"],
-            "total_wall_s": run["total_wall_s"],
-            "states_per_sec": run["states_per_sec"],
-            "repeat_runs": run["repeat_runs"],
-        }
-    walker_scaling = _matched_speedup(
-        scaling_runs[str(high)], scaling_runs[str(low)]
-    )
 
     return {
         "schema": BENCH_SCHEMA,
@@ -310,11 +279,6 @@ def run_walk_bench(
         "soa_speedup_states_per_sec": soa_speedup,
         "memo": memo_stats,
         "micro": _micro_latencies(device, configs, seed),
-        "walker_scaling": {
-            "counts": [low, high],
-            "runs": scaling_runs,
-            "scaling": walker_scaling,
-        },
     }
 
 

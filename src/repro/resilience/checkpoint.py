@@ -28,11 +28,11 @@ Three pieces cooperate:
   ``.quarantine/`` directory for corrupt records (a bad checkpoint
   degrades to a fresh walk, never a crash).
 
-What is deliberately *not* checkpointed (see DESIGN §14): multi-walker
-walks (the merge order couples substreams; ``resume_from`` requires
-``walkers=1``), the graph's *edge* memos (expansion is deterministic, so
-resumed recomputation rebuilds value-identical memos; only node-key
-membership affects observable counts), and the post-walk polish phase of
+What is deliberately *not* checkpointed (see DESIGN §14): fused
+program-group walks (a checkpoint does not serialize the epilogue pool),
+the graph's *edge* memos (expansion is deterministic, so resumed
+recomputation rebuilds value-identical memos; only node-key membership
+affects observable counts), and the post-walk polish phase of
 ``compile`` (it is memoryless and cheap relative to the walk — though a
 standalone :meth:`Gensor.polish` accepts polish-phase checkpoints).
 """

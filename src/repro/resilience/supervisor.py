@@ -1,9 +1,10 @@
 """Supervised worker pool: heartbeats, crash detection, respawn.
 
-Same surface and queue discipline as :class:`repro.serve.pool.WorkerPool`
-(bounded priority queue, strictly non-blocking admission, drain-then-stop
-shutdown) plus a supervisor thread that keeps the worker roster at full
-strength:
+A bounded priority queue (higher priority first, FIFO within one
+priority), strictly non-blocking admission (a full queue raises
+:class:`queue.Full`, which the service turns into a reject-with-reason
+response) and drain-then-stop shutdown, plus a supervisor thread that
+keeps the worker roster at full strength:
 
 * **dead workers** — a worker thread killed by an escaped exception (a
   real bug, or an injected :class:`~repro.resilience.faults.InjectedWorkerCrash`)
@@ -89,7 +90,7 @@ class SupervisedWorkerPool:
         )
         self._supervisor.start()
 
-    # -- admission (same contract as WorkerPool) --------------------------------
+    # -- admission ---------------------------------------------------------------
 
     @property
     def num_workers(self) -> int:

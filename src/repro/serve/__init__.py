@@ -2,8 +2,9 @@
 
 The ROADMAP's production north star needs more than a fast single-request
 compiler: :class:`CompileService` turns the Gensor + ScheduleCache +
-DynamicGensor stack into a multi-tenant service — a bounded worker pool
-with admission control (:mod:`repro.serve.pool`), single-flight
+DynamicGensor stack into a multi-tenant service — a bounded, supervised
+worker pool with admission control
+(:mod:`repro.resilience.supervisor`), single-flight
 deduplication of concurrent identical shapes
 (:mod:`repro.serve.singleflight`), deadline-aware graceful degradation
 (:mod:`repro.serve.service`), and operational stats
@@ -13,7 +14,6 @@ through it.
 """
 
 from repro.serve.bench import BenchReport, bench_config, run_serve_bench
-from repro.serve.pool import WorkerPool
 from repro.serve.program import ProgramRequest, ProgramResponse, serve_program
 from repro.serve.request import (
     CompileRequest,
@@ -39,6 +39,5 @@ __all__ = [
     "ServiceStats",
     "SingleFlight",
     "TIERS",
-    "WorkerPool",
     "percentile",
 ]

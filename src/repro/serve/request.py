@@ -15,6 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.cache import CachedSchedule
 from repro.core.constructor import GensorResult
 from repro.ir.compute import ComputeDef
 
@@ -96,6 +97,9 @@ class CompileResponse:
     #: submission-to-completion wall clock for *this* request.
     service_latency_s: float = 0.0
     deadline_s: float | None = None
+    #: the served answer as a portable schedule (kernel latency, fused
+    #: count, pending-epilogue cost); ``None`` unless ``ok``.
+    schedule: CachedSchedule | None = None
 
     def __post_init__(self) -> None:
         if self.tier not in TIERS:
@@ -104,6 +108,11 @@ class CompileResponse:
     @property
     def degraded(self) -> bool:
         return self.tier.startswith("degraded")
+
+    @property
+    def compile_seconds(self) -> float:
+        """Compile cost (wall + simulated profiling) of the serving walk."""
+        return 0.0 if self.result is None else self.result.compile_seconds
 
     @property
     def deadline_met(self) -> bool:

@@ -32,6 +32,7 @@ import time
 from dataclasses import replace
 
 from repro.core.cache import (
+    CachedSchedule,
     ScheduleCache,
     family_fingerprint,
     group_fingerprint,
@@ -274,15 +275,21 @@ class CompileService:
         timeout: float | None = None,
     ):
         """Compile a whole :class:`~repro.models.graph.ModelGraph` as one
-        program: plan fusion groups, submit each group (with its epilogue
-        pool) to the worker pool, and assemble a
-        :class:`~repro.serve.program.ProgramResponse`."""
+        program: every fusion group (with its epilogue pool) goes through
+        :meth:`submit`, and :func:`~repro.serve.program.serve_program`
+        assembles the :class:`~repro.serve.program.ProgramResponse`."""
         from repro.serve.program import ProgramRequest, serve_program
 
         request = ProgramRequest.from_graph(
             graph, fusion=fusion, deadline_s=deadline_s, priority=priority
         )
-        return serve_program(self, request, timeout=timeout)
+        return serve_program(
+            self.submit,
+            request,
+            timeout=timeout,
+            tracer=self.tracer,
+            registry=self.registry,
+        )
 
     def close(self) -> None:
         """Drain admitted work (including backfills), stop the workers and
@@ -373,6 +380,13 @@ class CompileService:
                 ok=False,
                 reason=f"{type(exc).__name__}: {exc}",
                 deadline_s=request.deadline_s,
+            )
+        result = response.result
+        if result is not None:
+            # The portable answer programs and the fleet wire read;
+            # followers share it through ``replace`` below.
+            response.schedule = CachedSchedule.priced(
+                result.best, result.best_metrics.latency_s, self.hw
             )
         response.service_latency_s = time.perf_counter() - request.submitted_at
         followers = self._flight.complete(key)

@@ -21,7 +21,6 @@ __all__ = [
     "rng_state",
     "spawn_rng",
     "spawn_seed_ints",
-    "spawn_substreams",
 ]
 
 
@@ -45,31 +44,15 @@ def spawn_rng(seed: int, *labels: str | int) -> np.random.Generator:
     return np.random.default_rng(_label_seed(seed, *labels))
 
 
-def spawn_substreams(
-    seed: int, *labels: str | int, n: int
-) -> list[np.random.Generator]:
-    """``n`` independent generators via ``SeedSequence.spawn`` substreams.
-
-    Anchored at the same stable label hash as :func:`spawn_rng`, so the
-    substream family for one label path is deterministic across runs and
-    platforms but statistically independent of every ``spawn_rng`` stream
-    (the SeedSequence spawn tree hashes differently from a direct seed).
-    Used by multi-walker construction: each walker's chains draw from
-    their own substream, so walkers never share or perturb each other's
-    randomness regardless of thread scheduling.
-    """
-    root = np.random.SeedSequence(_label_seed(seed, *labels))
-    return [np.random.default_rng(child) for child in root.spawn(n)]
-
-
 def spawn_seed_ints(seed: int, *labels: str | int, n: int) -> list[int]:
     """``n`` deterministic child *seed integers* from a labeled spawn tree.
 
-    Like :func:`spawn_substreams` but returning plain ints instead of
-    generators, for call sites that pass seeds onward (e.g. into
-    :class:`~repro.core.constructor.GensorConfig`) rather than drawing
-    directly.  Same root anchoring, so the family is stable across runs
-    and platforms and never collides with a ``spawn_rng`` stream.
+    ``SeedSequence.spawn`` children anchored at the same stable label hash
+    as :func:`spawn_rng`, returned as plain ints for call sites that pass
+    seeds onward (e.g. into :class:`~repro.core.constructor.GensorConfig`)
+    rather than drawing directly.  The family is stable across runs and
+    platforms and never collides with a ``spawn_rng`` stream (the spawn
+    tree hashes differently from a direct seed).
     """
     root = np.random.SeedSequence(_label_seed(seed, *labels))
     return [

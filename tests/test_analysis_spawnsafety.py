@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import SpawnSafetyChecker, run_lint
+from repro.core.cache import CachedSchedule
 from repro.fleet.shard import (
     ShardBye,
     ShardOptions,
@@ -19,6 +20,7 @@ from repro.fleet.shard import (
     WireResponse,
 )
 from repro.ir import operators as ops
+from repro.ir.etir import ETIR
 from repro.models.program import CompiledGroup, CompiledProgram, FusedGroup
 from repro.serve.program import ProgramRequest, ProgramResponse
 
@@ -173,18 +175,29 @@ def test_wire_dataclass_plain_data_allowed(tmp_path):
 # -- runtime round-trips: the static rule's ground truth ----------------------
 
 
+def fused_schedule(compute, epilogue) -> CachedSchedule:
+    """A portable schedule of ``compute`` with ``epilogue`` fused."""
+    state = ETIR.from_tiles(
+        compute,
+        {"i": 16, "j": 8, "k": 8},
+        {"i": 4, "j": 4, "k": 2},
+        epilogue_pool=(epilogue,),
+        fused=1,
+    )
+    return CachedSchedule.from_state(state, 1e-4)
+
+
 def wire_payloads():
     compute = ops.matmul(32, 24, 40, "wire_rt")
     epilogue = ops.elementwise((32, 40), "relu", "wire_ep")
+    schedule = fused_schedule(compute, epilogue)
     group = CompiledGroup(
         anchor_name="wire_rt",
         epilogue_names=("wire_ep",),
-        fused=1,
         count=2,
-        kernel_latency_s=1e-4,
-        pending_cost_s=0.0,
+        tier="cold",
+        schedule=schedule,
         compile_seconds=0.5,
-        best_config=(((4, 16), (4, 16)), (1, 1), 1),
         anchor_label="wire_rt@32x40x24",
     )
     return [
@@ -213,7 +226,14 @@ def wire_payloads():
             request_id=1,
             ok=True,
             program=CompiledProgram(model="m", batch=1, groups=[group]),
-            tiers=("cold",),
+        ),
+        WireResponse(
+            shard=0,
+            request_id=7,
+            tier="cold",
+            ok=True,
+            schedule=schedule,
+            compile_seconds=0.5,
         ),
     ]
 
@@ -225,12 +245,12 @@ def test_wire_payload_pickle_round_trip(payload):
     blob = pickle.dumps(payload)
     clone = pickle.loads(blob)
     assert type(clone) is type(payload)
+    assert clone == payload
 
 
 def test_wire_response_round_trip_with_schedule():
-    # WireResponse carries the portable CachedSchedule payload; build one
-    # through the dataclass directly so the round-trip covers the real
-    # wire shape without a full compile.
+    # wire_payloads() covers a WireResponse carrying a fused schedule;
+    # this is the schedule-less shape (defaults only).
     resp = WireResponse(shard=0, request_id=7, tier="warm", ok=True)
     clone = pickle.loads(pickle.dumps(resp))
     assert clone.request_id == 7 and clone.tier == "warm"

@@ -181,16 +181,6 @@ def test_resume_across_walk_paths():
         assert summarize(result) == baseline(True) == baseline(False)
 
 
-def test_multi_walker_rejects_resume():
-    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-    try:
-        Gensor(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
-    except CompileCancelled:
-        pass
-    with pytest.raises(ValueError, match="single walker"):
-        Gensor(HW, CFG).compile(OP, walkers=2, resume_from=ck.last)
-
-
 def test_checkpointing_does_not_perturb_the_walk():
     """A checkpointed-but-never-killed compile equals the bare compile:
     snapshotting reads walk state, never the RNG stream."""

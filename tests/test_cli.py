@@ -159,10 +159,11 @@ class TestMain:
         assert "served:     cold" in out
         assert "schedule:" in out and "predicted:" in out
 
-    def test_serve_bench_runs(self, capsys):
+    def test_serve_bench_runs(self, capsys, tmp_path):
         code = main(
             ["serve-bench", "--model", "bert", "--requests", "8",
-             "--workers", "2", "--time-scale", "0"]
+             "--workers", "2", "--time-scale", "0",
+             "--out", str(tmp_path / "BENCH_serve.json")]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -216,7 +217,8 @@ class TestMain:
         code = main(
             ["serve-bench", "--model", "bert", "--requests", "8",
              "--workers", "2", "--time-scale", "0",
-             "--faults", str(plan_path)]
+             "--faults", str(plan_path),
+             "--out", str(tmp_path / "BENCH_serve.json")]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -108,56 +108,6 @@ class TestCompile:
         assert res.iterations < 40
 
 
-class TestMultiWalker:
-    def test_walkers_config_validated(self):
-        with pytest.raises(ValueError, match="walkers"):
-            GensorConfig(walkers=0)
-
-    def test_walkers_call_override_validated(self, hw, gemm):
-        with pytest.raises(ValueError, match="walkers"):
-            Gensor(hw, FAST).compile(gemm, walkers=0)
-
-    def test_walkers_one_matches_default_path(self, hw, gemm):
-        # walkers=1 must consume exactly the historical RNG stream: the
-        # explicit override and the plain call are indistinguishable.
-        a = Gensor(hw, FAST).compile(gemm)
-        b = Gensor(hw, FAST).compile(gemm, walkers=1)
-        assert a.best.key() == b.best.key()
-        assert a.best_metrics == b.best_metrics
-        assert a.iterations == b.iterations
-        assert [s.key() for s in a.top_results] == [s.key() for s in b.top_results]
-
-    def test_multi_walker_deterministic_across_runs(self, hw, gemm):
-        # Merge order is walker order, not thread completion order, so two
-        # runs agree exactly despite scheduling differences.
-        cfg = GensorConfig(num_chains=2, top_k=6, polish_steps=30, walkers=3)
-        a = Gensor(hw, cfg).compile(gemm)
-        b = Gensor(hw, cfg).compile(gemm)
-        assert a.best.key() == b.best.key()
-        assert a.best_metrics == b.best_metrics
-        assert a.iterations == b.iterations
-        assert [s.key() for s in a.top_results] == [s.key() for s in b.top_results]
-
-    def test_multi_walker_runs_more_chains(self, hw, gemm):
-        one = Gensor(hw, FAST).compile(gemm)
-        four = Gensor(hw, FAST).compile(gemm, walkers=4)
-        assert four.iterations > one.iterations
-
-    def test_multi_walker_results_feasible_and_ranked(self, hw, gemm):
-        res = Gensor(hw, FAST).compile(gemm, walkers=3)
-        cm = CostModel(hw)
-        lats = [cm.latency(s) for s in res.top_results]
-        assert all(s.memory_ok(hw) for s in res.top_results)
-        assert lats == sorted(lats)
-
-    def test_multi_walker_never_worse_than_single(self, hw, gemm):
-        # The merged pool contains walker 0's pool, so the measured best
-        # can only improve on the single-walker result.
-        one = Gensor(hw, FAST).compile(gemm)
-        four = Gensor(hw, FAST).compile(gemm, walkers=4)
-        assert four.best_metrics.latency_s <= one.best_metrics.latency_s * 1.001
-
-
 class TestAcrossOperatorFamilies:
     @pytest.mark.parametrize(
         "factory",

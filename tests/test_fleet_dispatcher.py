@@ -204,3 +204,49 @@ class TestProgramServing:
         assert grp.latency_s == grp.kernel_latency_s + grp.pending_cost_s
         if grp.fused == 0:
             assert grp.pending_cost_s > 0.0
+        assert all(g.schedule is not None for g in prog.groups)
+
+    def test_fusion_counters_counted_once(self, fleet):
+        from repro.models import ModelGraph
+
+        g = ModelGraph("fleet_plan_once", batch=1)
+        g.add(ops.matmul(64, 32, 64, "fc_mm"))
+        g.add(ops.elementwise((64, 64), "gelu", "fc_act"))
+        g.add(ops.matmul(64, 16, 64, "fc_mm2"))
+        assert fleet.serve_program(g, timeout=120).ok
+        model = {"model": "fleet_plan_once"}
+        assert fleet.registry.counter("fusion_groups_total", **model).value == 2
+        assert fleet.registry.counter("fusion_fused_ops_total", **model).value == 1
+
+    def test_fleet_program_schedules_equal_served_ones(self):
+        """Group by group, a 2-shard fleet serves a program with the same
+        tiers and portable schedules as the single-process service."""
+        from repro.models import ModelGraph
+        from repro.serve import CompileService
+
+        def graph():
+            g = ModelGraph("parity_prog", batch=1)
+            g.add(ops.matmul(64, 32, 64, "pp_mm"))
+            g.add(ops.elementwise((64, 64), "gelu", "pp_act"))
+            g.add(ops.matmul(64, 16, 64, "pp_mm2"))
+            return g
+
+        options = tiny_options(workers=1)
+        with FleetDispatcher(options, 2, routing="hash") as fleet:
+            fleet_resp = fleet.serve_program(graph(), timeout=120)
+        with CompileService(
+            rtx4090(),
+            options.config,
+            workers=1,
+            warm_polish_steps=options.warm_polish_steps,
+            warm_pool=options.warm_pool,
+        ) as service:
+            serve_resp = service.compile_program(graph(), timeout=120)
+        assert fleet_resp.ok and serve_resp.ok
+        for f, s in zip(fleet_resp.program.groups, serve_resp.program.groups, strict=True):
+            assert f.anchor_label == s.anchor_label
+            assert f.tier == s.tier
+            assert f.schedule == s.schedule
+            assert (f.fused, f.kernel_latency_s, f.pending_cost_s) == (
+                s.fused, s.kernel_latency_s, s.pending_cost_s
+            )

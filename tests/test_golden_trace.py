@@ -167,18 +167,14 @@ def test_signature_is_stable_across_runs(hw):
 def test_empty_epilogue_pool_matches_fixture_bytes(hw, fixture_name):
     """Program-fusion plumbing is invisible to single-op compiles.
 
-    ``compile(..., epilogues=(), walkers=1)`` must replay the recorded
+    ``compile(..., epilogues=())`` must replay the recorded
     fixture byte-for-byte: with an empty pool the walk enumerates the same
     actions, draws the same RNG stream, and ranks with the same objective
     as before fusion existed.
     """
     path = FIXTURES / fixture_name
     assert path.exists(), f"missing golden fixture {path}"
-    actual = _dump(
-        walk_signature(
-            hw, WORKLOADS[fixture_name](), epilogues=(), walkers=1
-        )
-    )
+    actual = _dump(walk_signature(hw, WORKLOADS[fixture_name](), epilogues=()))
     assert actual == path.read_text(), (
         "an empty epilogue pool perturbed the single-op walk"
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DynamicGensor, Gensor, GensorConfig
+from repro.core import CachedSchedule, DynamicGensor, Gensor, GensorConfig
 from repro.ir import operators as ops
 from repro.ir.etir import ETIR
 from repro.ir.schedule import Schedule, ScheduleError
@@ -196,7 +196,7 @@ class TestFusionLegality:
 class TestProgramCompilation:
     def test_no_fusion_program_matches_per_op_compiles(self, hw):
         """fusion=False through the program machinery is per-op compilation
-        in program form: identical winning configs per op."""
+        in program form: identical winning schedules per op."""
         g = ModelGraph("m", batch=1)
         g.add(ops.matmul(64, 32, 64, "mm"))
         g.add(ops.elementwise((64, 64), "gelu", "act"))
@@ -204,12 +204,10 @@ class TestProgramCompilation:
         assert [grp.anchor_name for grp in prog.groups] == ["mm", "act"]
         for grp, inst in zip(prog.groups, g.ops):
             solo = Gensor(hw, QUICK).compile(inst.compute)
-            best = solo.best
-            assert grp.best_config == (
-                best.config.tiles,
-                best.config.vthreads,
-                best.cur_level,
+            assert grp.schedule == CachedSchedule.from_state(
+                solo.best, solo.best_metrics.latency_s
             )
+            assert grp.tier == "cold"
             assert grp.kernel_latency_s == solo.best_metrics.latency_s
             assert grp.fused == 0 and grp.pending_cost_s == 0.0
 
@@ -226,6 +224,22 @@ class TestProgramCompilation:
         # latency_s always covers the whole group: fused kernel + pending.
         assert grp.latency_s == grp.kernel_latency_s + grp.pending_cost_s
         assert prog.num_kernels == 2 - grp.fused
+
+    def test_fusion_plan_announced_once(self, hw):
+        from repro.obs.metrics import get_registry
+        from repro.obs.tracer import RecordingTracer
+
+        g = ModelGraph("plan_once", batch=1)
+        g.add(ops.matmul(64, 32, 64, "mm"))
+        g.add(ops.elementwise((64, 64), "gelu", "act"))
+        g.add(ops.matmul(64, 16, 64, "mm2"))
+        registry, tracer = get_registry(), RecordingTracer()
+        compile_program(Gensor(hw, QUICK), g, tracer=tracer)
+        (event,) = tracer.by_name("fusion_plan")
+        assert event.args["groups"] == ["mm + act (x1)", "mm2 (x1)"]
+        assert event.args["num_fused_ops"] == 1
+        assert registry.counter("fusion_groups_total", model="plan_once").value == 2
+        assert registry.counter("fusion_fused_ops_total", model="plan_once").value == 1
 
     def test_bert_batch1_fusion_win_at_least_10pct(self, hw):
         """The ISSUE's acceptance bar: whole-graph fusion beats the per-op
@@ -320,6 +334,7 @@ class TestDynamicFusedPath:
         hits, total = dyn.stats.hits, dyn.stats.total
         second = dyn.compile_graph(graph)
         assert any(g.epilogue_names for g in second.groups)
+        assert [g.tier for g in second.groups] == ["hit"] * len(second.groups)
         assert dyn.stats.hits - hits == len(second.groups)
         assert dyn.stats.total - total == len(second.groups)
         assert second.latency_s == first.latency_s

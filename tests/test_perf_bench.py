@@ -112,10 +112,9 @@ class TestRunWalkBench:
             assert [op["label"] for op in run["ops"]] == ["V1"]
             assert [r["seed"] for r in run["repeat_runs"]] == [0]
         assert "scalar" not in payload and "batched" not in payload
+        assert "walker_scaling" not in payload
         assert payload["soa_speedup_states_per_sec"] > 0
         assert payload["repeat_seeds"] == [0]
-        assert set(payload["walker_scaling"]["runs"]) == {"1", "4"}
-        assert payload["walker_scaling"]["scaling"] > 0
         assert payload["memo"]["misses"] > 0
         micro = payload["micro"]
         assert micro["sampled_states"] > 0
@@ -164,7 +163,7 @@ class TestRunWalkBench:
 
 
 class TestCliGates:
-    def _payload(self, scaling, soa_speedup=2.0):
+    def _payload(self, soa_speedup=2.0):
         return {
             "schema": BENCH_SCHEMA,
             "device": "rtx4090",
@@ -181,7 +180,6 @@ class TestCliGates:
                 "expand_reference_us": 1.0,
                 "expand_soa_us": 1.0,
             },
-            "walker_scaling": {"counts": [1, 4], "scaling": scaling},
         }
 
     def _run(self, monkeypatch, tmp_path, payload, *flags):
@@ -195,8 +193,8 @@ class TestCliGates:
 
     def test_passing_gates_exit_zero(self, monkeypatch, tmp_path):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=2.0),
-            "--min-soa-speedup", "1.5", "--min-walker-scaling", "2.0",
+            monkeypatch, tmp_path, self._payload(soa_speedup=2.0),
+            "--min-soa-speedup", "1.5",
         )
         assert rc == 0
 
@@ -205,7 +203,7 @@ class TestCliGates:
         # exist; argparse now rejects it (exit 2) instead of ignoring it.
         with pytest.raises(SystemExit) as exc:
             self._run(
-                monkeypatch, tmp_path, self._payload(2.5),
+                monkeypatch, tmp_path, self._payload(),
                 "--min-speedup", "3.0",
             )
         assert exc.value.code == 2
@@ -213,7 +211,7 @@ class TestCliGates:
 
     def test_soa_speedup_gate_fails(self, monkeypatch, tmp_path, capsys):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=1.2),
+            monkeypatch, tmp_path, self._payload(soa_speedup=1.2),
             "--min-soa-speedup", "1.5",
         )
         assert rc == 1
@@ -221,19 +219,22 @@ class TestCliGates:
 
     def test_soa_speedup_gate_passes(self, monkeypatch, tmp_path):
         rc = self._run(
-            monkeypatch, tmp_path, self._payload(2.5, soa_speedup=1.8),
+            monkeypatch, tmp_path, self._payload(soa_speedup=1.8),
             "--min-soa-speedup", "1.5",
         )
         assert rc == 0
 
-    def test_scaling_gate_fails(self, monkeypatch, tmp_path, capsys):
-        rc = self._run(
-            monkeypatch, tmp_path, self._payload(1.4),
-            "--min-walker-scaling", "2.0",
-        )
-        assert rc == 1
-        assert "walker scaling" in capsys.readouterr().err
+    def test_min_walker_scaling_flag_is_gone(self, monkeypatch, tmp_path, capsys):
+        # Multi-walker construction is gone, and with it the walker-scaling
+        # gate; argparse rejects the flag (exit 2) instead of ignoring it.
+        with pytest.raises(SystemExit) as exc:
+            self._run(
+                monkeypatch, tmp_path, self._payload(),
+                "--min-walker-scaling", "2.0",
+            )
+        assert exc.value.code == 2
+        assert "--min-walker-scaling" in capsys.readouterr().err
 
     def test_no_gates_always_pass(self, monkeypatch, tmp_path):
-        rc = self._run(monkeypatch, tmp_path, self._payload(0.5, soa_speedup=0.5))
+        rc = self._run(monkeypatch, tmp_path, self._payload(soa_speedup=0.5))
         assert rc == 0

@@ -40,6 +40,26 @@ class TestBasicPool:
         pool.shutdown(wait=True)
         assert order == ["high", "low"]
 
+    def test_fifo_within_same_priority(self):
+        pool = SupervisedWorkerPool(workers=1, capacity=8)
+        gate = threading.Event()
+        order = []
+        pool.submit_nowait(lambda: gate.wait(5.0))  # occupy the worker
+        time.sleep(0.1)
+        for i in range(4):
+            pool.submit_nowait(lambda i=i: order.append(i))
+        gate.set()
+        pool.shutdown(wait=True)
+        assert order == [0, 1, 2, 3]
+
+    def test_validates_arguments(self):
+        with pytest.raises(ValueError, match="workers"):
+            SupervisedWorkerPool(workers=0)
+        with pytest.raises(ValueError, match="capacity"):
+            SupervisedWorkerPool(capacity=0)
+        with pytest.raises(ValueError, match="stall_timeout_s"):
+            SupervisedWorkerPool(stall_timeout_s=0)
+
     def test_queue_full_raises(self):
         pool = SupervisedWorkerPool(workers=1, capacity=1)
         gate = threading.Event()

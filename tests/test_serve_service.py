@@ -362,13 +362,59 @@ class TestProgramServing:
         assert len(seen) == 2  # no single-flight coalescing across pools
         assert {eps for _, eps in seen} == {(), ("ep",)}
 
+    def test_fusion_plan_announced_once(self, hw):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import RecordingTracer
+
+        registry, tracer = MetricsRegistry(), RecordingTracer()
+        with make_service(hw, registry=registry, tracer=tracer) as service:
+            response = service.compile_program(self.program_graph(), timeout=60.0)
+        assert response.ok
+        (event,) = tracer.by_name("fusion_plan")
+        assert event.args["groups"] == ["mm + act (x1)", "mm2 (x1)"]
+        assert registry.counter("fusion_groups_total", model="tiny").value == 2
+        assert registry.counter("fusion_fused_ops_total", model="tiny").value == 1
+
+    @pytest.mark.parametrize("stall", ["blocked", "slow"])
+    def test_program_timeout_fails_the_program_once(self, hw, stall):
+        """One deadline spans the whole program: a program whose groups
+        do not all land within ``timeout`` comes back failed after about
+        ``timeout``, naming a group — never by raising, and never after
+        ``timeout`` per group (``slow`` groups each land within
+        ``timeout`` of the previous one)."""
+        service = make_service(hw, workers=1)
+        gate = threading.Event()
+        real_compile = service.dynamic.compile
+
+        def stalled_compile(*args, **kwargs):
+            if stall == "blocked":
+                assert gate.wait(10.0)
+                return SimpleNamespace(source="cold", result=None)
+            time.sleep(0.3)
+            return real_compile(*args, **kwargs)
+
+        service.dynamic.compile = stalled_compile
+        t0 = time.perf_counter()
+        try:
+            response = service.compile_program(
+                self.program_graph(), fusion=False, timeout=0.5
+            )
+        finally:
+            elapsed = time.perf_counter() - t0
+            gate.set()
+            service.close()
+        assert not response.ok and response.program is None
+        assert response.reason.startswith("group ")
+        assert response.reason.endswith("not served within 0.5s")
+        assert 0.4 < elapsed < 1.0  # three groups, one deadline
+
     def test_group_failure_fails_whole_program(self, hw):
         from repro.serve.program import ProgramRequest, serve_program
 
         service = make_service(hw, queue_capacity=1, workers=1)
         request = ProgramRequest.from_graph(self.program_graph())
         service.close()  # every submit now rejects
-        response = serve_program(service, request, timeout=5.0)
+        response = serve_program(service.submit, request, timeout=5.0)
         assert not response.ok
         assert response.program is None
         assert "mm" in response.reason

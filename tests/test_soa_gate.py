@@ -123,16 +123,15 @@ def test_env_parsing(value, expected):
 # -- constructor dispatch ------------------------------------------------------
 
 
-@pytest.mark.parametrize("walkers", [1, 4])
 @pytest.mark.parametrize("fused", [False, True], ids=["bare", "fused"])
-def test_compile_and_polish_build_only_the_soa_engine(built, hw, walkers, fused):
+def test_compile_and_polish_build_only_the_soa_engine(built, hw, fused):
     """Gensor.compile and Gensor.polish build SoAWalkEngines — one for the
     walk, one per polish — and never a ConstructionGraph, for bare ops and
-    fusion groups, single- and multi-walker."""
-    anchor, pool = _fused_group(f"spy{walkers}")
+    fusion groups."""
+    anchor, pool = _fused_group("spy")
     epilogues = pool if fused else ()
     gensor = Gensor(hw, _quick_cfg())
-    result = gensor.compile(anchor, walkers=walkers, epilogues=epilogues)
+    result = gensor.compile(anchor, epilogues=epilogues)
     assert built and set(built) == {"soa"}
     assert result.best.epilogue_pool == epilogues
 

@@ -286,12 +286,11 @@ def test_cold_compile_prices_only_what_it_measures(hw, monkeypatch, fused):
     assert set(calls) == {s.key() for s in result.top_results}
 
 
-@pytest.mark.parametrize("walkers", [1, 4])
 @pytest.mark.parametrize("num_chains", [1, 8])
-def test_pipeline_runs_once_per_compile(hw, monkeypatch, walkers, num_chains):
+def test_pipeline_runs_once_per_compile(hw, monkeypatch, num_chains):
     """Per compile, rank runs twice, polish runs once on the whole
     shortlist and at most ``top_k`` states are measured — however many
-    walkers and chains fed the pool."""
+    chains fed the pool."""
     counts = {"rank": 0, "polish": 0, "polished": 0, "measure": 0}
 
     def spy(name, original, count_arg=False):
@@ -315,8 +314,8 @@ def test_pipeline_runs_once_per_compile(hw, monkeypatch, walkers, num_chains):
         polish_steps=8,
         max_iterations_per_chain=24,
     )
-    compute = ops.matmul(64, 48, 80, f"pipe_{walkers}_{num_chains}")
-    Gensor(hw, cfg, memo=MetricsMemo()).compile(compute, walkers=walkers)
+    compute = ops.matmul(64, 48, 80, f"pipe_{num_chains}")
+    Gensor(hw, cfg, memo=MetricsMemo()).compile(compute)
     assert counts["rank"] == 2
     assert counts["polish"] == 1
     assert counts["polished"] <= cfg.top_k

@@ -21,8 +21,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.actions import ActionKind
 from repro.core.score import program_cost_s
 from repro.hardware.spec import HardwareSpec
@@ -138,11 +136,11 @@ class Gensor:
     ):
         """The engine one compile (or one polish) runs on.
 
-        Engines expose ``run_chain`` (which fills a candidate pool, a
-        dict the engine owns the row format of), ``add_states`` and
-        ``rank`` over that pool, batched ``polish``, ``num_nodes`` and
-        ``restore_nodes``; one is built per call because its node memo
-        feeds ``states_visited``.
+        Engines expose their ``epilogues`` pool, ``run_chain`` (which
+        fills a candidate pool, a dict the engine owns the row format
+        of), ``add_states`` and ``rank`` over that pool, batched
+        ``polish``, ``num_nodes`` and ``restore_nodes``; one is built per
+        call because its node memo feeds ``states_visited``.
         """
         from repro.perf.soa import SoAWalkEngine
 
@@ -184,24 +182,21 @@ class Gensor:
         walk's determinism for attempts that do finish.
 
         ``resume_from`` restarts the walk mid-anneal from a
-        :class:`~repro.resilience.checkpoint.WalkCheckpoint`: completed
-        chains are skipped, the interrupted chain continues from its
-        snapshotted state and exact RNG bit state, and the result is
-        byte-identical (schedule, trace suffix, RNG consumption, node
-        counts) to the uninterrupted walk.  ``checkpointer`` (a
+        :class:`~repro.resilience.checkpoint.WalkCheckpoint` of the same
+        operator name, group key and walk config: completed chains are
+        skipped, the interrupted chain continues from its snapshotted
+        state and exact RNG bit state, and the result is byte-identical
+        (schedule, trace suffix, RNG consumption, node counts) to the
+        uninterrupted walk.  ``checkpointer`` (a
         :class:`~repro.resilience.checkpoint.Checkpointer`) snapshots the
-        walk on its policy's cadence so a later attempt can resume.
+        walk on its policy's cadence so a later attempt can resume.  Both
+        work alike for bare operators and fusion groups.
         """
         t_start = time.perf_counter()
         cfg = self.config
         epilogues = tuple(epilogues)
-        if epilogues and (resume_from is not None or checkpointer is not None):
-            raise ValueError(
-                "checkpoint/resume is not supported for fused program "
-                "groups; compile them without a checkpointer"
-            )
         if resume_from is not None:
-            resume_from.require(compute, cfg)
+            resume_from.require(compute, cfg, epilogues)
         tracer = tracer if tracer is not None else self.tracer
         measurer = measurer or Measurer(
             self.hw,
@@ -306,7 +301,8 @@ class Gensor:
         on it), the node bookkeeping (membership drives future
         ``num_nodes`` increments), the completed-chain iteration total —
         then skips the completed chains and continues the interrupted one
-        from its snapshotted state, temperature, and exact RNG bit state.
+        from its snapshotted state (fused count included), temperature,
+        and exact RNG bit state.
         Later chains spawn their generators normally, so they consume the
         streams the uninterrupted walk would have.
         """
@@ -322,7 +318,9 @@ class Gensor:
             engine.add_states(
                 pool,
                 [
-                    config_to_state(compute, c, resume_from.num_levels)
+                    config_to_state(
+                        compute, c, resume_from.num_levels, engine.epilogues
+                    )
                     for c in resume_from.candidates
                 ],
             )
@@ -333,11 +331,8 @@ class Gensor:
             resume = None
             if resume_from is not None and chain == resume_from.chain:
                 rng = restore_rng(resume_from.rng_state)
-                r_tiles, r_vthreads, r_level = resume_from.state
                 resume = (
-                    np.array(r_tiles, dtype=np.int64),
-                    np.array(r_vthreads, dtype=np.int64),
-                    int(r_level),
+                    resume_from.state,
                     resume_from.temperature,
                     resume_from.iteration,
                 )
@@ -359,7 +354,6 @@ class Gensor:
         forbid: frozenset[str] = frozenset(),
         tracer: Tracer | None = None,
         cancel: CancelToken | None = None,
-        resume_from=None,
     ) -> ETIR:
         """Deterministic greedy refinement under the analytical value.
 
@@ -370,23 +364,8 @@ class Gensor:
 
         Public API: warm-started and degraded serving paths refine adapted
         cache entries with a reduced step budget instead of a full walk.
-
-        ``resume_from`` continues an interrupted polish from a
-        polish-phase checkpoint
-        (:meth:`~repro.resilience.checkpoint.WalkCheckpoint.for_polish`):
-        greedy refinement is memoryless, so restarting from the
-        checkpointed state with the remaining budget yields the exact
-        state the uninterrupted polish would have reached.
         """
         tracer = tracer if tracer is not None else self.tracer
-        if resume_from is not None:
-            from repro.resilience.checkpoint import config_to_state
-
-            resume_from.require_polish(state.compute)
-            state = config_to_state(
-                state.compute, resume_from.state, resume_from.num_levels
-            )
-            max_steps = max(0, max_steps - resume_from.iteration)
         engine = self._walk_engine(state.compute, state.epilogue_pool)
         return engine.polish(
             [state], max_steps, forbid, tracer=tracer, cancel=cancel

@@ -148,7 +148,7 @@ class DynamicGensor:
         polishes it with the pool, and every tier ranks by program cost
         (:func:`~repro.core.score.program_cost_s`).  A fused entry never
         answers for the bare anchor, nor a bare entry for the group.
-        Fused cold walks take no checkpointer.
+        Fused cold walks checkpoint and resume like bare ones.
         """
         epilogues = tuple(epilogues)
         tracer = tracer if tracer is not None else self.gensor.tracer

@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.actions import Action, action_benefit, enumerate_actions
 from repro.hardware.spec import HardwareSpec
-from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 
 __all__ = ["Edge", "ConstructionGraph", "DEFAULT_MAX_CACHED_STATES"]
@@ -157,32 +154,23 @@ class ConstructionGraph:
     def export_nodes(self) -> tuple[list[tuple], int]:
         """Portable node identities for a :class:`WalkCheckpoint`.
 
-        Returns the cached node keys as insertion-ordered
-        ``(tiles, vthreads, cur_level)`` tuples plus the monotone
-        ``_nodes_seen`` counter.  The *membership* matters, not just the
-        count: :meth:`add_node` only increments for unseen keys, so a
-        resumed walk's future ``num_nodes`` depends on exactly which
-        keys the snapshot preserved.  Edge memos are deliberately not
-        exported — expansion is deterministic, so the resumed walk
-        rebuilds value-identical memos on demand.
+        Returns the cached nodes as insertion-ordered ``(tiles, vthreads,
+        cur_level, fused)`` tuples plus the monotone ``_nodes_seen``
+        counter.  The *membership* matters, not just the count:
+        :meth:`add_node` only increments for unseen keys, so a resumed
+        walk's future ``num_nodes`` depends on exactly which keys the
+        snapshot preserved.  Edge memos are deliberately not exported —
+        expansion is deterministic, so the resumed walk rebuilds
+        value-identical memos on demand.
         """
-        return [(key[1], key[2], key[3]) for key in self.nodes], self._nodes_seen
+        from repro.resilience.checkpoint import state_config
 
-    def restore_nodes(
-        self, configs: Iterable[tuple], nodes_seen: int, compute: ComputeDef
-    ) -> None:
-        """Rebuild the node memo a checkpoint exported (insertion order kept)."""
-        nodes: dict[tuple, ETIR] = {}
-        for tiles, vthreads, level in configs:
-            state = ETIR.from_arrays(
-                compute,
-                np.array(tiles, dtype=np.int64),
-                np.array(vthreads, dtype=np.int64),
-                int(level),
-                len(tiles[0]),
-            )
-            nodes[state.key()] = state
-        self.nodes = nodes
+        return [state_config(s) for s in self.nodes.values()], self._nodes_seen
+
+    def restore_nodes(self, states: Iterable[ETIR], nodes_seen: int) -> None:
+        """Rebuild the node memo from a checkpoint's states (insertion order
+        kept)."""
+        self.nodes = {state.key(): state for state in states}
         self._nodes_seen = int(nodes_seen)
 
     @property

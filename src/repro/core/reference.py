@@ -35,6 +35,11 @@ from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.memo import MetricsMemo
+from repro.resilience.checkpoint import (
+    build_walk_checkpoint,
+    config_to_state,
+    state_config,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constructor import GensorConfig
@@ -91,7 +96,13 @@ class ReferenceWalkEngine:
         return self.graph.num_nodes
 
     def restore_nodes(self, configs: Iterable[tuple], nodes_seen: int) -> None:
-        self.graph.restore_nodes(configs, nodes_seen, self.compute)
+        self.graph.restore_nodes(
+            (
+                config_to_state(self.compute, c, self.num_levels, self.epilogues)
+                for c in configs
+            ),
+            nodes_seen,
+        )
 
     def run_chain(
         self,
@@ -110,11 +121,10 @@ class ReferenceWalkEngine:
         """One annealed chain (Algorithm 1's loop); returns its iterations."""
         policy = TransitionPolicy(self.graph, rng)
         if resume is not None:
-            tiles, vthreads, level, temperature, iteration = resume
-            state = ETIR.from_arrays(
-                self.compute, tiles, vthreads, level, np.shape(tiles)[1]
+            config, temperature, iteration = resume
+            state = config_to_state(
+                self.compute, config, self.num_levels, self.epilogues
             )
-            iteration = int(iteration)
         else:
             state = ETIR.initial(
                 self.compute, num_levels=self.num_levels, epilogues=self.epilogues
@@ -171,12 +181,11 @@ class ReferenceWalkEngine:
         rng: np.random.Generator,
         pool: dict[tuple, ETIR],
     ):
-        from repro.resilience.checkpoint import build_walk_checkpoint, state_config
-
         node_keys, nodes_seen = self.graph.export_nodes()
         return build_walk_checkpoint(
             self.compute,
             cfg,
+            epilogues=self.epilogues,
             num_levels=self.num_levels,
             chain=chain,
             iteration=iteration,

@@ -114,8 +114,8 @@ class WireRequest:
     checkpoint: object | None = None
     #: program fusion: epilogue-pool ComputeDefs the construction walk may
     #: fuse into this operator's kernel (plain picklable IR, like
-    #: ``compute``).  Fused requests are cached under their group key
-    #: (:func:`~repro.core.cache.group_fingerprint`) and never checkpointed.
+    #: ``compute``).  Fused requests are cached and checkpointed under
+    #: their group key (:func:`~repro.core.cache.group_fingerprint`).
     epilogues: tuple = ()
 
 

@@ -57,6 +57,7 @@ from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.resilience.checkpoint import build_walk_checkpoint, state_config
 from repro.sim.costmodel import pipe_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constructor imports us lazily)
@@ -87,13 +88,17 @@ class SoAParityError(AssertionError):
     """The SoA path diverged from the object-path oracle."""
 
 
-def _portable_config(tiles: np.ndarray, vthreads: np.ndarray, level) -> tuple:
-    """A packed state as the checkpoint's portable ``(tiles, vthreads,
-    level)`` plain-int tuples (``checkpoint.state_config`` of its ETIR)."""
+def _portable_config(
+    tiles: np.ndarray, vthreads: np.ndarray, level, fused
+) -> tuple:
+    """A packed pool row as the checkpoint's portable ``(tiles, vthreads,
+    level, fused)`` plain-int tuples (``checkpoint.state_config`` of its
+    ETIR)."""
     return (
         tuple(tuple(row) for row in tiles.tolist()),
         tuple(vthreads.tolist()),
         int(level),
+        int(fused),
     )
 
 
@@ -534,14 +539,9 @@ class SoAEdge:
         self.fused = fused
 
     def dst_config(self) -> tuple:
-        """The destination as ``(tiles, vthreads, cur_level, fused)`` plain
-        tuples — see :func:`_state_config`."""
-        return (
-            tuple(tuple(row) for row in self.tiles.tolist()),
-            tuple(self.vthreads.tolist()),
-            self.level,
-            self.fused,
-        )
+        """The destination's portable ``(tiles, vthreads, cur_level,
+        fused)`` config."""
+        return _portable_config(self.tiles, self.vthreads, self.level, self.fused)
 
 
 class _Slot:
@@ -692,35 +692,33 @@ class SoAWalkEngine:
         """Portable node identities for a :class:`WalkCheckpoint`.
 
         Mirrors ``ConstructionGraph.export_nodes``: the cached node keys
-        as insertion-ordered ``(tiles, vthreads, level)`` tuples plus the
-        monotone ``_nodes_seen`` counter.  Membership matters, not just
-        the count — ``_add_node`` only increments for unseen keys, so a
-        resumed walk's future ``num_nodes`` depends on exactly which keys
-        the snapshot preserved.  Edge memos are deliberately not exported
-        (expansion is deterministic; resumed recomputation is
-        value-identical).  Only bare-operator walks are checkpointed, so
-        the fused count (always 0) is not exported.
+        as insertion-ordered ``(tiles, vthreads, level, fused)`` tuples
+        plus the monotone ``_nodes_seen`` counter.  Membership matters,
+        not just the count — ``_add_node`` only increments for unseen
+        keys, so a resumed walk's future ``num_nodes`` depends on exactly
+        which keys the snapshot preserved.  Edge memos are deliberately
+        not exported (expansion is deterministic; resumed recomputation
+        is value-identical).
         """
         a_count = self.pack.num_axes
         configs: list[tuple] = []
-        for tiles_b, vthreads_b, level, _fused in self._nodes:
+        for tiles_b, vthreads_b, level, fused in self._nodes:
             tiles = np.frombuffer(tiles_b, dtype=np.int64).reshape(a_count, -1)
             vthreads = np.frombuffer(vthreads_b, dtype=np.int64)
-            configs.append(_portable_config(tiles, vthreads, level))
+            configs.append(_portable_config(tiles, vthreads, level, fused))
         return configs, self._nodes_seen
 
     def restore_nodes(self, configs: Iterable[tuple], nodes_seen: int) -> None:
         """Rebuild the node memo a checkpoint exported (insertion order kept)."""
-        nodes: dict[tuple, bool] = {}
-        for tiles, vthreads, level in configs:
-            key = self._key(
+        self._nodes = {
+            self._key(
                 np.array(tiles, dtype=np.int64),
                 np.array(vthreads, dtype=np.int64),
                 int(level),
-                0,
-            )
-            nodes[key] = True
-        self._nodes = nodes
+                int(fused),
+            ): True
+            for tiles, vthreads, level, fused in configs
+        }
         self._nodes_seen = int(nodes_seen)
 
     def _build_checkpoint(
@@ -733,6 +731,7 @@ class SoAWalkEngine:
         tiles: np.ndarray,
         vthreads: np.ndarray,
         level: int,
+        fused: int,
         rng: np.random.Generator,
         pool: dict[tuple, tuple],
     ):
@@ -742,22 +741,19 @@ class SoAWalkEngine:
         boundary — never inside the scored hot loop.  The packed pool rows
         become the same portable ``candidate_configs`` an ETIR pool gave.
         """
-        from repro.resilience.checkpoint import build_walk_checkpoint
-
         node_keys, nodes_seen = self.export_nodes()
         return build_walk_checkpoint(
             self.compute,
             cfg,
+            epilogues=self.epilogues,
             num_levels=self.num_levels,
             chain=chain,
             iteration=iteration,
             total_steps=total_steps,
             temperature=temperature,
-            state_config=_portable_config(tiles, vthreads, level),
+            state_config=_portable_config(tiles, vthreads, level, fused),
             rng=rng,
-            candidate_configs=[
-                _portable_config(t, v, lvl) for t, v, lvl, _f in pool.values()
-            ],
+            candidate_configs=[_portable_config(*row) for row in pool.values()],
             node_keys=node_keys,
             nodes_seen=nodes_seen,
         )
@@ -814,12 +810,7 @@ class SoAWalkEngine:
         by_slot: dict[int, tuple[float, bool, tuple]] = {}
         for j, (slot_idx, slot) in enumerate(candidates):
             assert slot.tiles is not None and slot.vthreads is not None
-            cfg = (
-                tuple(tuple(row) for row in slot.tiles.tolist()),
-                tuple(slot.vthreads.tolist()),
-                slot.level,
-                slot.fused,
-            )
+            cfg = _portable_config(slot.tiles, slot.vthreads, slot.level, slot.fused)
             by_slot[slot_idx] = (benefits[j], bool(memok[j]), cfg)
         detail = []
         for i, slot in enumerate(slots):
@@ -1556,26 +1547,24 @@ class SoAWalkEngine:
         whole pool at once.
 
         ``resume`` restarts the chain mid-anneal from a checkpoint's
-        ``(tiles, vthreads, level, temperature, iteration)`` — the caller
+        ``(state config, temperature, iteration)``, the state config being
+        the portable ``(tiles, vthreads, level, fused)`` row — the caller
         restores the RNG bit state into ``rng`` — and ``checkpointer``
         (with ``base_steps``, the iterations completed by earlier chains)
         snapshots at the cadence its policy dictates, at iteration
-        boundaries only.  Both are for bare operators, whose fused count
-        stays 0.
+        boundaries only.
         """
         compute_name = self.compute.name
         a_count = self.pack.num_axes
-        fused = 0
         if resume is not None:
-            tiles, vthreads, level, temperature, iteration = resume
-            tiles = np.asarray(tiles, dtype=np.int64)
-            vthreads = np.asarray(vthreads, dtype=np.int64)
-            level = int(level)
-            iteration = int(iteration)
+            (tiles, vthreads, level, fused), temperature, iteration = resume
+            tiles = np.array(tiles, dtype=np.int64)
+            vthreads = np.array(vthreads, dtype=np.int64)
         else:
             tiles = np.ones((a_count, self.num_levels), dtype=np.int64)
             vthreads = np.ones(a_count, dtype=np.int64)
             level = self.num_levels
+            fused = 0
             temperature = cfg.initial_temperature
             iteration = 0
         while (
@@ -1620,6 +1609,7 @@ class SoAWalkEngine:
                         tiles,
                         vthreads,
                         level,
+                        fused,
                         rng,
                         pool,
                     ),
@@ -1814,11 +1804,6 @@ def _assert_same_float(a: float, b: float, context: str) -> None:
         )
 
 
-def _state_config(state: ETIR) -> tuple:
-    """``(tiles, vthreads, cur_level, fused)`` — what ``dst_config`` packs."""
-    return (state.config.tiles, state.config.vthreads, state.cur_level, state.fused)
-
-
 class DifferentialWalker:
     """Runs the object path and the SoA path in lockstep and cross-checks.
 
@@ -1903,7 +1888,7 @@ class DifferentialWalker:
                     raise SoAParityError(
                         f"{ctx}: mem_ok {mem_ok} != {d['mem_ok']}"
                     )
-                dst_cfg = _state_config(nxt)
+                dst_cfg = state_config(nxt)
                 if dst_cfg != d["dst_config"]:
                     raise SoAParityError(
                         f"{ctx}: dst {dst_cfg} != {d['dst_config']}"
@@ -1924,7 +1909,7 @@ class DifferentialWalker:
                     f"{ctx}: SoA edge is ({se.kind}, axis {se.axis})"
                 )
             _assert_same_float(edge.benefit, se.benefit, f"{ctx} benefit")
-            dst_cfg = _state_config(edge.dst)
+            dst_cfg = state_config(edge.dst)
             if dst_cfg != se.dst_config():
                 raise SoAParityError(
                     f"{ctx}: dst {dst_cfg} != {se.dst_config()}"
@@ -2004,7 +1989,7 @@ class DifferentialWalker:
                     break
                 idx = int(rng.choice(len(edges), p=probs))
                 edge, soa_edge = edges[idx], kept[idx]
-                dst_cfg = _state_config(edge.dst)
+                dst_cfg = state_config(edge.dst)
                 if dst_cfg != soa_edge.dst_config():
                     raise SoAParityError(
                         f"chain {chain} iter {iteration}: chosen edge {idx} "

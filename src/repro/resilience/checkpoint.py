@@ -28,13 +28,15 @@ Three pieces cooperate:
   ``.quarantine/`` directory for corrupt records (a bad checkpoint
   degrades to a fresh walk, never a crash).
 
-What is deliberately *not* checkpointed (see DESIGN §14): fused
-program-group walks (a checkpoint does not serialize the epilogue pool),
-the graph's *edge* memos (expansion is deterministic, so resumed
+Every construction walk checkpoints the same way, a bare operator's or
+a fusion group's: a state is the engine's pool row ``(tiles, vthreads,
+level, fused)``, and a checkpoint is keyed by the group key
+(:func:`~repro.core.cache.group_fingerprint`, which is the shape key for
+a bare operator).  What is deliberately *not* checkpointed (see DESIGN
+§14): the graph's *edge* memos (expansion is deterministic, so resumed
 recomputation rebuilds value-identical memos; only node-key membership
 affects observable counts), and the post-walk polish phase of
-``compile`` (it is memoryless and cheap relative to the walk — though a
-standalone :meth:`Gensor.polish` accepts polish-phase checkpoints).
+``compile`` (it is memoryless and cheap relative to the walk).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.cache import _file_lock, entry_checksum, shape_fingerprint
+from repro.core.cache import _file_lock, entry_checksum, group_fingerprint
 from repro.ir.etir import ETIR
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.utils import rng as rng_util
@@ -70,28 +72,31 @@ __all__ = [
     "walk_config_digest",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-#: portable ETIR identity: (tiles as nested int tuples, vthreads, cur_level).
-#: Exactly the information both walk paths key states by, in a form that is
-#: hashable, picklable and JSON-able, and convertible to either path's
-#: native representation (object ETIR or SoA int64 arrays) without loss.
-StateConfig = "tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]"
+#: portable ETIR identity: (tiles as nested int tuples, vthreads, cur_level,
+#: fused).  Exactly the information both walk paths key states by (the SoA
+#: engine's pool row), in a form that is hashable, picklable and JSON-able,
+#: and convertible to either path's native representation (object ETIR or
+#: SoA int64 arrays) without loss.  ``fused`` is 0 for a bare operator.
+StateConfig = "tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, int]"
 
 
-def walk_config_digest(config: "GensorConfig") -> str:
-    """Digest of the config fields that shape the walk's RNG stream.
+def walk_config_digest(config: "GensorConfig", compute_name: str) -> str:
+    """Digest of what shapes the walk's RNG stream.
 
-    A checkpoint is only valid for resume under a config whose *walk*
-    behaves identically: same seed, annealing schedule, chain structure
-    and action space.  Fields that only affect the post-walk pipeline
-    (``top_k``, ``polish_steps``; ``multi_objective`` scoring weights do
-    affect transition probabilities, so they are included) are
-    deliberately excluded.  The digest names no walk engine: the SoA
+    A checkpoint is only valid for resume by a walk that behaves
+    identically: same chain streams (``spawn_rng(seed, "gensor", name,
+    chain)``, so the operator name counts, not just its shape), annealing
+    schedule, chain structure and action space.  Fields that only affect
+    the post-walk pipeline (``top_k``, ``polish_steps``;
+    ``multi_objective`` scoring weights do affect transition
+    probabilities, so they are included) are deliberately excluded.  The digest names no walk engine: the SoA
     engine and the object-level reference are bit-identical, so a
     checkpoint taken on one resumes on the other.
     """
     fields = (
+        str(compute_name),
         int(config.seed),
         float(config.initial_temperature),
         float(config.cooling),
@@ -105,35 +110,42 @@ def walk_config_digest(config: "GensorConfig") -> str:
 
 
 def state_config(state: ETIR) -> tuple:
-    """The portable ``(tiles, vthreads, cur_level)`` identity of a state."""
-    return (state.config.tiles, state.config.vthreads, state.cur_level)
+    """The portable ``(tiles, vthreads, cur_level, fused)`` identity of a state."""
+    return (state.config.tiles, state.config.vthreads, state.cur_level, state.fused)
 
 
 def config_to_state(
-    compute: "ComputeDef", config: Sequence, num_levels: int
+    compute: "ComputeDef",
+    config: Sequence,
+    num_levels: int,
+    epilogues: "tuple[ComputeDef, ...]" = (),
 ) -> ETIR:
-    """Rebuild a validated :class:`ETIR` from a portable state config."""
-    tiles, vthreads, level = config
+    """Rebuild a validated :class:`ETIR` from a portable state config
+    (``epilogues`` is the fusion group's pool; empty for a bare operator)."""
+    tiles, vthreads, level, fused = config
     return ETIR.from_arrays(
         compute,
         np.array(tiles, dtype=np.int64),
         np.array(vthreads, dtype=np.int64),
         int(level),
         int(num_levels),
+        epilogue_pool=tuple(epilogues),
+        fused=int(fused),
     )
 
 
 def _config_to_json(config: Sequence) -> list:
-    tiles, vthreads, level = config
-    return [[list(row) for row in tiles], list(vthreads), int(level)]
+    tiles, vthreads, level, fused = config
+    return [[list(row) for row in tiles], list(vthreads), int(level), int(fused)]
 
 
 def _config_from_json(data: Sequence) -> tuple:
-    tiles, vthreads, level = data
+    tiles, vthreads, level, fused = data
     return (
         tuple(tuple(int(x) for x in row) for row in tiles),
         tuple(int(x) for x in vthreads),
         int(level),
+        int(fused),
     )
 
 
@@ -150,9 +162,11 @@ class WalkCheckpoint:
     part of the parity contract, not just their contents.
     """
 
-    #: shape fingerprint of the operator the walk is compiling.
+    #: group key (:func:`~repro.core.cache.group_fingerprint`) of the
+    #: operator and epilogue pool the walk is compiling.
     compute_key: str
-    #: :func:`walk_config_digest` of the config that produced the walk.
+    #: :func:`walk_config_digest` of the config and operator name that
+    #: produced the walk.
     config_digest: str
     #: cache-hierarchy depth the walk runs over (``hw.num_cache_levels``).
     num_levels: int
@@ -166,81 +180,46 @@ class WalkCheckpoint:
     temperature: float
     #: portable config of the chain's current state.
     state: tuple
-    #: exact bit-generator state after the snapshot iteration's draws
-    #: (``None`` for polish-phase checkpoints — polish consumes no RNG).
-    rng_state: dict | None
+    #: exact bit-generator state after the snapshot iteration's draws.
+    rng_state: dict
     #: portable configs of the candidate pool, insertion-ordered.
     candidates: tuple = ()
     #: portable configs of the graph/engine node keys, insertion-ordered.
     node_keys: tuple = ()
     #: the graph/engine's monotone states-visited counter.
     nodes_seen: int = 0
-    #: ``"walk"`` or ``"polish"``.
-    phase: str = "walk"
     version: int = CHECKPOINT_VERSION
 
     # -- validation --------------------------------------------------------
 
-    def matches(self, compute: "ComputeDef", config: "GensorConfig") -> bool:
-        """Whether this walk checkpoint may resume ``compute`` under ``config``."""
+    def matches(
+        self,
+        compute: "ComputeDef",
+        config: "GensorConfig",
+        epilogues: "tuple[ComputeDef, ...]" = (),
+    ) -> bool:
+        """Whether this checkpoint may resume the walk of ``compute`` (with
+        the fusion pool ``epilogues``) under ``config``."""
         return (
-            self.phase == "walk"
-            and self.version == CHECKPOINT_VERSION
-            and self.rng_state is not None
-            and self.compute_key == shape_fingerprint(compute)
-            and self.config_digest == walk_config_digest(config)
+            self.version == CHECKPOINT_VERSION
+            and self.compute_key == group_fingerprint(compute, epilogues)
+            and self.config_digest == walk_config_digest(config, compute.name)
         )
 
-    def require(self, compute: "ComputeDef", config: "GensorConfig") -> None:
+    def require(
+        self,
+        compute: "ComputeDef",
+        config: "GensorConfig",
+        epilogues: "tuple[ComputeDef, ...]" = (),
+    ) -> None:
         """Raise :class:`ValueError` unless :meth:`matches` holds."""
-        if self.matches(compute, config):
+        if self.matches(compute, config, epilogues):
             return
         raise ValueError(
-            f"checkpoint (phase={self.phase!r}, version={self.version}, "
+            f"checkpoint (version={self.version}, "
             f"compute={self.compute_key!r}) cannot resume "
-            f"{shape_fingerprint(compute)!r} under the current walk config"
-        )
-
-    def matches_polish(self, compute: "ComputeDef") -> bool:
-        """Whether this is a polish checkpoint for ``compute``."""
-        return (
-            self.phase == "polish"
-            and self.version == CHECKPOINT_VERSION
-            and self.compute_key == shape_fingerprint(compute)
-        )
-
-    def require_polish(self, compute: "ComputeDef") -> None:
-        if self.matches_polish(compute):
-            return
-        raise ValueError(
-            f"checkpoint (phase={self.phase!r}, compute={self.compute_key!r}) "
-            f"is not a polish checkpoint for {shape_fingerprint(compute)!r}"
-        )
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def for_polish(
-        cls, compute: "ComputeDef", state: ETIR, steps_done: int
-    ) -> "WalkCheckpoint":
-        """Checkpoint a greedy polish after ``steps_done`` completed steps.
-
-        Polish is memoryless (each step depends only on the current
-        state), so the snapshot needs no RNG, candidates or node keys:
-        resuming from ``state`` with the remaining budget reproduces the
-        uninterrupted result exactly.
-        """
-        return cls(
-            compute_key=shape_fingerprint(compute),
-            config_digest="",
-            num_levels=state.num_levels,
-            chain=-1,
-            iteration=int(steps_done),
-            total_steps=int(steps_done),
-            temperature=0.0,
-            state=state_config(state),
-            rng_state=None,
-            phase="polish",
+            f"{group_fingerprint(compute, epilogues)!r} ({compute.name!r}) "
+            f"under the current walk config"
         )
 
     # -- serialization -----------------------------------------------------
@@ -248,7 +227,6 @@ class WalkCheckpoint:
     def to_json(self) -> dict:
         return {
             "version": self.version,
-            "phase": self.phase,
             "compute_key": self.compute_key,
             "config_digest": self.config_digest,
             "num_levels": self.num_levels,
@@ -265,9 +243,12 @@ class WalkCheckpoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "WalkCheckpoint":
-        rng_state = data.get("rng_state")
-        if rng_state is not None and not isinstance(rng_state, dict):
-            raise ValueError("rng_state must be a mapping or null")
+        version = int(data["version"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        rng_state = data["rng_state"]
+        if not isinstance(rng_state, dict):
+            raise ValueError("rng_state must be a mapping")
         return cls(
             compute_key=str(data["compute_key"]),
             config_digest=str(data["config_digest"]),
@@ -285,8 +266,7 @@ class WalkCheckpoint:
                 _config_from_json(c) for c in data.get("node_keys", [])
             ),
             nodes_seen=int(data.get("nodes_seen", 0)),
-            phase=str(data.get("phase", "walk")),
-            version=int(data.get("version", CHECKPOINT_VERSION)),
+            version=version,
         )
 
 
@@ -294,6 +274,7 @@ def build_walk_checkpoint(
     compute: "ComputeDef",
     config: "GensorConfig",
     *,
+    epilogues: "tuple[ComputeDef, ...]" = (),
     num_levels: int,
     chain: int,
     iteration: int,
@@ -305,10 +286,11 @@ def build_walk_checkpoint(
     node_keys: Iterable[tuple],
     nodes_seen: int,
 ) -> WalkCheckpoint:
-    """Assemble a walk-phase checkpoint (shared by both walk paths)."""
+    """Assemble a walk checkpoint (shared by both walk paths); a fusion
+    group's walk passes its pool as ``epilogues``."""
     return WalkCheckpoint(
-        compute_key=shape_fingerprint(compute),
-        config_digest=walk_config_digest(config),
+        compute_key=group_fingerprint(compute, epilogues),
+        config_digest=walk_config_digest(config, compute.name),
         num_levels=int(num_levels),
         chain=int(chain),
         iteration=int(iteration),
@@ -418,7 +400,7 @@ class Checkpointer:
 
 
 class CheckpointStore:
-    """On-disk checkpoint records, one per (device, shape) key.
+    """On-disk checkpoint records, one per (device, group key).
 
     Same crash-safety discipline as the schedule cache: the JSON body
     carries a CRC-32 of its canonical serialization, writes go through a

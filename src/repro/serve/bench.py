@@ -215,7 +215,7 @@ def run_serve_bench(
     snap = service.stats.snapshot(wall_s=wall)
     wasted_states = registry.total("resilience_wasted_states_total")
     checkpoints = registry.total("resilience_checkpoints_total")
-    checkpoint_resumes = registry.total("resilience_checkpoint_loads_total")
+    checkpoint_resumes = registry.total("resilience_checkpoint_resumes_total")
     resilience = {
         "faults_injected": len(injector.log) if injector is not None else 0,
         "retries": snap["retries"],
@@ -226,8 +226,9 @@ def run_serve_bench(
         "quarantined": quarantined,
         "availability": availability,
         # Walk steps re-done because an attempt failed past its last
-        # checkpoint; with checkpointing on this stays bounded by one
-        # checkpoint interval per failure (the chaos CI gate).
+        # checkpoint; this stays bounded by one checkpoint interval per
+        # failure (the chaos CI gate).  Resumes count the checkpoints
+        # attempts handed to their walks.
         "wasted_states": wasted_states,
         "checkpoints": checkpoints,
         "checkpoint_resumes": checkpoint_resumes,

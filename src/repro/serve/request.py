@@ -67,10 +67,9 @@ class CompileRequest:
     progress_steps: int = 0
     #: program fusion: epilogue pool (ComputeDefs) the construction walk
     #: may fuse into this operator's kernel.  A non-empty pool makes this a
-    #: group request: the cache tiers and single-flight key it by
-    #: :func:`~repro.core.cache.group_fingerprint` (anchor plus pool
-    #: shapes), and its walks are never checkpointed (fused walks are not
-    #: resumable).
+    #: group request: the cache tiers, single-flight and walk checkpoints
+    #: key it by :func:`~repro.core.cache.group_fingerprint` (anchor plus
+    #: pool shapes).
     epilogues: tuple = ()
 
     def remaining_s(self, now: float | None = None) -> float | None:

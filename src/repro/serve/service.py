@@ -26,6 +26,7 @@ Request lifecycle (documented in README/DESIGN "Serving"):
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -101,12 +102,12 @@ class CompileService:
             per compile attempt (``serve-bench --faults``).
         stall_timeout_s: supervised-pool heartbeat staleness after which a
             busy worker is declared stuck, abandoned, and replaced.
-        checkpointing: when True (default), cold construction walks run
-            under a :class:`~repro.resilience.checkpoint.Checkpointer` so
-            a crashed or timed-out attempt resumes from its last
-            checkpoint instead of restarting the walk.
         checkpoint_policy: cadence of mid-walk checkpoints (defaults to
-            :class:`~repro.resilience.checkpoint.CheckpointPolicy`).
+            :class:`~repro.resilience.checkpoint.CheckpointPolicy`).  Every
+            cold construction walk, a bare operator's or a fusion group's,
+            runs under a :class:`~repro.resilience.checkpoint.Checkpointer`
+            so a crashed or timed-out attempt resumes from its last
+            checkpoint instead of restarting the walk.
         checkpoint_sink: optional callable ``(request, checkpoint)``
             invoked on every checkpoint — fleet shards persist them to a
             shared :class:`~repro.resilience.checkpoint.CheckpointStore`
@@ -132,7 +133,6 @@ class CompileService:
         breaker: BreakerConfig | None = None,
         fault_injector: FaultInjector | None = None,
         stall_timeout_s: float = 30.0,
-        checkpointing: bool = True,
         checkpoint_policy: CheckpointPolicy | None = None,
         checkpoint_sink=None,
     ) -> None:
@@ -165,7 +165,6 @@ class CompileService:
             breaker, on_transition=self._on_breaker_transition
         )
         self._injector = fault_injector
-        self._checkpointing = checkpointing
         self._ckpt_policy = (
             checkpoint_policy if checkpoint_policy is not None
             else CheckpointPolicy()
@@ -225,7 +224,7 @@ class CompileService:
         ``checkpoint`` seeds the request with a walk checkpoint from an
         earlier incarnation (fleet shard respawn) — the first cold attempt
         resumes from it instead of restarting, after validating it against
-        this service's compute/config.
+        the request's operator, pool and this service's config.
 
         ``epilogues`` carries a program fusion group's pool: the walk then
         explores fusing those ops into this kernel.  Fused requests must
@@ -542,15 +541,8 @@ class CompileService:
 
     # -- checkpoint plumbing -----------------------------------------------------
 
-    def _make_checkpointer(
-        self, request: CompileRequest
-    ) -> Checkpointer | None:
+    def _make_checkpointer(self, request: CompileRequest) -> Checkpointer:
         """A fresh per-attempt checkpointer feeding ``request.checkpoint``."""
-        # Fused program walks are not resumable (their ETIR keys carry the
-        # epilogue pool, which checkpoints do not serialize) — never
-        # checkpoint them.
-        if not self._checkpointing or request.epilogues:
-            return None
         return Checkpointer(
             self._ckpt_policy,
             sink=lambda cp: self._on_checkpoint(request, cp),
@@ -573,16 +565,15 @@ class CompileService:
             self._ckpt_sink(request, checkpoint)
 
     def _note_wasted(
-        self, request: CompileRequest, checkpointer: Checkpointer | None
+        self, request: CompileRequest, checkpointer: Checkpointer
     ) -> None:
         """Account walk steps lost to a failed/crashed attempt.
 
         Wasted = steps the attempt walked past its last checkpoint — the
-        recompute a resume must repay.  Bounded by one checkpoint interval
-        per failure when checkpointing is on; equal to the whole attempt
-        when it is off.
+        recompute a resume must repay, bounded by one checkpoint interval
+        per failure.
         """
-        if checkpointer is None or checkpointer.steps_seen == 0:
+        if checkpointer.steps_seen == 0:
             return
         wasted = checkpointer.wasted_states()
         if wasted <= 0:
@@ -599,7 +590,7 @@ class CompileService:
         request: CompileRequest,
         attempt: int,
         token: CancelToken,
-        checkpointer: Checkpointer | None = None,
+        checkpointer: Checkpointer,
     ) -> CompileResponse:
         """One compile attempt (the pre-resilience serve-tier logic)."""
         compute = request.compute
@@ -607,15 +598,14 @@ class CompileService:
         group_key = group_fingerprint(compute, epilogues)
         measurer = self._measurer_factory()
         resume: WalkCheckpoint | None = None
-        cp = request.checkpoint if not epilogues else None
-        if cp is not None and isinstance(cp, WalkCheckpoint):
-            if cp.matches(compute, self.dynamic.config):
+        cp = request.checkpoint
+        if isinstance(cp, WalkCheckpoint):
+            if cp.matches(compute, self.dynamic.config, epilogues):
                 resume = cp
-                if checkpointer is not None:
-                    checkpointer.start_from(cp)
             else:
-                # Stale or foreign checkpoint (config drift, wrong shape):
-                # drop it and restart clean rather than resume wrongly.
+                # Stale or foreign checkpoint (config drift, another group
+                # or operator name): drop it and restart clean rather
+                # than resume wrongly.
                 request.checkpoint = None
                 self.registry.counter(
                     "resilience_checkpoint_rejected_total"
@@ -652,25 +642,24 @@ class CompileService:
                 )
             # No neighbor and no feasible seed: a cold construction is the
             # only correct answer — serve it late rather than not at all.
+        if resume is not None:
+            # Handed to the walk, which seeds the checkpointer's offsets
+            # itself when it actually resumes (a cache hit never walks).
+            self.registry.counter("resilience_checkpoint_resumes_total").inc()
         t0 = time.perf_counter()
-        if (
+        looks_cold = (
             self.cache.get(compute, epilogues) is None
             and self.cache.nearest(compute, epilogues) is None
+        )
+        # A group that looks cold serializes per family, so a stampede of
+        # near shapes produces one cold construction plus warm starts, not
+        # N colds.  DynamicGensor re-checks the cache once the lock is
+        # held, so waiters land on the warm path.
+        with (
+            self._family_lock(family_fingerprint(compute, epilogues))
+            if looks_cold
+            else contextlib.nullcontext()
         ):
-            # Looks cold: serialize per family so a stampede of near shapes
-            # produces one cold construction plus warm starts, not N colds.
-            # DynamicGensor re-checks the cache once the lock is held, so
-            # waiters land on the warm path.
-            with self._family_lock(family_fingerprint(compute, epilogues)):
-                dyn = self.dynamic.compile(
-                    compute,
-                    measurer,
-                    cancel=token,
-                    resume_from=resume,
-                    checkpointer=checkpointer,
-                    epilogues=epilogues,
-                )
-        else:
             dyn = self.dynamic.compile(
                 compute,
                 measurer,

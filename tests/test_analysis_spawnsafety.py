@@ -347,10 +347,10 @@ def test_walk_checkpoint_pickle_round_trip():
         iteration=4,
         total_steps=4,
         temperature=0.9,
-        state=((4, 4), (2, 2), 0),
+        state=((4, 4), (2, 2), 0, 0),
         rng_state=rng.bit_generator.state,
-        candidates=(((4, 4), (2, 2), 0),),
-        node_keys=(((4, 4), (2, 2), 0),),
+        candidates=(((4, 4), (2, 2), 0, 0),),
+        node_keys=(((4, 4), (2, 2), 0, 0),),
         nodes_seen=7,
     )
     clone = pickle.loads(pickle.dumps(checkpoint))

@@ -1,9 +1,10 @@
 """Differential kill-and-resume harness: a construction walk killed at a
 randomized step and resumed from its last checkpoint must be
 byte-identical — best schedule, top-k, iteration count, states visited,
-and the walk-step trace suffix — to the uninterrupted walk, on both the
-SoA engine (``Gensor``) and the object-level reference
-(``ReferenceGensor``).
+latency bits, and the walk-step trace suffix — to the uninterrupted walk,
+on both the SoA engine (``Gensor``) and the object-level reference
+(``ReferenceGensor``), for a bare operator and for a fusion group (whose
+states carry a fused count the checkpoint must restore).
 
 The kill is a cooperative-cancellation bomb (a CancelToken that trips on
 its Nth poll), which models both per-attempt timeouts and, because the
@@ -26,7 +27,6 @@ from repro.resilience.checkpoint import (
     CheckpointPolicy,
     CheckpointStore,
     Checkpointer,
-    WalkCheckpoint,
 )
 from repro.resilience.deadline import CancelToken, CompileCancelled
 
@@ -39,7 +39,22 @@ CFG = GensorConfig(
     max_iterations_per_chain=30,
 )
 OP = ops.matmul(64, 48, 80, "resume_gemm")
+#: OP's fusion-group pool: under CFG its walks take several FUSE and
+#: UNFUSE steps, so the fused count moves mid-walk.
+FUSED = (ops.elementwise((64, 80), "gelu"), ops.add((64, 80)))
 EVERY = 7  # checkpoint cadence used throughout; also the wasted bound
+#: kill point of the fixed-kill fused cases: just past the step-14
+#: checkpoint, which holds a fused count above 0 at chaos seeds 0, 1 and 2,
+#: so a resume that dropped the count would diverge.
+FUSED_KILL = 16
+
+#: (soa, epilogues) cases; the bare ones keep their historical ids.
+PATHS = [
+    pytest.param(True, (), id="soa"),
+    pytest.param(False, (), id="object"),
+    pytest.param(True, FUSED, id="fused-soa"),
+    pytest.param(False, FUSED, id="fused-object"),
+]
 
 
 class Bomb(CancelToken):
@@ -66,47 +81,79 @@ def summarize(result):
         tuple(s.key() for s in result.top_results),
         result.iterations,
         result.states_visited,
+        result.best_metrics.latency_s.hex(),
     )
 
 
-_BASELINE: dict[bool, tuple] = {}
+_BASELINE: dict[tuple, tuple] = {}
 
 
-def baseline(soa: bool) -> tuple:
-    if soa not in _BASELINE:
-        _BASELINE[soa] = summarize(walk_path(soa)(HW, CFG).compile(OP))
-    return _BASELINE[soa]
+def baseline(soa: bool, epilogues: tuple = ()) -> tuple:
+    if (soa, epilogues) not in _BASELINE:
+        _BASELINE[soa, epilogues] = summarize(
+            walk_path(soa)(HW, CFG).compile(OP, epilogues=epilogues)
+        )
+    return _BASELINE[soa, epilogues]
 
 
-def kill_and_resume(fuse: int, soa: bool):
+def interrupted(compiler, fuse: int, epilogues: tuple = ()) -> Checkpointer:
+    """The checkpointer of a compile killed on its ``fuse``-th poll."""
+    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
+    with pytest.raises(CompileCancelled):
+        compiler(HW, CFG).compile(
+            OP, cancel=Bomb(fuse), checkpointer=ck, epilogues=epilogues
+        )
+    assert ck.last is not None
+    return ck
+
+
+def kill_and_resume(fuse: int, soa: bool, epilogues: tuple = ()):
     """Run to the kill point, resume from the last checkpoint; return
     (summary, checkpointer_of_killed_attempt, was_killed)."""
     ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
     compiler = walk_path(soa)
     try:
         result = compiler(HW, CFG).compile(
-            OP, cancel=Bomb(fuse), checkpointer=ck
+            OP, cancel=Bomb(fuse), checkpointer=ck, epilogues=epilogues
         )
         return summarize(result), ck, False
     except CompileCancelled:
         pass
-    result = compiler(HW, CFG).compile(OP, resume_from=ck.last)
+    result = compiler(HW, CFG).compile(
+        OP, resume_from=ck.last, epilogues=epilogues
+    )
     return summarize(result), ck, True
 
 
-@settings(
+def check_kill_point(fuse: int, soa: bool, epilogues: tuple = ()) -> None:
+    got, ck, killed = kill_and_resume(fuse, soa, epilogues)
+    assert got == baseline(soa, epilogues)
+    if killed:
+        # wasted recompute is bounded by one checkpoint interval
+        assert ck.wasted_states() <= EVERY
+
+
+KILL_POINTS = settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@KILL_POINTS
 @given(fuse=st.integers(min_value=1, max_value=80), soa=st.booleans())
 def test_kill_at_random_step_resumes_byte_identical(fuse, soa):
     """The tentpole parity bar: >= 50 randomized kill points, both paths."""
-    got, ck, killed = kill_and_resume(fuse, soa)
-    assert got == baseline(soa)
-    if killed:
-        # wasted recompute is bounded by one checkpoint interval
-        assert ck.wasted_states() <= EVERY
+    check_kill_point(fuse, soa)
+
+
+@KILL_POINTS
+@given(fuse=st.integers(min_value=1, max_value=80), soa=st.booleans())
+def test_fused_kill_at_random_step_resumes_byte_identical(fuse, soa):
+    """The same bar for a fusion group: the resumed walk continues at the
+    fused count the checkpoint froze, so its best key (fused count
+    included), top-k and node counts equal the uninterrupted walk's."""
+    check_kill_point(fuse, soa, FUSED)
 
 
 def test_kill_before_first_checkpoint_restarts_clean():
@@ -119,22 +166,17 @@ def test_kill_before_first_checkpoint_restarts_clean():
     assert summarize(result) == baseline(True)
 
 
-@pytest.mark.parametrize("soa", [True, False], ids=["soa", "object"])
-def test_trace_suffix_matches_uninterrupted_walk(soa):
+@pytest.mark.parametrize("soa, epilogues", PATHS)
+def test_trace_suffix_matches_uninterrupted_walk(soa, epilogues):
     """The resumed walk's walk_step events equal the uninterrupted run's
     suffix — same chains, same chosen edges, same probabilities."""
     compiler = walk_path(soa)
     full_tracer = RecordingTracer()
-    compiler(HW, CFG, tracer=full_tracer).compile(OP)
-    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-    try:
-        compiler(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
-    except CompileCancelled:
-        pass
-    assert ck.last is not None
+    compiler(HW, CFG, tracer=full_tracer).compile(OP, epilogues=epilogues)
+    ck = interrupted(compiler, FUSED_KILL if epilogues else 25, epilogues)
     resumed_tracer = RecordingTracer()
     compiler(HW, CFG, tracer=resumed_tracer).compile(
-        OP, resume_from=ck.last
+        OP, resume_from=ck.last, epilogues=epilogues
     )
     full = [e.args for e in full_tracer.events if e.name == "walk_step"]
     resumed = [
@@ -144,41 +186,46 @@ def test_trace_suffix_matches_uninterrupted_walk(soa):
     assert resumed == full[len(full) - len(resumed):]
 
 
-@pytest.mark.parametrize("soa", [True, False], ids=["soa", "object"])
-def test_resume_through_store_round_trip(soa):
+@pytest.mark.parametrize("soa, epilogues", PATHS)
+def test_resume_through_store_round_trip(soa, epilogues):
     """Persisting through CheckpointStore (the process-death path) keeps
     the parity: save, load in a 'new process', resume."""
     import tempfile
 
-    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
     compiler = walk_path(soa)
-    try:
-        compiler(HW, CFG).compile(OP, cancel=Bomb(31), checkpointer=ck)
-    except CompileCancelled:
-        pass
-    assert ck.last is not None
+    ck = interrupted(compiler, FUSED_KILL if epilogues else 31, epilogues)
     with tempfile.TemporaryDirectory() as root:
         store = CheckpointStore(root)
         store.save("rtx4090", ck.last)
         loaded = store.load("rtx4090", ck.last.compute_key)
         assert loaded == ck.last
-        result = compiler(HW, CFG).compile(OP, resume_from=loaded)
-    assert summarize(result) == baseline(soa)
+        result = compiler(HW, CFG).compile(
+            OP, resume_from=loaded, epilogues=epilogues
+        )
+    assert summarize(result) == baseline(soa, epilogues)
 
 
 def test_resume_across_walk_paths():
     """A checkpoint taken on the SoA engine resumes on the object reference
-    (and vice versa) — the config digest names no engine because the two
-    are proven bit-identical."""
-    for taken_on, resumed_on in ((Gensor, ReferenceGensor), (ReferenceGensor, Gensor)):
-        ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
-        try:
-            taken_on(HW, CFG).compile(OP, cancel=Bomb(25), checkpointer=ck)
-        except CompileCancelled:
-            pass
-        assert ck.last is not None
-        result = resumed_on(HW, CFG).compile(OP, resume_from=ck.last)
-        assert summarize(result) == baseline(True) == baseline(False)
+    (and vice versa), for the bare operator and the fusion group alike —
+    the config digest names no engine because the two are proven
+    bit-identical."""
+    for epilogues in ((), FUSED):
+        for taken_on, resumed_on in (
+            (Gensor, ReferenceGensor),
+            (ReferenceGensor, Gensor),
+        ):
+            ck = interrupted(
+                taken_on, FUSED_KILL if epilogues else 25, epilogues
+            )
+            result = resumed_on(HW, CFG).compile(
+                OP, resume_from=ck.last, epilogues=epilogues
+            )
+            assert (
+                summarize(result)
+                == baseline(True, epilogues)
+                == baseline(False, epilogues)
+            )
 
 
 def test_checkpointing_does_not_perturb_the_walk():
@@ -189,14 +236,3 @@ def test_checkpointing_does_not_perturb_the_walk():
     assert ck.saved > 0
     assert summarize(result) == baseline(True)
 
-
-def test_polish_resume_matches_uninterrupted():
-    gensor = Gensor(HW, CFG)
-    seed_state = gensor.seed_states(OP)[0]
-    full = gensor.polish(seed_state, 12)
-    # interrupt "after 5 steps": polish is memoryless, so the checkpoint
-    # is just the intermediate state plus the steps already spent
-    halfway = gensor.polish(seed_state, 5)
-    ck = WalkCheckpoint.for_polish(OP, halfway, steps_done=5)
-    resumed = gensor.polish(seed_state, 12, resume_from=ck)
-    assert resumed.key() == full.key()

@@ -1,25 +1,34 @@
 """Fleet checkpoint/resume: a crashed shard's in-flight walk survives the
 process boundary — the shard persists mid-walk checkpoints to the shared
-CheckpointStore, and the dispatcher attaches them to the requests it
-resends into the respawned shard."""
+CheckpointStore under the group key, and the dispatcher attaches them to
+the requests it resends into the respawned shard.  Bare operators and
+fusion groups take the same path."""
 
 import pickle
 import time
 
 import pytest
 
-from repro.core.cache import shape_fingerprint
-from repro.core.constructor import GensorConfig
+from repro.core.cache import group_fingerprint, shape_fingerprint
+from repro.core.constructor import Gensor, GensorConfig
 from repro.fleet import FleetDispatcher, ShardOptions, WireControl
 from repro.fleet.shard import WireRequest
 from repro.ir import operators as ops
-from repro.ir.etir import ETIR
-from repro.resilience.checkpoint import CheckpointStore, WalkCheckpoint
+from repro.resilience.checkpoint import (
+    CheckpointPolicy,
+    CheckpointStore,
+    Checkpointer,
+    WalkCheckpoint,
+)
 from repro.utils.rng import spawn_rng
 
 
 def gemm(m=64, k=32, n=64, name="op"):
     return ops.matmul(m, k, n, name)
+
+
+#: a fusion-group pool for gemm()
+POOL = (ops.elementwise((64, 64), "gelu", "fleet_gelu"), ops.add((64, 64), "fleet_res"))
 
 
 def slow_walk_options(tmp_path, **overrides):
@@ -54,58 +63,76 @@ def wait_for(predicate, timeout_s=60.0, interval_s=0.02):
     return None
 
 
+def crash_and_resume(tmp_path, compute, epilogues=()):
+    """Serve a group on a clean fleet, then on a checkpointing fleet whose
+    shard dies once it banks its first mid-walk snapshot; return the
+    (clean, resumed) responses."""
+    options = slow_walk_options(tmp_path)
+    store = CheckpointStore(options.checkpoint_path)
+    key = group_fingerprint(compute, epilogues)
+
+    # fault-free reference for the byte-parity bar
+    with FleetDispatcher(
+        slow_walk_options(tmp_path, checkpoint_path=None), 1
+    ) as clean_fleet:
+        clean = clean_fleet.submit(compute, epilogues=epilogues).result(
+            timeout=300
+        )
+    assert clean.ok and clean.tier == "cold"
+
+    with FleetDispatcher(
+        options, 1, supervise_interval_s=0.05
+    ) as fleet:
+        ticket = fleet.submit(compute, epilogues=epilogues)
+        # the shard banks its first mid-walk snapshot, then dies
+        assert wait_for(
+            lambda: store.load(options.device, key)
+        ) is not None
+        fleet._req_qs[0].put(WireControl("crash"))
+        response = ticket.result(timeout=300)
+        assert response.ok and response.tier == "cold"
+        assert fleet.respawns >= 1
+        resumed = sum(
+            c.value
+            for c in fleet.registry.series(
+                "fleet_checkpoint_resumes_total"
+            ).values()
+        )
+        assert resumed >= 1
+        # the landed walk's persisted checkpoint is spent: the shard
+        # discards it once the response goes out
+        assert (
+            wait_for(
+                lambda: store.load(options.device, key) is None,
+                timeout_s=30.0,
+            )
+            is True
+        )
+    return clean, response
+
+
 @pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
 )
 class TestShardCrashResume:
     def test_crashed_shard_walk_resumes_in_respawn(self, tmp_path):
-        compute = gemm(name="fleet_resume")
-        options = slow_walk_options(tmp_path)
-        store = CheckpointStore(options.checkpoint_path)
-        key = shape_fingerprint(compute)
+        clean, response = crash_and_resume(tmp_path, gemm(name="fleet_resume"))
+        # parity: the resumed walk served the schedule the uninterrupted
+        # fleet serves
+        assert response.schedule_key() == clean.schedule_key()
 
-        # fault-free reference for the byte-parity bar
-        with FleetDispatcher(
-            slow_walk_options(tmp_path, checkpoint_path=None), 1
-        ) as clean_fleet:
-            clean = clean_fleet.serve(compute, timeout=300)
-        assert clean.ok and clean.tier == "cold"
-
-        with FleetDispatcher(
-            options, 1, supervise_interval_s=0.05
-        ) as fleet:
-            ticket = fleet.submit(compute)
-            # the shard banks its first mid-walk snapshot, then dies
-            assert wait_for(
-                lambda: store.load(options.device, key)
-            ) is not None
-            fleet._req_qs[0].put(WireControl("crash"))
-            response = ticket.result(timeout=300)
-            assert response.ok and response.tier == "cold"
-            assert fleet.respawns >= 1
-            resumed = sum(
-                c.value
-                for c in fleet.registry.series(
-                    "fleet_checkpoint_resumes_total"
-                ).values()
-            )
-            assert resumed >= 1
-            # parity: the resumed walk served the schedule the
-            # uninterrupted fleet serves
-            assert response.schedule_key() == clean.schedule_key()
-            # the landed walk's persisted checkpoint is spent: the shard
-            # discards it once the response goes out
-            assert (
-                wait_for(
-                    lambda: store.load(options.device, key) is None,
-                    timeout_s=30.0,
-                )
-                is True
-            )
+    def test_crashed_shard_fused_walk_resumes_in_respawn(self, tmp_path):
+        clean, response = crash_and_resume(
+            tmp_path, gemm(name="fleet_resume"), POOL
+        )
+        assert response.schedule_key() == clean.schedule_key()
+        assert response.fused == clean.fused
 
 
 class TestCheckpointDiscard:
-    def test_fused_response_keeps_the_bare_anchor_checkpoint(self, tmp_path):
+    def test_fused_response_keeps_the_bare_anchor_checkpoint(
+        self, hw, tmp_path
+    ):
         """A landed fused group discards by its group key: the persisted
         checkpoint of a bare walk of the same anchor survives it."""
         compute = gemm(name="discard_anchor")
@@ -117,10 +144,9 @@ class TestCheckpointDiscard:
             ),
         )
         store = CheckpointStore(options.checkpoint_path)
-        state = ETIR.from_tiles(
-            compute, {"i": 32, "j": 32, "k": 16}, {"i": 4, "j": 4}
-        )
-        store.save(options.device, WalkCheckpoint.for_polish(compute, state, 1))
+        ck = Checkpointer(CheckpointPolicy(every_steps=2))
+        Gensor(hw, options.config).compile(compute, checkpointer=ck)
+        store.save(options.device, ck.last)
         pool = (ops.elementwise((64, 64), "relu", "discard_ep"),)
         with FleetDispatcher(options, 1) as fleet:
             response = fleet.submit(
@@ -128,7 +154,8 @@ class TestCheckpointDiscard:
             ).result(timeout=120)
         assert response.ok
         banked = store.load(options.device, shape_fingerprint(compute))
-        assert banked is not None and banked.matches_polish(compute)
+        assert banked == ck.last
+        assert banked.matches(compute, options.config)
 
 
 class TestWirePayload:
@@ -143,10 +170,10 @@ class TestWirePayload:
             iteration=4,
             total_steps=4,
             temperature=0.9,
-            state=((4, 4), (2, 2), 0),
+            state=((4, 4), (2, 2), 0, 0),
             rng_state=rng.bit_generator.state,
-            candidates=(((4, 4), (2, 2), 0),),
-            node_keys=(((4, 4), (2, 2), 0),),
+            candidates=(((4, 4), (2, 2), 0, 0),),
+            node_keys=(((4, 4), (2, 2), 0, 0),),
             nodes_seen=7,
         )
         wire = WireRequest(

@@ -346,13 +346,3 @@ class TestDynamicFusedPath:
         dyn.compile(mm, epilogues=(ops.elementwise((64, 64), "relu", "e"),))
         assert dyn.compile(mm).source == "cold"
         assert dyn.compile(mm).source == "hit"
-
-    def test_checkpointing_rejected_for_fused_compiles(self, hw):
-        gensor = Gensor(hw, QUICK)
-        pool = (ops.elementwise((64, 64), "relu", "cp_ep"),)
-        with pytest.raises(ValueError, match="checkpoint"):
-            gensor.compile(
-                ops.matmul(64, 32, 64, "cp_mm"),
-                epilogues=pool,
-                checkpointer=object(),
-            )

@@ -1,13 +1,16 @@
 """Unit tests for repro.resilience.checkpoint: the WalkCheckpoint wire
-format, the cadence policy, the Checkpointer accounting, and the
-crash-safe CheckpointStore (including quarantine of corrupt records)."""
+format and its validation (group key, operator name, version), the
+cadence policy, the Checkpointer accounting, and the crash-safe
+CheckpointStore (including quarantine of corrupt records)."""
 
+import dataclasses
 import json
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.cache import entry_checksum
 from repro.core.constructor import Gensor, GensorConfig
 from repro.ir import operators as ops
 from repro.obs.metrics import MetricsRegistry
@@ -29,15 +32,25 @@ def gemm(name="ckpt_op"):
     return ops.matmul(64, 48, 80, name)
 
 
-def make_checkpoint(hw, compute=None, chain=0, iteration=9, total=9):
+#: a fusion-group pool for gemm()
+POOL = (ops.elementwise((64, 80), "gelu"), ops.add((64, 80)))
+
+
+def make_checkpoint(
+    hw, compute=None, chain=0, iteration=9, total=9, epilogues=()
+):
     compute = compute if compute is not None else gemm()
     cfg = GensorConfig(seed=3)
-    state = Gensor(hw, cfg).seed_states(compute)[0]
+    # the first seed with the most epilogues fused (the first seed if bare)
+    state = max(
+        Gensor(hw, cfg).seed_states(compute, epilogues), key=lambda s: s.fused
+    )
     rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
     rng.random(5)  # consume a bit so the stream position is non-trivial
     return build_walk_checkpoint(
         compute,
         cfg,
+        epilogues=epilogues,
         num_levels=hw.num_cache_levels,
         chain=chain,
         iteration=iteration,
@@ -84,11 +97,15 @@ class TestWalkCheckpoint:
 
     def test_digest_ignores_post_walk_knobs(self):
         base = GensorConfig(seed=3)
-        assert walk_config_digest(base) == walk_config_digest(
-            GensorConfig(seed=3, top_k=7, polish_steps=99)
+        assert walk_config_digest(base, "op") == walk_config_digest(
+            GensorConfig(seed=3, top_k=7, polish_steps=99), "op"
         )
-        assert walk_config_digest(base) != walk_config_digest(
-            GensorConfig(seed=3, cooling=0.5)
+        assert walk_config_digest(base, "op") != walk_config_digest(
+            GensorConfig(seed=3, cooling=0.5), "op"
+        )
+        # the operator name seeds the chain RNG streams
+        assert walk_config_digest(base, "op") != walk_config_digest(
+            base, "other"
         )
 
     def test_state_config_round_trip(self, hw):
@@ -98,15 +115,80 @@ class TestWalkCheckpoint:
             compute, state_config(state), state.num_levels
         )
         assert rebuilt.key() == state.key()
+        fused = Gensor(hw, GensorConfig()).seed_states(compute, POOL)[1]
+        assert fused.fused == len(POOL)
+        rebuilt = config_to_state(
+            compute, state_config(fused), fused.num_levels, POOL
+        )
+        assert rebuilt.key() == fused.key()
 
-    def test_polish_checkpoint_matches_only_polish(self, hw):
-        compute = gemm()
-        state = Gensor(hw, GensorConfig()).seed_states(compute)[0]
-        ck = WalkCheckpoint.for_polish(compute, state, steps_done=5)
-        assert ck.matches_polish(compute)
-        assert not ck.matches(compute, GensorConfig())
+    def test_bare_and_fused_checkpoints_never_cross(self, hw):
+        """A checkpoint is keyed by its group: a bare walk's never resumes
+        the fusion group of the same anchor, nor the other way round."""
+        bare, cfg = make_checkpoint(hw)
+        fused, _ = make_checkpoint(hw, epilogues=POOL)
+        assert fused.state[3] == len(POOL)
+        assert bare.matches(gemm(), cfg)
+        assert fused.matches(gemm(), cfg, POOL)
+        assert not bare.matches(gemm(), cfg, POOL)
+        assert not fused.matches(gemm(), cfg)
         with pytest.raises(ValueError):
-            ck.require(compute, GensorConfig())
+            bare.require(gemm(), cfg, POOL)
+        with pytest.raises(ValueError):
+            fused.require(gemm(), cfg)
+
+    def test_checkpoint_of_another_operator_name_never_matches(self, hw):
+        """Chain RNG streams are spawned from the operator name, so a
+        same-shape operator under another name walks differently."""
+        ck, cfg = make_checkpoint(hw, compute=gemm("name_a"))
+        assert ck.matches(gemm("name_a"), cfg)
+        assert not ck.matches(gemm("name_b"), cfg)
+        with pytest.raises(ValueError):
+            ck.require(gemm("name_b"), cfg)
+
+    def test_version_1_record_never_resumes(self, hw, tmp_path):
+        """A literal version-1 record (3-tuple configs, a ``phase`` field,
+        shape key) is quarantined by the store and never matches."""
+        ck, cfg = make_checkpoint(hw)
+        v1 = {
+            "version": 1,
+            "phase": "walk",
+            "compute_key": ck.compute_key,
+            "config_digest": ck.config_digest,
+            "num_levels": ck.num_levels,
+            "chain": 0,
+            "iteration": 9,
+            "total_steps": 9,
+            "temperature": 0.42,
+            "state": [[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2],
+            "rng_state": ck.rng_state,
+            "candidates": [[[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2]],
+            "node_keys": [[[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2]],
+            "nodes_seen": 17,
+        }
+        with pytest.raises(ValueError, match="version"):
+            WalkCheckpoint.from_json(v1)
+        registry = MetricsRegistry()
+        store = CheckpointStore(tmp_path, registry=registry)
+        path = store.path_for("rtx4090", ck.compute_key)
+        path.write_text(
+            json.dumps(
+                {
+                    "device": "rtx4090",
+                    "compute_key": ck.compute_key,
+                    "checkpoint": v1,
+                    "crc": entry_checksum(v1),
+                }
+            )
+        )
+        assert store.load("rtx4090", ck.compute_key) is None
+        assert (tmp_path / ".quarantine" / path.name).exists()
+        assert (
+            registry.counter("resilience_checkpoint_corrupt_total").value == 1
+        )
+        # an in-memory checkpoint stamped version 1 never matches either
+        old = dataclasses.replace(ck, version=1)
+        assert not old.matches(gemm(), cfg)
 
 
 class TestCheckpointPolicy:

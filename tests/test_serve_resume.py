@@ -1,16 +1,22 @@
 """Serve-layer checkpoint/resume: retries and crash requeues pick up the
-walk where the failed attempt left it, deadline-aware fail-fast, and the
-bounded-wasted-recompute bar surfaced through serve-bench."""
+walk where the failed attempt left it (bare operators and fusion groups
+alike), foreign checkpoints are rejected, deadline-aware fail-fast, and
+the bounded-wasted-recompute bar surfaced through serve-bench."""
 
 import threading
 import time
 
 import pytest
 
-from repro.core.constructor import GensorConfig
+from repro.core.cache import group_fingerprint
+from repro.core.constructor import Gensor, GensorConfig
 from repro.ir import operators as ops
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.checkpoint import CheckpointPolicy, WalkCheckpoint
+from repro.resilience.checkpoint import (
+    CheckpointPolicy,
+    Checkpointer,
+    WalkCheckpoint,
+)
 from repro.resilience.deadline import CancelToken, CompileCancelled
 from repro.resilience.faults import (
     FaultInjector,
@@ -34,6 +40,10 @@ def tiny_config(seed=0):
 
 def gemm(m=64, k=32, n=64, name="op"):
     return ops.matmul(m, k, n, name)
+
+
+#: a fusion-group pool for gemm()
+POOL = (ops.elementwise((64, 64), "gelu", "ep_gelu"), ops.add((64, 64), "ep_res"))
 
 
 FAST_RETRY = RetryPolicy(
@@ -88,12 +98,22 @@ def record_resumes(service):
     return seen
 
 
-def fault_free_key(hw):
+def fault_free_key(hw, epilogues=()):
     service, _ = make_service(hw)
     with service:
-        response = service.serve(gemm(), timeout=30.0)
+        response = service.submit(gemm(), epilogues=epilogues).result(
+            timeout=30.0
+        )
     assert response.ok and response.tier == "cold"
     return response.result.best.key()
+
+
+def walk_checkpoint(hw, compute):
+    """The last checkpoint of a whole tiny_config walk of ``compute``."""
+    ck = Checkpointer(CheckpointPolicy(every_steps=EVERY))
+    Gensor(hw, tiny_config()).compile(compute, checkpointer=ck)
+    assert ck.last is not None
+    return ck.last
 
 
 class TestRetryResume:
@@ -119,29 +139,55 @@ class TestRetryResume:
         # byte parity with the fault-free service
         assert response.result.best.key() == fault_free_key(hw)
 
-    def test_checkpointing_off_still_serves(self, hw):
+    def test_fused_retry_resumes_from_checkpoint_with_parity(self, hw):
+        """A fusion group's walk resumes the way a bare operator's does:
+        attempt 1 continues from attempt 0's group-keyed checkpoint, fused
+        count included, and serves the fault-free schedule."""
         plan = FaultPlan(
             faults=(FaultSpec(kind="raise", attempts=(0,), rate=1.0),)
         )
-        service, registry = make_service(hw, plan, checkpointing=False)
+        service, registry = make_service(hw, plan)
         resumes = record_resumes(service)
         with service:
-            response = service.serve(gemm(), timeout=30.0)
+            response = service.submit(gemm(), epilogues=POOL).result(
+                timeout=30.0
+            )
         assert response.ok and response.tier == "cold"
-        assert all(r is None for r in resumes)
-        assert registry.counter("resilience_checkpoints_total").value == 0
-        assert response.result.best.key() == fault_free_key(hw)
+        assert resumes[0] is None
+        assert isinstance(resumes[1], WalkCheckpoint)
+        assert resumes[1].compute_key == group_fingerprint(gemm(), POOL)
+        assert (
+            registry.counter("resilience_checkpoint_resumes_total").value == 1
+        )
+        assert registry.total("resilience_wasted_states_total") <= EVERY
+        assert response.result.best.key() == fault_free_key(hw, POOL)
 
     def test_stale_checkpoint_is_rejected_not_resumed(self, hw):
         service, registry = make_service(hw)
         resumes = record_resumes(service)
-        # a checkpoint for a different shape must not seed this walk
-        other = gemm(32, 32, 32, "foreign")
-        state = service.dynamic.gensor.seed_states(other)[0]
-        foreign = WalkCheckpoint.for_polish(other, state, steps_done=1)
+        # a walk checkpoint of a different shape must not seed this walk
+        foreign = walk_checkpoint(hw, gemm(32, 32, 32, "foreign"))
         with service:
             response = service.submit(
                 gemm(), checkpoint=foreign
+            ).result(timeout=30.0)
+        assert response.ok and response.tier == "cold"
+        assert resumes[0] is None
+        assert (
+            registry.counter("resilience_checkpoint_rejected_total").value
+            == 1
+        )
+        assert response.result.best.key() == fault_free_key(hw)
+
+    def test_checkpoint_of_another_name_is_rejected(self, hw):
+        """Same shape, other operator name: the checkpoint holds another
+        chain RNG stream, so it is rejected, not resumed."""
+        service, registry = make_service(hw)
+        resumes = record_resumes(service)
+        other = walk_checkpoint(hw, gemm(name="other_name"))
+        with service:
+            response = service.submit(
+                gemm(), checkpoint=other
             ).result(timeout=30.0)
         assert response.ok and response.tier == "cold"
         assert resumes[0] is None
@@ -249,11 +295,18 @@ class TestBenchSurfacing:
             window=1,
             seed=0,
             time_scale=0.0,
-            config=tiny_config(0),
+            # walks long enough to pass the default 64-step cadence
+            config=GensorConfig(
+                seed=0, num_chains=2, top_k=2, polish_steps=2,
+                max_iterations_per_chain=100,
+            ),
             fault_plan=plan,
             retry=FAST_RETRY,
         )
         for key in ("wasted_states", "checkpoints", "checkpoint_resumes"):
             assert key in report.resilience
             assert report.resilience[key] >= 0
+        assert report.resilience["checkpoints"] > 0
+        # retried attempts hand their checkpoints to the walk
+        assert report.resilience["checkpoint_resumes"] > 0
         assert report.to_json()["resilience"] == report.resilience

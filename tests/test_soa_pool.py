@@ -240,18 +240,26 @@ def test_pool_rows_are_never_decoded_during_the_walk(hw, monkeypatch):
 
 def test_packed_pool_checkpoints_like_the_reference(hw):
     """Checkpoints of the packed pool hold the same portable candidate
-    configs as the reference's ETIR pool: whole snapshots are equal."""
+    configs as the reference's ETIR pool: whole snapshots are equal, for a
+    bare operator and for a fusion group (whose node keys carry fused
+    counts)."""
     cfg = GensorConfig(
         seed=4, num_chains=2, top_k=4, polish_steps=4, max_iterations_per_chain=40
     )
     compute = ops.matmul(64, 48, 80, "ckpt_pool")
-    snapshots = []
-    for compiler in (Gensor, ReferenceGensor):
-        ck = Checkpointer(CheckpointPolicy(every_steps=7))
-        compiler(hw, cfg, memo=MetricsMemo()).compile(compute, checkpointer=ck)
-        snapshots.append(ck.last.to_json())
-    assert snapshots[0]["candidates"]
-    assert snapshots[0] == snapshots[1]
+    pool = (ops.elementwise((64, 80), "gelu"), ops.add((64, 80)))
+    for epilogues in ((), pool):
+        snapshots = []
+        for compiler in (Gensor, ReferenceGensor):
+            ck = Checkpointer(CheckpointPolicy(every_steps=7))
+            compiler(hw, cfg, memo=MetricsMemo()).compile(
+                compute, checkpointer=ck, epilogues=epilogues
+            )
+            snapshots.append(ck.last.to_json())
+        assert snapshots[0]["candidates"]
+        assert snapshots[0] == snapshots[1]
+        if epilogues:
+            assert max(fused for *_, fused in snapshots[0]["node_keys"]) > 0
 
 
 # -- compile-level contracts -----------------------------------------------------

@@ -91,9 +91,10 @@ def walk_config_digest(config: "GensorConfig", compute_name: str) -> str:
     schedule, chain structure and action space.  Fields that only affect
     the post-walk pipeline (``top_k``, ``polish_steps``;
     ``multi_objective`` scoring weights do affect transition
-    probabilities, so they are included) are deliberately excluded.  The digest names no walk engine: the SoA
-    engine and the object-level reference are bit-identical, so a
-    checkpoint taken on one resumes on the other.
+    probabilities, so they are included) are deliberately excluded.  The
+    digest names no walk engine: the SoA engine and the object-level
+    reference are bit-identical, so a checkpoint taken on one resumes on
+    the other.
     """
     fields = (
         str(compute_name),

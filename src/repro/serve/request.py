@@ -63,8 +63,6 @@ class CompileRequest:
     #: same request object is resubmitted) so a retried attempt continues
     #: the walk instead of restarting it.
     checkpoint: object | None = None
-    #: walk steps the last checkpoint had banked (resilience accounting).
-    progress_steps: int = 0
     #: program fusion: epilogue pool (ComputeDefs) the construction walk
     #: may fuse into this operator's kernel.  A non-empty pool makes this a
     #: group request: the cache tiers, single-flight and walk checkpoints

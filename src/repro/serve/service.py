@@ -559,7 +559,6 @@ class CompileService:
         for process-loss recovery (fleet shards).
         """
         request.checkpoint = checkpoint
-        request.progress_steps = checkpoint.total_steps
         self.registry.counter("resilience_checkpoints_total").inc()
         if self._ckpt_sink is not None:
             self._ckpt_sink(request, checkpoint)

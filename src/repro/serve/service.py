@@ -572,8 +572,6 @@ class CompileService:
         recompute a resume must repay, bounded by one checkpoint interval
         per failure.
         """
-        if checkpointer.steps_seen == 0:
-            return
         wasted = checkpointer.wasted_states()
         if wasted <= 0:
             return

@@ -42,8 +42,16 @@ def gemm(m=64, k=32, n=64, name="op"):
     return ops.matmul(m, k, n, name)
 
 
-#: a fusion-group pool for gemm()
-POOL = (ops.elementwise((64, 64), "gelu", "ep_gelu"), ops.add((64, 64), "ep_res"))
+#: a fusion group and a walk long enough that, at seed 0, attempt 0's last
+#: checkpoint (step 56 of 60, cadence 7) sits mid-chain with both
+#: epilogues fused: attempt 1 restores a fused state and walks on from it.
+FUSED_OP = ops.matmul(64, 48, 80, "fused_op")
+POOL = (ops.elementwise((64, 80), "gelu", "ep_gelu"), ops.add((64, 80), "ep_res"))
+FUSED_CONFIG = GensorConfig(
+    seed=0, num_chains=2, top_k=3, polish_steps=4,
+    max_iterations_per_chain=30,
+)
+FUSED_EVERY = 7
 
 
 FAST_RETRY = RetryPolicy(
@@ -65,7 +73,7 @@ class Bomb(CancelToken):
         return self.checks >= self.fuse
 
 
-def make_service(hw, plan=None, **kwargs):
+def make_service(hw, plan=None, config=None, **kwargs):
     registry = MetricsRegistry()
     injector = (
         FaultInjector(plan, registry=registry) if plan is not None else None
@@ -77,8 +85,8 @@ def make_service(hw, plan=None, **kwargs):
     kwargs.setdefault("retry", FAST_RETRY)
     kwargs.setdefault("checkpoint_policy", CheckpointPolicy(every_steps=EVERY))
     service = CompileService(
-        hw, tiny_config(), registry=registry, fault_injector=injector,
-        **kwargs,
+        hw, config or tiny_config(), registry=registry,
+        fault_injector=injector, **kwargs,
     )
     return service, registry
 
@@ -98,14 +106,22 @@ def record_resumes(service):
     return seen
 
 
-def fault_free_key(hw, epilogues=()):
+def fault_free_key(hw):
     service, _ = make_service(hw)
     with service:
-        response = service.submit(gemm(), epilogues=epilogues).result(
-            timeout=30.0
-        )
+        response = service.serve(gemm(), timeout=30.0)
     assert response.ok and response.tier == "cold"
     return response.result.best.key()
+
+
+def summarize(result):
+    return (
+        result.best.key(),
+        tuple(s.key() for s in result.top_results),
+        result.iterations,
+        result.states_visited,
+        result.best_metrics.latency_s.hex(),
+    )
 
 
 def walk_checkpoint(hw, compute):
@@ -141,26 +157,40 @@ class TestRetryResume:
 
     def test_fused_retry_resumes_from_checkpoint_with_parity(self, hw):
         """A fusion group's walk resumes the way a bare operator's does:
-        attempt 1 continues from attempt 0's group-keyed checkpoint, fused
-        count included, and serves the fault-free schedule."""
+        attempt 1 continues mid-chain from attempt 0's group-keyed
+        checkpoint, fused count included, and its compile equals the
+        fault-free one (schedule, top-k, iterations, states visited)."""
         plan = FaultPlan(
             faults=(FaultSpec(kind="raise", attempts=(0,), rate=1.0),)
         )
-        service, registry = make_service(hw, plan)
+        policy = CheckpointPolicy(every_steps=FUSED_EVERY)
+        service, registry = make_service(
+            hw, plan, config=FUSED_CONFIG, checkpoint_policy=policy
+        )
         resumes = record_resumes(service)
         with service:
-            response = service.submit(gemm(), epilogues=POOL).result(
+            response = service.submit(FUSED_OP, epilogues=POOL).result(
+                timeout=30.0
+            )
+        clean, _ = make_service(
+            hw, config=FUSED_CONFIG, checkpoint_policy=policy
+        )
+        with clean:
+            reference = clean.submit(FUSED_OP, epilogues=POOL).result(
                 timeout=30.0
             )
         assert response.ok and response.tier == "cold"
         assert resumes[0] is None
-        assert isinstance(resumes[1], WalkCheckpoint)
-        assert resumes[1].compute_key == group_fingerprint(gemm(), POOL)
+        resumed = resumes[1]
+        assert isinstance(resumed, WalkCheckpoint)
+        assert resumed.compute_key == group_fingerprint(FUSED_OP, POOL)
+        assert resumed.iteration < FUSED_CONFIG.max_iterations_per_chain
+        assert resumed.state[3] > 0
         assert (
             registry.counter("resilience_checkpoint_resumes_total").value == 1
         )
-        assert registry.total("resilience_wasted_states_total") <= EVERY
-        assert response.result.best.key() == fault_free_key(hw, POOL)
+        assert registry.total("resilience_wasted_states_total") <= FUSED_EVERY
+        assert summarize(response.result) == summarize(reference.result)
 
     def test_stale_checkpoint_is_rejected_not_resumed(self, hw):
         service, registry = make_service(hw)

@@ -46,9 +46,19 @@ __all__ = [
 
 
 def shape_fingerprint(compute: ComputeDef) -> str:
-    """Canonical key for an operator's *shape* (name-independent)."""
-    axes = ",".join(f"{ax.name}:{ax.extent}:{ax.kind[0]}" for ax in compute.axes)
-    return f"{compute.kind}[{axes}]"
+    """Canonical key for an operator's *shape* (name-independent).
+
+    Built once per operator and kept in the frozen compute's ``__dict__``
+    (like ``pack_for`` and ``_tile_cache``): a served request keys its
+    group several times — single-flight, the attempt, each cache lookup.
+    """
+    key = compute.__dict__.get("_shape_fingerprint")
+    if key is None:
+        axes = ",".join(
+            f"{ax.name}:{ax.extent}:{ax.kind[0]}" for ax in compute.axes
+        )
+        key = compute.__dict__["_shape_fingerprint"] = f"{compute.kind}[{axes}]"
+    return key
 
 
 def group_fingerprint(

@@ -136,11 +136,12 @@ class Gensor:
     ):
         """The engine one compile (or one polish) runs on.
 
-        Engines expose their ``epilogues`` pool, ``run_chain`` (which
-        fills a candidate pool, a dict the engine owns the row format
-        of), ``add_states`` and ``rank`` over that pool, batched
-        ``polish``, ``num_nodes`` and ``restore_nodes``; one is built per
-        call because its node memo feeds ``states_visited``.
+        Engines expose their ``epilogues`` pool, ``run_chains`` (which
+        walks every chain in lockstep rounds, each filling its own
+        candidate pool, a dict the engine owns the row format of),
+        ``add_states`` and ``rank`` over a pool, batched ``polish``,
+        ``num_nodes`` and ``restore_nodes``; one is built per call
+        because its node memo feeds ``states_visited``.
         """
         from repro.perf.soa import SoAWalkEngine
 
@@ -183,9 +184,10 @@ class Gensor:
 
         ``resume_from`` restarts the walk mid-anneal from a
         :class:`~repro.resilience.checkpoint.WalkCheckpoint` of the same
-        operator name, group key and walk config: completed chains are
-        skipped, the interrupted chain continues from its snapshotted
-        state and exact RNG bit state, and the result is byte-identical
+        operator name, group key and walk config: every chain continues
+        from its snapshotted state, temperature and exact RNG bit state
+        (a chain that had stopped stays stopped, and a round the snapshot
+        cut short is finished first), and the result is byte-identical
         (schedule, trace suffix, RNG consumption, node counts) to the
         uninterrupted walk.  ``checkpointer`` (a
         :class:`~repro.resilience.checkpoint.Checkpointer`) snapshots the
@@ -294,56 +296,52 @@ class Gensor:
         """Run the ``num_chains`` annealed chains on ``engine``; return the
         candidate pool (insertion-ordered) and iteration count.
 
-        Chain ``c`` draws from ``spawn_rng(seed, "gensor", name, c)``.
+        Chain ``c`` draws from ``spawn_rng(seed, "gensor", name, c)`` and
+        fills its own pool.  The engine advances the chains in lockstep
+        rounds; the pools merge here in chain order, a state's first
+        insertion keeping its place, which is the order the chains run
+        one after another would give, so ranking tie-breaks do not depend
+        on the interleaving.
 
-        ``resume_from`` rebuilds the mid-walk view its checkpoint froze —
-        the candidate pool in insertion order (ranking tie-breaks depend
-        on it), the node bookkeeping (membership drives future
-        ``num_nodes`` increments), the completed-chain iteration total —
-        then skips the completed chains and continues the interrupted one
-        from its snapshotted state (fused count included), temperature,
-        and exact RNG bit state.
-        Later chains spawn their generators normally, so they consume the
-        streams the uninterrupted walk would have.
+        ``resume_from`` rebuilds the mid-walk view its checkpoint froze:
+        each chain's candidates in insertion order, state (fused count
+        included), temperature, iteration, exact RNG bit state and whether
+        it had stopped, plus the node bookkeeping (membership drives
+        future ``num_nodes`` increments).
         """
-        cfg = self.config
-        pool: dict[tuple, object] = {}
-        total_iterations = 0
-        start_chain = 0
-        if resume_from is not None:
-            from repro.resilience.checkpoint import config_to_state
+        from repro.resilience.checkpoint import config_to_state
 
-            start_chain = resume_from.chain
-            total_iterations = resume_from.total_steps - resume_from.iteration
-            engine.add_states(
-                pool,
-                [
-                    config_to_state(
-                        compute, c, resume_from.num_levels, engine.epilogues
-                    )
-                    for c in resume_from.candidates
-                ],
-            )
+        cfg = self.config
+        pools: list[dict[tuple, object]] = [{} for _ in range(cfg.num_chains)]
+        if resume_from is None:
+            starts = [
+                (spawn_rng(cfg.seed, "gensor", compute.name, c), pools[c], None)
+                for c in range(cfg.num_chains)
+            ]
+        else:
+            starts = []
+            for pool, record in zip(pools, resume_from.chains):
+                engine.add_states(
+                    pool,
+                    [
+                        config_to_state(
+                            compute, c, resume_from.num_levels, engine.epilogues
+                        )
+                        for c in record.candidates
+                    ],
+                )
+                starts.append((restore_rng(record.rng_state), pool, record))
             engine.restore_nodes(resume_from.node_keys, resume_from.nodes_seen)
             if checkpointer is not None:
                 checkpointer.start_from(resume_from)
-        for chain in range(start_chain, cfg.num_chains):
-            resume = None
-            if resume_from is not None and chain == resume_from.chain:
-                rng = restore_rng(resume_from.rng_state)
-                resume = (
-                    resume_from.state,
-                    resume_from.temperature,
-                    resume_from.iteration,
-                )
-            else:
-                rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
-            total_iterations += engine.run_chain(
-                cfg, rng, forbid, tracer, cancel, chain, pool,
-                checkpointer=checkpointer, base_steps=total_iterations,
-                resume=resume,
-            )
-        return pool, total_iterations
+        iterations = engine.run_chains(
+            cfg, starts, forbid, tracer, cancel, checkpointer=checkpointer
+        )
+        merged: dict[tuple, object] = {}
+        for pool in pools:
+            for key, row in pool.items():
+                merged.setdefault(key, row)
+        return merged, sum(iterations)
 
     # -- warm-start hooks (public: used by DynamicGensor and repro.serve) --------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.ir.etir import ETIR
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.memo import MetricsMemo
 from repro.resilience.checkpoint import (
+    build_chain_checkpoint,
     build_walk_checkpoint,
     config_to_state,
     state_config,
@@ -43,6 +45,7 @@ from repro.resilience.checkpoint import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constructor import GensorConfig
+    from repro.resilience.checkpoint import ChainCheckpoint
     from repro.resilience.deadline import CancelToken
 
 __all__ = ["ReferenceGensor", "ReferenceWalkEngine", "all_level_neighbors"]
@@ -70,8 +73,21 @@ def all_level_neighbors(state: ETIR, vthread_allowed: bool) -> Iterator[ETIR]:
                 yield nxt
 
 
+@dataclass
+class _Chain:
+    """One annealed chain: its sampler, pool and walk position."""
+
+    tid: int
+    policy: TransitionPolicy
+    pool: dict[tuple, ETIR]
+    state: ETIR
+    temperature: float
+    iteration: int = 0
+    done: bool = False
+
+
 class ReferenceWalkEngine:
-    """The walk engine protocol (``run_chain``, ``add_states``, ``rank``,
+    """The walk engine protocol (``run_chains``, ``add_states``, ``rank``,
     ``polish``, ``num_nodes``, ``restore_nodes``) on the object-level
     construction graph.  Its candidate pool holds ETIR states keyed by
     state key."""
@@ -104,96 +120,122 @@ class ReferenceWalkEngine:
             nodes_seen,
         )
 
-    def run_chain(
+    def run_chains(
         self,
         cfg: "GensorConfig",
-        rng: np.random.Generator,
+        starts: "list[tuple[np.random.Generator, dict, ChainCheckpoint | None]]",
         forbid: frozenset[str],
         tracer: Tracer,
         cancel: "CancelToken | None",
-        tid: int,
-        pool: dict[tuple, ETIR],
         *,
         checkpointer=None,
-        base_steps: int = 0,
-        resume: tuple | None = None,
-    ) -> int:
-        """One annealed chain (Algorithm 1's loop); returns its iterations."""
-        policy = TransitionPolicy(self.graph, rng)
-        if resume is not None:
-            config, temperature, iteration = resume
-            state = config_to_state(
-                self.compute, config, self.num_levels, self.epilogues
-            )
-        else:
-            state = ETIR.initial(
-                self.compute, num_levels=self.num_levels, epilogues=self.epilogues
-            )
-            temperature = cfg.initial_temperature
-            iteration = 0
-        while (
-            temperature > cfg.threshold
-            and iteration < cfg.max_iterations_per_chain
-        ):
-            if cancel is not None:
-                cancel.check()
-            progress = math.log2(cfg.initial_temperature / temperature)
-            edges, probs = policy.probabilities(state, progress, forbid)
-            if not edges:
-                break
-            idx = int(rng.choice(len(edges), p=probs))
-            src_level = state.cur_level
-            state = edges[idx].dst
-            appended = rng.random() < append_probability(temperature)
-            if appended:
-                pool[state.key()] = state
-            if tracer.enabled:
-                emit_walk_step(
-                    tracer, self.compute.name, tid, iteration, temperature,
-                    src_level, edges, probs, idx, appended,
-                )
-            temperature *= cfg.cooling
-            iteration += 1
-            if checkpointer is not None:
-                checkpointer.on_step(
-                    cancel,
-                    lambda: self._checkpoint(
-                        cfg, tid, iteration, base_steps + iteration,
-                        temperature, state, rng, pool,
-                    ),
-                )
-        pool[state.key()] = state
-        if tracer.enabled:
-            emit_chain_end(
-                tracer, self.compute.name, tid, iteration, state.cur_level,
-                temperature,
-            )
-        return iteration
+    ) -> list[int]:
+        """Algorithm 1's loop for every chain, in lockstep rounds; returns
+        each chain's iteration count.
 
-    def _checkpoint(
-        self,
-        cfg: "GensorConfig",
-        chain: int,
-        iteration: int,
-        total_steps: int,
-        temperature: float,
-        state: ETIR,
-        rng: np.random.Generator,
-        pool: dict[tuple, ETIR],
-    ):
+        ``starts`` holds one ``(rng, pool, resume)`` per chain.  Each round
+        the chains due to step (the live ones at the lowest iteration)
+        first have their states expanded and weighed, one after another;
+        then each, in chain order, samples its edge and cools.
+        """
+        chains: list[_Chain] = []
+        for tid, (rng, pool, resume) in enumerate(starts):
+            policy = TransitionPolicy(self.graph, rng)
+            if resume is None:
+                state = ETIR.initial(
+                    self.compute,
+                    num_levels=self.num_levels,
+                    epilogues=self.epilogues,
+                )
+                chains.append(
+                    _Chain(tid, policy, pool, state, cfg.initial_temperature)
+                )
+            else:
+                state = config_to_state(
+                    self.compute, resume.state, self.num_levels, self.epilogues
+                )
+                chains.append(
+                    _Chain(
+                        tid, policy, pool, state, resume.temperature,
+                        resume.iteration, resume.done,
+                    )
+                )
+
+        def finish(chain: _Chain) -> None:
+            chain.pool[chain.state.key()] = chain.state
+            chain.done = True
+            if tracer.enabled:
+                emit_chain_end(
+                    tracer, self.compute.name, chain.tid, chain.iteration,
+                    chain.state.cur_level, chain.temperature,
+                )
+
+        while any(not c.done for c in chains):
+            due = min(c.iteration for c in chains if not c.done)
+            movers = []
+            for c in chains:
+                if c.done or c.iteration != due:
+                    continue
+                if (
+                    c.temperature <= cfg.threshold
+                    or c.iteration >= cfg.max_iterations_per_chain
+                ):
+                    finish(c)
+                else:
+                    movers.append(c)
+            weighed = [
+                c.policy.probabilities(
+                    c.state,
+                    math.log2(cfg.initial_temperature / c.temperature),
+                    forbid,
+                )
+                for c in movers
+            ]
+            for c, (edges, probs) in zip(movers, weighed):
+                if cancel is not None:
+                    cancel.check()
+                if not edges:
+                    finish(c)
+                    continue
+                idx = int(c.policy.rng.choice(len(edges), p=probs))
+                src_level = c.state.cur_level
+                c.state = edges[idx].dst
+                appended = c.policy.rng.random() < append_probability(
+                    c.temperature
+                )
+                if appended:
+                    c.pool[c.state.key()] = c.state
+                if tracer.enabled:
+                    emit_walk_step(
+                        tracer, self.compute.name, c.tid, c.iteration,
+                        c.temperature, src_level, edges, probs, idx, appended,
+                    )
+                c.temperature *= cfg.cooling
+                c.iteration += 1
+                if checkpointer is not None:
+                    checkpointer.on_step(
+                        cancel, lambda: self._checkpoint(cfg, chains)
+                    )
+        return [c.iteration for c in chains]
+
+    def _checkpoint(self, cfg: "GensorConfig", chains: list[_Chain]):
         node_keys, nodes_seen = self.graph.export_nodes()
         return build_walk_checkpoint(
             self.compute,
             cfg,
             epilogues=self.epilogues,
             num_levels=self.num_levels,
-            chain=chain,
-            iteration=iteration,
-            total_steps=total_steps,
-            temperature=temperature,
-            state_config=state_config(state),
-            rng=rng,
-            candidate_configs=[state_config(s) for s in pool.values()],
+            chains=[
+                build_chain_checkpoint(
+                    state_config(c.state),
+                    c.temperature,
+                    c.iteration,
+                    c.policy.rng,
+                    c.done,
+                    [state_config(s) for s in c.pool.values()],
+                )
+                for c in chains
+            ],
             node_keys=node_keys,
             nodes_seen=nodes_seen,
         )

@@ -144,7 +144,7 @@ def _micro_latencies(hardware: HardwareSpec, configs, seed: int) -> dict:
         if engine is None:
             engine = engines[id(s.compute)] = SoAWalkEngine(s.compute, hardware)
         tiles, vthreads = s.config_arrays()
-        engine.expand(tiles, vthreads, s.cur_level)
+        engine.expand([(tiles, vthreads, s.cur_level, s.fused)])
     expand_soa_s = time.perf_counter() - t0
 
     n = max(1, len(states))

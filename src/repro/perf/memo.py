@@ -48,13 +48,10 @@ DEFAULT_MEMO_CAPACITY = 1 << 16
 
 
 def _shape_key(compute: ComputeDef) -> str:
-    """The compute's shape fingerprint, derived once per ``ComputeDef``."""
-    key = compute.__dict__.get("_memo_shape_key")
-    if key is None:
-        from repro.core.cache import shape_fingerprint
+    """The compute's shape fingerprint (built once per ``ComputeDef``)."""
+    from repro.core.cache import shape_fingerprint
 
-        key = compute.__dict__["_memo_shape_key"] = shape_fingerprint(compute)
-    return key
+    return shape_fingerprint(compute)
 
 
 class MetricsMemo:

@@ -5,8 +5,9 @@ candidate frontier, checking candidate legality against the device memory
 limits, and pricing the Formula 1-3 benefits.  This module represents the
 frontier as numpy structure-of-arrays: one ``(A, L)`` int64 tile matrix and
 one ``(A,)`` vThread vector per state, plus the fused-epilogue count of a
-program fusion group, with candidate generation, legality masks, and
-benefit scoring vectorized across the whole frontier in one shot.
+program fusion group.  The chains of a walk advance in lockstep rounds, and
+a round's legality masks and benefit scoring run vectorized across the
+frontiers of every chain in one pass.
 :meth:`Gensor.compile <repro.core.constructor.Gensor.compile>` and
 :meth:`Gensor.polish <repro.core.constructor.Gensor.polish>` run every
 walk here, bare operators and fusion groups alike, and so does the rest
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -57,11 +59,16 @@ from repro.hardware.spec import HardwareSpec
 from repro.ir.compute import ComputeDef
 from repro.ir.etir import ETIR
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience.checkpoint import build_walk_checkpoint, state_config
+from repro.resilience.checkpoint import (
+    build_chain_checkpoint,
+    build_walk_checkpoint,
+    state_config,
+)
 from repro.sim.costmodel import pipe_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constructor imports us lazily)
     from repro.core.constructor import GensorConfig
+    from repro.resilience.checkpoint import ChainCheckpoint
     from repro.resilience.deadline import CancelToken
 
 __all__ = [
@@ -566,6 +573,22 @@ class _Slot:
         self.fused = fused
 
 
+@dataclass(slots=True)
+class _Chain:
+    """One annealed chain's walk state on the packed representation."""
+
+    tid: int
+    rng: np.random.Generator
+    pool: dict[tuple, tuple]
+    tiles: np.ndarray
+    vthreads: np.ndarray
+    level: int
+    fused: int
+    temperature: float
+    iteration: int = 0
+    done: bool = False
+
+
 class SoAWalkEngine:
     """Vectorized construction-graph expansion, walk, ranking and polish
     for one operator (and, for a program fusion group, its epilogue pool).
@@ -574,8 +597,10 @@ class SoAWalkEngine:
     the module docstring for the contract): same node bookkeeping, same
     memo/eviction choreography (so ``num_nodes`` matches the object path
     even past the cache cap), same RNG consumption per chain, same traced
-    events.  A walk state is ``(tiles, vthreads, level, fused)``, where
-    ``fused`` counts the pool prefix running inside the anchor kernel.
+    events.  :meth:`expand` takes a batch of states — a lockstep round of
+    chains — and prices every frontier in one pass.  A walk state is
+    ``(tiles, vthreads, level, fused)``, where ``fused`` counts the pool
+    prefix running inside the anchor kernel.
     One engine per compile — the edge memo affects ``num_nodes`` through
     eviction/recomputation, so sharing it across compiles would diverge
     from a fresh ``ConstructionGraph``.  The latency memos *are* shared
@@ -676,9 +701,7 @@ class SoAWalkEngine:
         cap = self.max_cached_states
         if cap <= 0:
             return
-        # Rebind fresh dicts rather than mutating in place, so concurrent
-        # walkers iterating the old reference never see a resize (same
-        # discipline — and same retained half — as the graph).
+        # The same retained half as the graph.
         if len(self._nodes) > cap:
             items = list(self._nodes.items())
             self._nodes = dict(items[len(items) // 2 :])
@@ -721,25 +744,13 @@ class SoAWalkEngine:
         }
         self._nodes_seen = int(nodes_seen)
 
-    def _build_checkpoint(
-        self,
-        cfg: "GensorConfig",
-        chain: int,
-        iteration: int,
-        total_steps: int,
-        temperature: float,
-        tiles: np.ndarray,
-        vthreads: np.ndarray,
-        level: int,
-        fused: int,
-        rng: np.random.Generator,
-        pool: dict[tuple, tuple],
-    ):
-        """Assemble a walk checkpoint from the chain's packed state.
+    def _build_checkpoint(self, cfg: "GensorConfig", chains: list["_Chain"]):
+        """Assemble a walk checkpoint from every chain's packed state.
 
-        Runs only on the (rare) steps the cadence fires, at the iteration
-        boundary — never inside the scored hot loop.  The packed pool rows
-        become the same portable ``candidate_configs`` an ETIR pool gave.
+        Runs only on the (rare) steps the cadence fires, at a chain's
+        iteration boundary — never inside the scored hot loop.  The packed
+        pool rows become the same portable candidate configs an ETIR pool
+        gives.
         """
         node_keys, nodes_seen = self.export_nodes()
         return build_walk_checkpoint(
@@ -747,40 +758,62 @@ class SoAWalkEngine:
             cfg,
             epilogues=self.epilogues,
             num_levels=self.num_levels,
-            chain=chain,
-            iteration=iteration,
-            total_steps=total_steps,
-            temperature=temperature,
-            state_config=_portable_config(tiles, vthreads, level, fused),
-            rng=rng,
-            candidate_configs=[_portable_config(*row) for row in pool.values()],
+            chains=[
+                build_chain_checkpoint(
+                    _portable_config(c.tiles, c.vthreads, c.level, c.fused),
+                    c.temperature,
+                    c.iteration,
+                    c.rng,
+                    c.done,
+                    [_portable_config(*row) for row in c.pool.values()],
+                )
+                for c in chains
+            ],
             node_keys=node_keys,
             nodes_seen=nodes_seen,
         )
 
     # -- expansion -------------------------------------------------------------
 
-    def expand(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int = 0
-    ) -> list[SoAEdge]:
-        """Legal outgoing edges (benefit > 0), memoized — ``graph.expand``."""
-        key = self._key(tiles, vthreads, level, fused)
-        self._add_node(key)
-        cached = self._edges.get(key)
-        if cached is not None:
-            return cached
-        _slots, candidates, benefits, _memok = self._expansion_slots(
-            tiles, vthreads, level, fused
-        )
-        edges: list[SoAEdge] = []
-        for (_i, slot), benefit in zip(candidates, benefits):
-            if benefit <= 0.0:
-                continue
-            assert slot.tiles is not None and slot.vthreads is not None
-            self._add_node(
-                self._key(slot.tiles, slot.vthreads, slot.level, slot.fused)
-            )
-            edges.append(
+    def expand(self, states: list[tuple]) -> list[list[SoAEdge]]:
+        """Legal outgoing edges (benefit > 0) of each ``(tiles, vthreads,
+        level, fused)`` row, memoized — ``graph.expand`` per row, in order.
+
+        Every row that misses the edge memo is priced in one batched pass
+        (a row the batch repeats, once).  The node and edge bookkeeping
+        then runs row by row in list order, exactly as one ``graph.expand``
+        call per state would, so node counts and checkpoints equal the
+        reference's even past the eviction cap: a row whose memo entry an
+        earlier row's eviction dropped is priced again at its turn, to the
+        same values.
+        """
+        keys = [self._key(*row) for row in states]
+        misses: dict[tuple, tuple] = {}
+        for key, row in zip(keys, states):
+            if key not in self._edges:
+                misses.setdefault(key, row)
+        priced = dict(zip(misses, self._expansion_edges(list(misses.values()))))
+        out: list[list[SoAEdge]] = []
+        for key, row in zip(keys, states):
+            self._add_node(key)
+            edges = self._edges.get(key)
+            if edges is None:
+                edges = priced.get(key)
+                if edges is None:
+                    edges = self._expansion_edges([row])[0]
+                for edge in edges:
+                    self._add_node(
+                        self._key(edge.tiles, edge.vthreads, edge.level, edge.fused)
+                    )
+                self._edges[key] = edges
+                self._maybe_evict()
+            out.append(edges)
+        return out
+
+    def _expansion_edges(self, states: list[tuple]) -> list[list[SoAEdge]]:
+        """The surviving (benefit > 0) edges of each state, unmemoized."""
+        return [
+            [
                 SoAEdge(
                     slot.kind,
                     slot.axis,
@@ -790,10 +823,13 @@ class SoAWalkEngine:
                     slot.level,
                     slot.fused,
                 )
+                for (_i, slot), benefit in zip(candidates, benefits)
+                if benefit > 0.0
+            ]
+            for _slots, candidates, benefits, _memok in self._expansion_slots(
+                states
             )
-        self._edges[key] = edges
-        self._maybe_evict()
-        return edges
+        ]
 
     def expand_detail(
         self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int = 0
@@ -805,8 +841,8 @@ class SoAWalkEngine:
         ``{kind, axis, legal, mem_ok, benefit, dst_config}``.
         """
         slots, candidates, benefits, memok = self._expansion_slots(
-            tiles, vthreads, level, fused
-        )
+            [(tiles, vthreads, level, fused)]
+        )[0]
         by_slot: dict[int, tuple[float, bool, tuple]] = {}
         for j, (slot_idx, slot) in enumerate(candidates):
             assert slot.tiles is not None and slot.vthreads is not None
@@ -828,25 +864,51 @@ class SoAWalkEngine:
         return detail
 
     def _expansion_slots(
-        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
-    ) -> tuple[list[_Slot], list[tuple[int, _Slot]], list[float], np.ndarray]:
-        """Enumerate, legality-check, and price one state's frontier.
+        self, states: list[tuple]
+    ) -> list[tuple[list[_Slot], list[tuple[int, _Slot]], list[float], np.ndarray]]:
+        """Enumerate, legality-check, and price a batch of frontiers.
 
-        Returns ``(slots, candidates, benefits, memok)`` where ``slots`` is
-        every action template in ``enumerate_actions`` order, ``candidates``
-        the structurally legal ones as ``(slot_idx, slot)``, ``benefits``
-        their benefit values (0.0 on memory-check failure), and ``memok``
-        the candidates' relaxed memory-check mask.
+        Enumeration runs per state; the pricing runs once over the
+        concatenated candidates of every state (see :meth:`_price`).
+        Returns one ``(slots, candidates, benefits, memok)`` per state,
+        where ``slots`` is every action template in ``enumerate_actions``
+        order, ``candidates`` the structurally legal ones as ``(slot_idx,
+        slot)``, ``benefits`` their benefit values (0.0 on memory-check
+        failure), and ``memok`` the candidates' relaxed memory-check mask.
         """
+        slot_lists = [self._slots(*row) for row in states]
+        cand_lists = [
+            [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
+            for slots in slot_lists
+        ]
+        flat = [(r, slot) for r, cands in enumerate(cand_lists) for _i, slot in cands]
+        benefits = [0.0] * len(flat)
+        memok = (
+            self._price(states, flat, benefits)
+            if flat
+            else np.zeros(0, dtype=bool)
+        )
+        out = []
+        lo = 0
+        for slots, cands in zip(slot_lists, cand_lists):
+            hi = lo + len(cands)
+            out.append((slots, cands, benefits[lo:hi], memok[lo:hi]))
+            lo = hi
+        return out
+
+    def _slots(
+        self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
+    ) -> list[_Slot]:
+        """Every action template of one state, in ``enumerate_actions``
+        order; a structurally illegal one carries ``tiles=None``."""
         pack = self.pack
         forbid = self.forbid
-        a_count = pack.num_axes
         num_levels = tiles.shape[1]
         rows = tiles.tolist()
         vlist = vthreads.tolist()
 
         slots: list[_Slot] = []
-        for a in range(a_count):
+        for a in range(pack.num_axes):
             if ActionKind.TILE_UP not in forbid:
                 cur = rows[a][level - 1]
                 upper = (
@@ -921,33 +983,52 @@ class SoAWalkEngine:
                 slots.append(
                     _Slot(ActionKind.UNFUSE, -1, tiles, vthreads, level, fused - 1)
                 )
+        return slots
 
-        candidates = [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
-        n = len(candidates)
-        if n == 0:
-            return slots, candidates, [], np.zeros(0, dtype=bool)
+    def _price(
+        self,
+        states: list[tuple],
+        flat: list[tuple[int, _Slot]],
+        benefits: list[float],
+    ) -> np.ndarray:
+        """Price a batch's concatenated candidates into ``benefits`` and
+        return their relaxed memory-check mask.
 
-        dst_tiles = np.array([s.tiles for _i, s in candidates])
-        block = dst_tiles[:, :, num_levels - 1]
-        thread = dst_tiles[:, :, 0]
-        dst_fused = np.array([s.fused for _i, s in candidates], dtype=np.int64)
-        memok, _smem_fp, _regs = self._memok_relaxed(block, thread, dst_fused)
+        ``flat`` holds one ``(row, slot)`` per structurally legal
+        candidate, ``row`` indexing ``states``.  The legality mask runs
+        once over every candidate; the current-level tile rows of each
+        tiling candidate and of its source (Formula 1's Q/F), the sources
+        of the caching candidates (Formula 2) and the roofline term are
+        each priced in one stacked pass.
+        """
+        pack = self.pack
+        dst_tiles = np.array([slot.tiles for _r, slot in flat])
+        num_levels = dst_tiles.shape[2]
+        dst_fused = np.array([slot.fused for _r, slot in flat], dtype=np.int64)
+        memok, _smem_fp, _regs = self._memok_relaxed(
+            dst_tiles[:, :, num_levels - 1], dst_tiles[:, :, 0], dst_fused
+        )
 
-        # Formula 1-3 formulas, in candidate order; the source Q/F terms
-        # shared by every tiling candidate are computed lazily once.
-        benefits = [0.0] * n
+        # Formula 1-3 formulas, in candidate order.
+        qf_rows: list[np.ndarray] = []
+        qf_src: dict[int, int] = {}  # state row -> its source's Q/F row
+        tiling: list[tuple[int, int]] = []  # (candidate, its Q/F row)
+        caching: list[tuple[int, int]] = []  # (candidate, state row)
         needs_accel: list[int] = []
-        tiling_rows: list[int] = []
-        cache_formula: float | None = None
-        for j, (_i, slot) in enumerate(candidates):
-            if not memok[j]:
+        for j, ok in enumerate(memok.tolist()):
+            if not ok:
                 continue
+            r, slot = flat[j]
+            tiles, vthreads, level, fused = states[r]
             if slot.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
-                tiling_rows.append(j)
+                if r not in qf_src:
+                    qf_src[r] = len(qf_rows)
+                    qf_rows.append(tiles[:, level - 1])
+                assert slot.tiles is not None
+                tiling.append((j, len(qf_rows)))
+                qf_rows.append(slot.tiles[:, level - 1])
             elif slot.kind == ActionKind.CACHE:
-                if cache_formula is None:
-                    cache_formula = self._caching_benefit(tiles, level, num_levels)
-                benefits[j] = cache_formula
+                caching.append((j, r))
             elif slot.kind == ActionKind.FUSE:
                 benefits[j] = self._fuse_benefit[fused]
             elif slot.kind == ActionKind.UNFUSE:
@@ -958,36 +1039,32 @@ class SoAWalkEngine:
                     slot.axis,
                     tiles,
                     num_levels,
-                    vlist[slot.axis],
+                    int(vthreads[slot.axis]),
                     int(slot.vthreads[slot.axis]),
                 )
             if slot.kind not in _NO_ACCEL and self.multi_objective:
                 needs_accel.append(j)
 
-        if tiling_rows:
-            # Stack [src; tiling dsts] current-level tile rows and price
-            # Q/F exactly once, vectorized; the division is Formula 1.
-            lvl_rows = np.empty((len(tiling_rows) + 1, a_count), dtype=np.int64)
-            lvl_rows[0] = tiles[:, level - 1]
-            for k, j in enumerate(tiling_rows):
-                slot = candidates[j][1]
-                assert slot.tiles is not None
-                lvl_rows[k + 1] = slot.tiles[:, level - 1]
-            traffic = pack.traffic_bytes_ints(lvl_rows)
-            footprint = pack.footprint_bytes(
-                lvl_rows, include_output=True
-            ).tolist()
-            q_old, f_old = traffic[0], footprint[0]
-            for k, j in enumerate(tiling_rows):
+        if tiling:
+            # Exact integer Q/F per stacked row; the division is Formula 1.
+            stack = np.array(qf_rows)
+            traffic = pack.traffic_bytes_ints(stack)
+            footprint = pack.footprint_bytes(stack, include_output=True).tolist()
+            for j, k in tiling:
+                src = qf_src[flat[j][0]]
                 benefits[j] = self._tiling_ratio(
-                    q_old, f_old, traffic[k + 1], footprint[k + 1]
+                    traffic[src], footprint[src], traffic[k], footprint[k]
                 )
-
-        if needs_accel:
-            benefits = self._apply_acceleration(
-                tiles, vthreads, fused, candidates, benefits, needs_accel
+        if caching:
+            src_rows = np.array(
+                [states[r][0][:, states[r][2] - 1] for _j, r in caching]
             )
-        return slots, candidates, benefits, memok
+            s_data = pack.footprint_bytes(src_rows, include_output=False).tolist()
+            for (j, r), s_bytes in zip(caching, s_data):
+                benefits[j] = self._caching_benefit(s_bytes, states[r][2], num_levels)
+        if needs_accel:
+            self._apply_acceleration(states, flat, benefits, needs_accel)
+        return memok
 
     def _tiling_ratio(
         self, q_old: int, f_old: int, q_new: int, f_new: int
@@ -1001,22 +1078,14 @@ class SoAWalkEngine:
             return 0.0
         return (q_old * f_new) / (q_new * f_old)
 
-    def _caching_benefit(
-        self, tiles: np.ndarray, level: int, num_levels: int
-    ) -> float:
-        """Formula 2 at the source state's current level."""
+    def _caching_benefit(self, s_bytes: int, level: int, num_levels: int) -> float:
+        """Formula 2 from the source's current-level input footprint."""
         hw = self.hw
         if level >= num_levels:
             low, high = hw.dram, hw.smem
         else:
             low, high = hw.smem, hw.regs
-        s_data = float(
-            int(
-                self.pack.footprint_bytes(
-                    tiles[:, level - 1][None, :], include_output=False
-                )[0]
-            )
-        )
+        s_data = float(s_bytes)
         t_low = low.latency_s + s_data / low.bandwidth_bytes_per_s
         t_high = high.latency_s + s_data / high.bandwidth_bytes_per_s
         if t_high <= 0:
@@ -1048,66 +1117,79 @@ class SoAWalkEngine:
 
     def _apply_acceleration(
         self,
-        tiles: np.ndarray,
-        vthreads: np.ndarray,
-        fused: int,
-        candidates: list[tuple[int, _Slot]],
+        states: list[tuple],
+        flat: list[tuple[int, _Slot]],
         benefits: list[float],
         needs_accel: list[int],
-    ) -> list[float]:
-        """The roofline term of ``action_benefit``, memo-backed.
+    ) -> None:
+        """The roofline term of ``action_benefit``, memo-backed, for a
+        batch's tile and vThread candidates.
 
-        Only tile and vThread moves take it, and those keep the source's
-        fused count, so every row prices at ``fused``.
+        Those moves keep their source's fused count, so a candidate and
+        its source price at one fused count.  The sources missing from the
+        memo are priced in one ``_quick_latencies`` pass, then the
+        destinations still missing in one ``_quick_cols`` + ``quick_pipe``
+        pass (they already passed the relaxed memory check).
         """
         quick = self.bundle.quick
         if len(quick) > _MEMO_CAP:
             quick.clear()
-        tag = self._tags[fused]
-        src_key = (tiles.tobytes(), vthreads.tobytes(), tag)
-        before = quick.get(src_key)
-        if before is None:
-            before = float(
-                self._quick_latencies(tiles[None], vthreads[None], fused)[0]
+        lats: dict[tuple, float] = {}
+        src_keys: dict[int, tuple] = {}
+        missing_src: dict[tuple, tuple] = {}
+        for j in needs_accel:
+            r = flat[j][0]
+            if r in src_keys:
+                continue
+            tiles, vthreads, _level, fused = states[r]
+            key = src_keys[r] = (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
+            lat = quick.get(key)
+            if lat is None:
+                missing_src.setdefault(key, states[r])
+            else:
+                lats[key] = lat
+        if missing_src:
+            rows = list(missing_src.values())
+            priced = self._quick_latencies(
+                np.array([row[0] for row in rows]),
+                np.array([row[1] for row in rows]),
+                np.array([row[3] for row in rows], dtype=np.int64),
             )
-            quick[src_key] = before
+            for key, lat in zip(missing_src, priced.tolist()):
+                lats[key] = quick[key] = lat
 
-        afters: list[float | None] = [None] * len(needs_accel)
-        missing: list[int] = []
-        keys: list[tuple] = []
-        for k, j in enumerate(needs_accel):
-            slot = candidates[j][1]
+        dst_keys: list[tuple] = []
+        missing_dst: dict[tuple, _Slot] = {}
+        for j in needs_accel:
+            slot = flat[j][1]
             assert slot.tiles is not None and slot.vthreads is not None
-            key = (slot.tiles.tobytes(), slot.vthreads.tobytes(), tag)
-            keys.append(key)
-            afters[k] = quick.get(key)
-            if afters[k] is None:
-                missing.append(k)
-        if missing:
-            # These candidates already passed the relaxed memory check in
-            # _expansion_slots, so their columns go straight to the pipe.
-            batch_t = np.array(
-                [candidates[needs_accel[k]][1].tiles for k in missing]
-            )
-            batch_v = np.array(
-                [candidates[needs_accel[k]][1].vthreads for k in missing]
-            )
-            lats = quick_pipe(
+            key = (slot.tiles.tobytes(), slot.vthreads.tobytes(), self._tags[slot.fused])
+            dst_keys.append(key)
+            if key in lats or key in missing_dst:
+                continue
+            lat = quick.get(key)
+            if lat is None:
+                missing_dst[key] = slot
+            else:
+                lats[key] = lat
+        if missing_dst:
+            slots = list(missing_dst.values())
+            batch_t = np.array([slot.tiles for slot in slots])
+            priced = quick_pipe(
                 self._quick_cols(
                     batch_t[:, :, -1],
                     batch_t[:, :, 0],
-                    batch_v,
-                    np.full(len(missing), fused, dtype=np.int64),
+                    np.array([slot.vthreads for slot in slots]),
+                    np.array([slot.fused for slot in slots], dtype=np.int64),
                 ),
                 self.hw,
             )
-            for k, lat in zip(missing, lats):
-                afters[k] = float(lat)
-                quick[keys[k]] = float(lat)
+            for key, lat in zip(missing_dst, priced.tolist()):
+                lats[key] = quick[key] = lat
 
-        for k, j in enumerate(needs_accel):
-            after = afters[k]
-            assert after is not None
+        for j, key in zip(needs_accel, dst_keys):
+            before = lats[src_keys[flat[j][0]]]
+            after = lats[key]
             if not math.isfinite(after) or after <= 0:
                 accel = 0.0
             elif not math.isfinite(before):
@@ -1115,7 +1197,6 @@ class SoAWalkEngine:
             else:
                 accel = min(16.0, before / after)
             benefits[j] = benefits[j] * accel
-        return benefits
 
     # -- legality / feature kernels -------------------------------------------
 
@@ -1520,108 +1601,128 @@ class SoAWalkEngine:
             fused=fused,
         )
 
-    def run_chain(
+    def run_chains(
         self,
         cfg: "GensorConfig",
-        rng: np.random.Generator,
+        starts: "list[tuple[np.random.Generator, dict, ChainCheckpoint | None]]",
         forbid: frozenset[str],
         tracer: Tracer,
         cancel: "CancelToken | None",
-        tid: int,
-        pool: dict[tuple, tuple],
         *,
         checkpointer=None,
-        base_steps: int = 0,
-        resume: tuple | None = None,
-    ) -> int:
-        """One annealed chain on the packed representation.
+    ) -> list[int]:
+        """Every annealed chain of a walk, advanced in lockstep rounds.
 
-        Byte-identical to the reference chain: same RNG consumption (one
-        ``choice`` + one ``random`` per step, nothing at a sink), same
-        candidate-pool membership and insertion order, same ``walk_step``
-        / ``chain_end`` events.  Returns the iteration count.
+        ``starts`` holds one ``(rng, pool, resume)`` per chain, in chain
+        order: the chain's generator, its packed candidate pool
+        (``(tiles, vthreads, level, fused)`` rows keyed by the node key,
+        in insertion order, never decoded — :meth:`rank` validates and
+        prices a pool at once) and its checkpoint record, ``None`` for a
+        fresh chain.  Returns each chain's iteration count.
 
-        ``pool`` is the packed candidate pool: ``(tiles, vthreads, level,
-        fused)`` rows keyed by the node key, in insertion order.  Appended
-        states are never decoded; :meth:`rank` validates and prices the
-        whole pool at once.
+        A round first expands the state of every chain due to step in one
+        :meth:`expand` call, then steps those chains in chain order, each
+        exactly as a chain walked alone: one ``cancel`` poll, one
+        ``choice`` and one ``random`` draw from its own generator, the
+        pool append, its ``walk_step`` event, cooling, and the
+        checkpointer's step hook.  A chain stops — appending its last
+        state and emitting ``chain_end`` there — at the start of a round
+        once it reaches the threshold or the iteration cap, or at its turn
+        when its frontier is empty; it sits out later rounds.  Each
+        chain's trajectory, pool and events are byte-identical to the
+        reference engine's.
 
-        ``resume`` restarts the chain mid-anneal from a checkpoint's
-        ``(state config, temperature, iteration)``, the state config being
-        the portable ``(tiles, vthreads, level, fused)`` row — the caller
-        restores the RNG bit state into ``rng`` — and ``checkpointer``
-        (with ``base_steps``, the iterations completed by earlier chains)
-        snapshots at the cadence its policy dictates, at iteration
-        boundaries only.
+        The chains due in a round are the live ones at the lowest
+        iteration: all of them in a walk from the start, and on resume
+        from a snapshot taken mid-round, the chains that had not yet
+        stepped in it, so the round is finished before the next begins.
         """
         compute_name = self.compute.name
         a_count = self.pack.num_axes
-        if resume is not None:
-            (tiles, vthreads, level, fused), temperature, iteration = resume
-            tiles = np.array(tiles, dtype=np.int64)
-            vthreads = np.array(vthreads, dtype=np.int64)
-        else:
-            tiles = np.ones((a_count, self.num_levels), dtype=np.int64)
-            vthreads = np.ones(a_count, dtype=np.int64)
-            level = self.num_levels
-            fused = 0
-            temperature = cfg.initial_temperature
-            iteration = 0
-        while (
-            temperature > cfg.threshold
-            and iteration < cfg.max_iterations_per_chain
-        ):
-            if cancel is not None:
-                cancel.check()
-            progress = math.log2(cfg.initial_temperature / temperature)
-            kept, probs = self._probabilities(
-                self.expand(tiles, vthreads, level, fused), progress, forbid
-            )
-            if not kept:
-                break
-            idx = int(rng.choice(len(kept), p=probs))
-            edge = kept[idx]
-            src_level = level
-            tiles, vthreads, level, fused = (
-                edge.tiles, edge.vthreads, edge.level, edge.fused
-            )
-            appended = rng.random() < append_probability(temperature)
-            if appended:
-                pool[self._key(tiles, vthreads, level, fused)] = (
-                    tiles, vthreads, level, fused
+        chains: list[_Chain] = []
+        for tid, (rng, pool, resume) in enumerate(starts):
+            if resume is None:
+                tiles = np.ones((a_count, self.num_levels), dtype=np.int64)
+                vthreads = np.ones(a_count, dtype=np.int64)
+                chains.append(
+                    _Chain(
+                        tid, rng, pool, tiles, vthreads, self.num_levels, 0,
+                        cfg.initial_temperature,
+                    )
                 )
+            else:
+                tiles, vthreads, level, fused = resume.state
+                chains.append(
+                    _Chain(
+                        tid, rng, pool, np.array(tiles, dtype=np.int64),
+                        np.array(vthreads, dtype=np.int64), level, fused,
+                        resume.temperature, resume.iteration, resume.done,
+                    )
+                )
+
+        def stop(chain: _Chain) -> None:
+            chain.pool[
+                self._key(chain.tiles, chain.vthreads, chain.level, chain.fused)
+            ] = (chain.tiles, chain.vthreads, chain.level, chain.fused)
+            chain.done = True
             if tracer.enabled:
-                emit_walk_step(
-                    tracer, compute_name, tid, iteration, temperature,
-                    src_level, kept, probs, idx, appended,
+                emit_chain_end(
+                    tracer, compute_name, chain.tid, chain.iteration,
+                    chain.level, chain.temperature,
                 )
-            temperature *= cfg.cooling
-            iteration += 1
-            if checkpointer is not None:
-                checkpointer.on_step(
-                    cancel,
-                    lambda: self._build_checkpoint(
-                        cfg,
-                        tid,
-                        iteration,
-                        base_steps + iteration,
-                        temperature,
-                        tiles,
-                        vthreads,
-                        level,
-                        fused,
-                        rng,
-                        pool,
-                    ),
-                )
-        pool[self._key(tiles, vthreads, level, fused)] = (
-            tiles, vthreads, level, fused
-        )
-        if tracer.enabled:
-            emit_chain_end(
-                tracer, compute_name, tid, iteration, level, temperature
+
+        while True:
+            live = [c for c in chains if not c.done]
+            if not live:
+                break
+            lag = min(c.iteration for c in live)
+            stepping: list[_Chain] = []
+            for c in live:
+                if c.iteration != lag:
+                    continue
+                if (
+                    c.temperature > cfg.threshold
+                    and c.iteration < cfg.max_iterations_per_chain
+                ):
+                    stepping.append(c)
+                else:
+                    stop(c)
+            if not stepping:
+                continue
+            frontiers = self.expand(
+                [(c.tiles, c.vthreads, c.level, c.fused) for c in stepping]
             )
-        return iteration
+            for c, edges in zip(stepping, frontiers):
+                if cancel is not None:
+                    cancel.check()
+                progress = math.log2(cfg.initial_temperature / c.temperature)
+                kept, probs = self._probabilities(edges, progress, forbid)
+                if not kept:
+                    stop(c)
+                    continue
+                idx = int(c.rng.choice(len(kept), p=probs))
+                edge = kept[idx]
+                src_level = c.level
+                c.tiles, c.vthreads, c.level, c.fused = (
+                    edge.tiles, edge.vthreads, edge.level, edge.fused
+                )
+                appended = c.rng.random() < append_probability(c.temperature)
+                if appended:
+                    c.pool[self._key(c.tiles, c.vthreads, c.level, c.fused)] = (
+                        c.tiles, c.vthreads, c.level, c.fused
+                    )
+                if tracer.enabled:
+                    emit_walk_step(
+                        tracer, compute_name, c.tid, c.iteration, c.temperature,
+                        src_level, kept, probs, idx, appended,
+                    )
+                c.temperature *= cfg.cooling
+                c.iteration += 1
+                if checkpointer is not None:
+                    checkpointer.on_step(
+                        cancel, lambda: self._build_checkpoint(cfg, chains)
+                    )
+        return [c.iteration for c in chains]
 
     # -- the candidate pool: packing and ranking ---------------------------------
 
@@ -1804,6 +1905,24 @@ def _assert_same_float(a: float, b: float, context: str) -> None:
         )
 
 
+def _compare_edges(where: str, edges: list, soa_edges: list[SoAEdge]) -> None:
+    """``graph.expand``'s edges against the engine's, edge for edge."""
+    if len(edges) != len(soa_edges):
+        raise SoAParityError(
+            f"{where}: edge count {len(edges)} != {len(soa_edges)}"
+        )
+    for i, (edge, se) in enumerate(zip(edges, soa_edges)):
+        ctx = f"{where} edge {i} ({edge.kind})"
+        if edge.kind != se.kind or edge.axis != se.axis:
+            raise SoAParityError(
+                f"{ctx}: SoA edge is ({se.kind}, axis {se.axis})"
+            )
+        _assert_same_float(edge.benefit, se.benefit, f"{ctx} benefit")
+        dst_cfg = state_config(edge.dst)
+        if dst_cfg != se.dst_config():
+            raise SoAParityError(f"{ctx}: dst {dst_cfg} != {se.dst_config()}")
+
+
 class DifferentialWalker:
     """Runs the object path and the SoA path in lockstep and cross-checks.
 
@@ -1812,7 +1931,8 @@ class DifferentialWalker:
     against the graph's memo-free scalar oracle), *edge level* (the
     surviving edge lists of ``graph.expand`` vs ``engine.expand``), and
     *probability level* (the normalized transition distributions,
-    byte-compared).  :meth:`walk` drives an annealed walk through both
+    byte-compared).  :meth:`compare_round` checks a whole lockstep round:
+    one batched ``engine.expand`` against ``graph.expand`` per state.  :meth:`walk` drives an annealed walk through both
     paths on one RNG stream and additionally asserts the chosen edges and
     the monotone node counts agree.  ``epilogues`` makes it a fusion
     group's walk (FUSE/UNFUSE edges; compared states must carry the pool).
@@ -1897,23 +2017,8 @@ class DifferentialWalker:
 
         # Edge level: the memoized surviving frontiers.
         edges = self.graph.expand(state)
-        soa_edges = self.engine.expand(tiles, vthreads, level, fused)
-        if len(edges) != len(soa_edges):
-            raise SoAParityError(
-                f"{where}: edge count {len(edges)} != {len(soa_edges)}"
-            )
-        for i, (edge, se) in enumerate(zip(edges, soa_edges)):
-            ctx = f"{where} edge {i} ({edge.kind})"
-            if edge.kind != se.kind or edge.axis != se.axis:
-                raise SoAParityError(
-                    f"{ctx}: SoA edge is ({se.kind}, axis {se.axis})"
-                )
-            _assert_same_float(edge.benefit, se.benefit, f"{ctx} benefit")
-            dst_cfg = state_config(edge.dst)
-            if dst_cfg != se.dst_config():
-                raise SoAParityError(
-                    f"{ctx}: dst {dst_cfg} != {se.dst_config()}"
-                )
+        soa_edges = self.engine.expand([(tiles, vthreads, level, fused)])[0]
+        _compare_edges(where, edges, soa_edges)
 
         # Probability level: the normalized distributions, byte-compared.
         policy = TransitionPolicy(self.graph, np.random.default_rng(0))
@@ -1933,6 +2038,32 @@ class DifferentialWalker:
                     f"{o_probs!r} != {s_probs!r}"
                 )
         return len(edges)
+
+    def compare_round(self, states: list[ETIR]) -> int:
+        """Cross-check one lockstep round's expansion.
+
+        ``engine.expand`` over the whole batch must equal ``graph.expand``
+        called per state in list order — edge for edge (kind, axis,
+        benefit bits, destination config) — and leave both node counts
+        equal.  Returns the number of edges compared.
+        """
+        rows = [(*s.config_arrays(), s.cur_level, s.fused) for s in states]
+        frontiers = self.engine.expand(rows)
+        compared = 0
+        for i, (state, soa_edges) in enumerate(zip(states, frontiers)):
+            edges = self.graph.expand(state)
+            _compare_edges(
+                f"round row {i}: {state.compute.name} state {state.key()!r}",
+                edges,
+                soa_edges,
+            )
+            compared += len(edges)
+        if self.graph.num_nodes != self.engine.num_nodes:
+            raise SoAParityError(
+                f"round of {len(states)}: node counts diverge: object path "
+                f"{self.graph.num_nodes} != SoA path {self.engine.num_nodes}"
+            )
+        return compared
 
     def walk(
         self,
@@ -1981,7 +2112,7 @@ class DifferentialWalker:
                 states_compared += 1
                 edges, probs = policy.probabilities(state, progress, forbid)
                 kept, _s_probs = self.engine._probabilities(
-                    self.engine.expand(tiles, vthreads, level, fused),
+                    self.engine.expand([(tiles, vthreads, level, fused)])[0],
                     progress,
                     forbid,
                 )

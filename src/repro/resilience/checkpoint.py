@@ -3,11 +3,15 @@
 The annealed Markov walk is the longest-running unit of work in the
 system, and before this module every recovery path (retry after a failed
 attempt, worker-crash requeue, fleet shard respawn) restarted it from
-step zero.  A :class:`WalkCheckpoint` freezes a mid-walk moment — the
-current chain state, the candidate pool, the construction graph's node
-bookkeeping and the *exact* bit-generator state of the chain RNG — such
-that a walk resumed from it is byte-identical (schedule, trace suffix,
-RNG consumption, node counts) to the uninterrupted walk.
+step zero.  A :class:`WalkCheckpoint` freezes a mid-walk moment — every
+chain's state, temperature, iteration, candidates and the *exact*
+bit-generator state of its RNG (one :class:`ChainCheckpoint` per chain),
+plus the construction graph's node bookkeeping — such that a walk
+resumed from it is byte-identical (schedule, trace suffix, RNG
+consumption, node counts) to the uninterrupted walk.  The chains advance
+in lockstep rounds, so a snapshot can land mid-round: the chains that
+already stepped in that round are one iteration ahead, and resume
+finishes the round before starting the next.
 
 Three pieces cooperate:
 
@@ -62,17 +66,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "ChainCheckpoint",
     "CheckpointPolicy",
     "CheckpointStore",
     "Checkpointer",
     "WalkCheckpoint",
+    "build_chain_checkpoint",
     "build_walk_checkpoint",
     "config_to_state",
     "state_config",
     "walk_config_digest",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: portable ETIR identity: (tiles as nested int tuples, vthreads, cur_level,
 #: fused).  Exactly the information both walk paths key states by (the SoA
@@ -151,16 +157,61 @@ def _config_from_json(data: Sequence) -> tuple:
 
 
 @dataclass(frozen=True)
+class ChainCheckpoint:
+    """One annealed chain of a walk at a snapshot, as plain data."""
+
+    #: portable config of the chain's current state (its last one once done).
+    state: tuple
+    #: annealing temperature after the chain's last iteration's cooling.
+    temperature: float
+    #: completed iterations of this chain.
+    iteration: int
+    #: exact bit-generator state after the chain's last draws.
+    rng_state: dict
+    #: whether the chain has stopped (its last state is then a candidate).
+    done: bool = False
+    #: portable configs of this chain's candidates, insertion-ordered.
+    candidates: tuple = ()
+
+    def to_json(self) -> dict:
+        return {
+            "state": _config_to_json(self.state),
+            "temperature": self.temperature,
+            "iteration": self.iteration,
+            "rng_state": self.rng_state,
+            "done": self.done,
+            "candidates": [_config_to_json(c) for c in self.candidates],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ChainCheckpoint":
+        rng_state = data["rng_state"]
+        if not isinstance(rng_state, dict):
+            raise ValueError("rng_state must be a mapping")
+        return cls(
+            state=_config_from_json(data["state"]),
+            temperature=float(data["temperature"]),
+            iteration=int(data["iteration"]),
+            rng_state=rng_state,
+            done=bool(data.get("done", False)),
+            candidates=tuple(
+                _config_from_json(c) for c in data.get("candidates", [])
+            ),
+        )
+
+
+@dataclass(frozen=True)
 class WalkCheckpoint:
     """A frozen mid-walk moment, sufficient for byte-identical resume.
 
-    Plain data only (ints, floats, strings, nested tuples, a dict of
-    ints for the RNG state): the checkpoint crosses process boundaries
-    as a fleet wire payload and survives JSON round trips through the
-    on-disk store.  ``candidates`` and ``node_keys`` preserve insertion
-    order — candidate order decides ranking tie-breaks and node-key
-    membership drives future ``states_visited`` increments, so both are
-    part of the parity contract, not just their contents.
+    Plain data only (ints, floats, strings, nested tuples, dicts of ints
+    for the RNG states): the checkpoint crosses process boundaries as a
+    fleet wire payload and survives JSON round trips through the on-disk
+    store.  Each chain's ``candidates`` and the ``node_keys`` preserve
+    insertion order — the chains' candidates, merged in chain order,
+    decide ranking tie-breaks, and node-key membership drives future
+    ``states_visited`` increments, so both are part of the parity
+    contract, not just their contents.
     """
 
     #: group key (:func:`~repro.core.cache.group_fingerprint`) of the
@@ -171,20 +222,10 @@ class WalkCheckpoint:
     config_digest: str
     #: cache-hierarchy depth the walk runs over (``hw.num_cache_levels``).
     num_levels: int
-    #: chain index the walk was in when snapshotted.
-    chain: int
-    #: completed iterations within that chain.
-    iteration: int
-    #: completed iterations across all chains (monotone; resume offset).
+    #: completed iterations summed over the chains (the resume offset).
     total_steps: int
-    #: annealing temperature *after* the snapshot iteration's cooling.
-    temperature: float
-    #: portable config of the chain's current state.
-    state: tuple
-    #: exact bit-generator state after the snapshot iteration's draws.
-    rng_state: dict
-    #: portable configs of the candidate pool, insertion-ordered.
-    candidates: tuple = ()
+    #: one :class:`ChainCheckpoint` per chain, in chain order.
+    chains: tuple = ()
     #: portable configs of the graph/engine node keys, insertion-ordered.
     node_keys: tuple = ()
     #: the graph/engine's monotone states-visited counter.
@@ -231,13 +272,8 @@ class WalkCheckpoint:
             "compute_key": self.compute_key,
             "config_digest": self.config_digest,
             "num_levels": self.num_levels,
-            "chain": self.chain,
-            "iteration": self.iteration,
             "total_steps": self.total_steps,
-            "temperature": self.temperature,
-            "state": _config_to_json(self.state),
-            "rng_state": self.rng_state,
-            "candidates": [_config_to_json(c) for c in self.candidates],
+            "chains": [c.to_json() for c in self.chains],
             "node_keys": [_config_to_json(c) for c in self.node_keys],
             "nodes_seen": self.nodes_seen,
         }
@@ -247,22 +283,12 @@ class WalkCheckpoint:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        rng_state = data["rng_state"]
-        if not isinstance(rng_state, dict):
-            raise ValueError("rng_state must be a mapping")
         return cls(
             compute_key=str(data["compute_key"]),
             config_digest=str(data["config_digest"]),
             num_levels=int(data["num_levels"]),
-            chain=int(data["chain"]),
-            iteration=int(data["iteration"]),
             total_steps=int(data["total_steps"]),
-            temperature=float(data["temperature"]),
-            state=_config_from_json(data["state"]),
-            rng_state=rng_state,
-            candidates=tuple(
-                _config_from_json(c) for c in data.get("candidates", [])
-            ),
+            chains=tuple(ChainCheckpoint.from_json(c) for c in data["chains"]),
             node_keys=tuple(
                 _config_from_json(c) for c in data.get("node_keys", [])
             ),
@@ -271,35 +297,45 @@ class WalkCheckpoint:
         )
 
 
+def build_chain_checkpoint(
+    state_config: tuple,
+    temperature: float,
+    iteration: int,
+    rng: np.random.Generator,
+    done: bool,
+    candidate_configs: Iterable[tuple],
+) -> ChainCheckpoint:
+    """Snapshot one chain (shared by both walk engines)."""
+    return ChainCheckpoint(
+        state=state_config,
+        temperature=float(temperature),
+        iteration=int(iteration),
+        rng_state=rng_util.rng_state(rng),
+        done=bool(done),
+        candidates=tuple(candidate_configs),
+    )
+
+
 def build_walk_checkpoint(
     compute: "ComputeDef",
     config: "GensorConfig",
     *,
     epilogues: "tuple[ComputeDef, ...]" = (),
     num_levels: int,
-    chain: int,
-    iteration: int,
-    total_steps: int,
-    temperature: float,
-    state_config: tuple,
-    rng: np.random.Generator,
-    candidate_configs: Iterable[tuple],
+    chains: Iterable[ChainCheckpoint],
     node_keys: Iterable[tuple],
     nodes_seen: int,
 ) -> WalkCheckpoint:
-    """Assemble a walk checkpoint (shared by both walk paths); a fusion
-    group's walk passes its pool as ``epilogues``."""
+    """Assemble a walk checkpoint from its chains' snapshots (shared by
+    both walk engines); a fusion group's walk passes its pool as
+    ``epilogues``."""
+    chains = tuple(chains)
     return WalkCheckpoint(
         compute_key=group_fingerprint(compute, epilogues),
         config_digest=walk_config_digest(config, compute.name),
         num_levels=int(num_levels),
-        chain=int(chain),
-        iteration=int(iteration),
-        total_steps=int(total_steps),
-        temperature=float(temperature),
-        state=state_config,
-        rng_state=rng_util.rng_state(rng),
-        candidates=tuple(candidate_configs),
+        total_steps=sum(c.iteration for c in chains),
+        chains=chains,
         node_keys=tuple(node_keys),
         nodes_seen=int(nodes_seen),
     )

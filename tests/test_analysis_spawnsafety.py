@@ -334,7 +334,7 @@ def test_program_request_tracer_field_flagged_outside_fleet(tmp_path):
 
 
 def test_walk_checkpoint_pickle_round_trip():
-    from repro.resilience.checkpoint import WalkCheckpoint
+    from repro.resilience.checkpoint import ChainCheckpoint, WalkCheckpoint
     from repro.utils.rng import spawn_rng
 
     rng = spawn_rng(0, "gensor", "wire_rt", 0)
@@ -343,13 +343,17 @@ def test_walk_checkpoint_pickle_round_trip():
         compute_key="k",
         config_digest="d",
         num_levels=3,
-        chain=0,
-        iteration=4,
         total_steps=4,
-        temperature=0.9,
-        state=((4, 4), (2, 2), 0, 0),
-        rng_state=rng.bit_generator.state,
-        candidates=(((4, 4), (2, 2), 0, 0),),
+        chains=(
+            ChainCheckpoint(
+                state=((4, 4), (2, 2), 0, 0),
+                temperature=0.9,
+                iteration=4,
+                rng_state=rng.bit_generator.state,
+                done=False,
+                candidates=(((4, 4), (2, 2), 0, 0),),
+            ),
+        ),
         node_keys=(((4, 4), (2, 2), 0, 0),),
         nodes_seen=7,
     )

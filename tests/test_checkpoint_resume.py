@@ -4,7 +4,9 @@ byte-identical — best schedule, top-k, iteration count, states visited,
 latency bits, and the walk-step trace suffix — to the uninterrupted walk,
 on both the SoA engine (``Gensor``) and the object-level reference
 (``ReferenceGensor``), for a bare operator and for a fusion group (whose
-states carry a fused count the checkpoint must restore).
+states carry a fused count the checkpoint must restore).  The chains walk
+in lockstep rounds, so two snapshot shapes get cases of their own: one
+taken mid-round, and one holding a finished chain beside live ones.
 
 The kill is a cooperative-cancellation bomb (a CancelToken that trips on
 its Nth poll), which models both per-attempt timeouts and, because the
@@ -12,6 +14,7 @@ checkpoint is already built by the time any kill can land, SIGKILL-style
 process death recovered via the persisted store.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -47,6 +50,11 @@ EVERY = 7  # checkpoint cadence used throughout; also the wasted bound
 #: checkpoint, which holds a fused count above 0 at chaos seeds 0, 1 and 2,
 #: so a resume that dropped the count would diverge.
 FUSED_KILL = 16
+
+#: a tiny operator whose chains often reach a state with no legal move
+#: within a few steps, so its walks soon hold a finished chain beside live
+#: ones.
+SINK_OP = ops.matmul(1, 2, 1, "resume_sink")
 
 #: (soa, epilogues) cases; the bare ones keep their historical ids.
 PATHS = [
@@ -236,3 +244,76 @@ def test_checkpointing_does_not_perturb_the_walk():
     assert ck.saved > 0
     assert summarize(result) == baseline(True)
 
+
+
+def snapshots(compiler, cfg, compute, epilogues=()):
+    """Every checkpoint an uninterrupted walk takes at cadence 1."""
+    taken = []
+    ck = Checkpointer(CheckpointPolicy(every_steps=1), sink=taken.append)
+    compiler(HW, cfg).compile(compute, checkpointer=ck, epilogues=epilogues)
+    return taken
+
+
+def walk_events(tracer):
+    return [
+        (e.name, e.args)
+        for e in tracer.events
+        if e.name in ("walk_step", "chain_end")
+    ]
+
+
+def check_resume_from(snapshot, compiler, cfg, compute, epilogues=()):
+    """Resuming from ``snapshot`` takes exactly the steps the snapshot had
+    not, and equals the uninterrupted walk: summary, and walk steps and
+    chain ends as the suffix of its trace."""
+    full_tracer = RecordingTracer()
+    expected = compiler(HW, cfg, tracer=full_tracer).compile(
+        compute, epilogues=epilogues
+    )
+    resumed_tracer = RecordingTracer()
+    result = compiler(HW, cfg, tracer=resumed_tracer).compile(
+        compute, resume_from=snapshot, epilogues=epilogues
+    )
+    assert summarize(result) == summarize(expected)
+    full, resumed = walk_events(full_tracer), walk_events(resumed_tracer)
+    steps = [event for event in resumed if event[0] == "walk_step"]
+    assert len(steps) == expected.iterations - snapshot.total_steps
+    assert resumed == full[len(full) - len(resumed):]
+
+
+@pytest.mark.parametrize("soa, epilogues", PATHS)
+def test_resume_from_a_snapshot_taken_mid_round(soa, epilogues):
+    """A snapshot can land mid-round, the chains that already stepped in
+    that round one iteration ahead of the rest; resume finishes the round
+    before starting the next."""
+    compiler = walk_path(soa)
+    mid_round = [
+        snap
+        for snap in snapshots(compiler, CFG, OP, epilogues)
+        if len({c.iteration for c in snap.chains if not c.done}) > 1
+    ]
+    assert mid_round
+    check_resume_from(
+        mid_round[len(mid_round) // 2], compiler, CFG, OP, epilogues
+    )
+
+
+@pytest.mark.parametrize("soa", [True, False], ids=["soa", "object"])
+def test_resume_from_a_snapshot_holding_a_finished_chain(soa):
+    """A chain that stopped before the snapshot stays stopped on resume —
+    it takes no step and emits nothing more — while the live chains walk
+    on.  Chains stop early at random, so the chain count grows until the
+    walk at this seed holds such a snapshot."""
+    compiler = walk_path(soa)
+    for num_chains in (4, 8, 16, 32):
+        cfg = dataclasses.replace(CFG, num_chains=num_chains)
+        held = [
+            snap
+            for snap in snapshots(compiler, cfg, SINK_OP)
+            if any(c.done for c in snap.chains)
+            and any(not c.done for c in snap.chains)
+        ]
+        if held:
+            break
+    assert held, "no chain stopped early at up to 32 chains"
+    check_resume_from(held[len(held) // 2], compiler, cfg, SINK_OP)

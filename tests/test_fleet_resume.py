@@ -15,6 +15,7 @@ from repro.fleet import FleetDispatcher, ShardOptions, WireControl
 from repro.fleet.shard import WireRequest
 from repro.ir import operators as ops
 from repro.resilience.checkpoint import (
+    ChainCheckpoint,
     CheckpointPolicy,
     CheckpointStore,
     Checkpointer,
@@ -166,13 +167,17 @@ class TestWirePayload:
             compute_key="k",
             config_digest="d",
             num_levels=3,
-            chain=0,
-            iteration=4,
             total_steps=4,
-            temperature=0.9,
-            state=((4, 4), (2, 2), 0, 0),
-            rng_state=rng.bit_generator.state,
-            candidates=(((4, 4), (2, 2), 0, 0),),
+            chains=(
+                ChainCheckpoint(
+                    state=((4, 4), (2, 2), 0, 0),
+                    temperature=0.9,
+                    iteration=4,
+                    rng_state=rng.bit_generator.state,
+                    done=False,
+                    candidates=(((4, 4), (2, 2), 0, 0),),
+                ),
+            ),
             node_keys=(((4, 4), (2, 2), 0, 0),),
             nodes_seen=7,
         )

@@ -54,7 +54,10 @@ def walk_signature(hw, compute, gensor_cls=Gensor, **compile_kwargs):
     """Deterministic summary of one traced construction walk.
 
     ``gensor_cls`` picks the walk engine: :class:`Gensor` runs the SoA
-    engine, :class:`ReferenceGensor` the object-level reference.
+    engine, :class:`ReferenceGensor` the object-level reference.  The
+    chains advance in lockstep rounds, so their steps interleave in the
+    trace; the signature lists them merged in chain order (a stable sort
+    on ``chain``), each chain's steps in the order it took them.
     """
     tracer = RecordingTracer()
     result = gensor_cls(hw, GOLDEN_CFG).compile(
@@ -71,6 +74,7 @@ def walk_signature(hw, compute, gensor_cls=Gensor, **compile_kwargs):
                 "appended": event.args["appended"],
             }
         )
+    steps.sort(key=lambda step: step["chain"])
     best = result.best
     sig = {
         "workload": compute.name,

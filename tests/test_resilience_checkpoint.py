@@ -1,7 +1,7 @@
 """Unit tests for repro.resilience.checkpoint: the WalkCheckpoint wire
-format and its validation (group key, operator name, version), the
-cadence policy, the Checkpointer accounting, and the crash-safe
-CheckpointStore (including quarantine of corrupt records)."""
+format (one record per chain) and its validation (group key, operator
+name, version), the cadence policy, the Checkpointer accounting, and the
+crash-safe CheckpointStore (including quarantine of corrupt records)."""
 
 import dataclasses
 import json
@@ -19,6 +19,7 @@ from repro.resilience.checkpoint import (
     CheckpointStore,
     Checkpointer,
     WalkCheckpoint,
+    build_chain_checkpoint,
     build_walk_checkpoint,
     config_to_state,
     state_config,
@@ -36,29 +37,35 @@ def gemm(name="ckpt_op"):
 POOL = (ops.elementwise((64, 80), "gelu"), ops.add((64, 80)))
 
 
-def make_checkpoint(
-    hw, compute=None, chain=0, iteration=9, total=9, epilogues=()
-):
+def make_checkpoint(hw, compute=None, iterations=(5, 4), epilogues=()):
+    """A checkpoint with one record per entry of ``iterations``: chain 0
+    has stopped, the others are live."""
     compute = compute if compute is not None else gemm()
     cfg = GensorConfig(seed=3)
     # the first seed with the most epilogues fused (the first seed if bare)
     state = max(
         Gensor(hw, cfg).seed_states(compute, epilogues), key=lambda s: s.fused
     )
-    rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
-    rng.random(5)  # consume a bit so the stream position is non-trivial
+    chains = []
+    for chain, iteration in enumerate(iterations):
+        rng = spawn_rng(cfg.seed, "gensor", compute.name, chain)
+        rng.random(5)  # consume a bit so the stream position is non-trivial
+        chains.append(
+            build_chain_checkpoint(
+                state_config(state),
+                0.42,
+                iteration,
+                rng,
+                done=chain == 0,
+                candidate_configs=[state_config(state)],
+            )
+        )
     return build_walk_checkpoint(
         compute,
         cfg,
         epilogues=epilogues,
         num_levels=hw.num_cache_levels,
-        chain=chain,
-        iteration=iteration,
-        total_steps=total,
-        temperature=0.42,
-        state_config=state_config(state),
-        rng=rng,
-        candidate_configs=[state_config(state)],
+        chains=chains,
         node_keys=[state_config(state)],
         nodes_seen=17,
     ), cfg
@@ -71,13 +78,35 @@ class TestWalkCheckpoint:
         back = WalkCheckpoint.from_json(json.loads(json.dumps(ck.to_json())))
         assert back == ck
 
+    def test_version_3_holds_every_chain(self, hw):
+        """One record per chain, each with its own state, temperature,
+        iteration, RNG state, stop flag and candidates; the top level
+        counts the steps of all chains."""
+        ck, _ = make_checkpoint(hw, iterations=(6, 5, 5))
+        assert ck.version == 3
+        assert [c.iteration for c in ck.chains] == [6, 5, 5]
+        assert [c.done for c in ck.chains] == [True, False, False]
+        assert ck.total_steps == 16
+        body = ck.to_json()
+        assert set(body) == {
+            "version", "compute_key", "config_digest", "num_levels",
+            "total_steps", "chains", "node_keys", "nodes_seen",
+        }
+        assert set(body["chains"][0]) == {
+            "state", "temperature", "iteration", "rng_state", "done",
+            "candidates",
+        }
+
     def test_rng_state_survives_json_and_continues_stream(self, hw):
         ck, _ = make_checkpoint(hw)
         back = WalkCheckpoint.from_json(json.loads(json.dumps(ck.to_json())))
-        a = restore_rng(ck.rng_state)
-        b = restore_rng(back.rng_state)
-        assert a.random(16).tobytes() == b.random(16).tobytes()
-        assert a.choice(97, size=8).tolist() == b.choice(97, size=8).tolist()
+        for chain, chain_back in zip(ck.chains, back.chains):
+            a = restore_rng(chain.rng_state)
+            b = restore_rng(chain_back.rng_state)
+            assert a.random(16).tobytes() == b.random(16).tobytes()
+            assert (
+                a.choice(97, size=8).tolist() == b.choice(97, size=8).tolist()
+            )
 
     def test_pickle_round_trip(self, hw):
         ck, _ = make_checkpoint(hw)
@@ -127,7 +156,7 @@ class TestWalkCheckpoint:
         the fusion group of the same anchor, nor the other way round."""
         bare, cfg = make_checkpoint(hw)
         fused, _ = make_checkpoint(hw, epilogues=POOL)
-        assert fused.state[3] == len(POOL)
+        assert fused.chains[0].state[3] == len(POOL)
         assert bare.matches(gemm(), cfg)
         assert fused.matches(gemm(), cfg, POOL)
         assert not bare.matches(gemm(), cfg, POOL)
@@ -161,7 +190,7 @@ class TestWalkCheckpoint:
             "total_steps": 9,
             "temperature": 0.42,
             "state": [[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2],
-            "rng_state": ck.rng_state,
+            "rng_state": ck.chains[0].rng_state,
             "candidates": [[[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2]],
             "node_keys": [[[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2]],
             "nodes_seen": 17,
@@ -189,6 +218,50 @@ class TestWalkCheckpoint:
         # an in-memory checkpoint stamped version 1 never matches either
         old = dataclasses.replace(ck, version=1)
         assert not old.matches(gemm(), cfg)
+
+    def test_version_2_record_never_resumes(self, hw, tmp_path):
+        """A literal version-2 record (one interrupted chain: ``chain``,
+        ``iteration``, ``temperature``, ``state``, ``rng_state`` and
+        ``candidates`` at the top level) is quarantined by the store and
+        never matches."""
+        ck, cfg = make_checkpoint(hw)
+        config = [[[1, 1], [1, 1], [1, 1]], [1, 1, 1], 2, 0]
+        v2 = {
+            "version": 2,
+            "compute_key": ck.compute_key,
+            "config_digest": ck.config_digest,
+            "num_levels": ck.num_levels,
+            "chain": 1,
+            "iteration": 4,
+            "total_steps": 9,
+            "temperature": 0.42,
+            "state": config,
+            "rng_state": ck.chains[1].rng_state,
+            "candidates": [config],
+            "node_keys": [config],
+            "nodes_seen": 17,
+        }
+        with pytest.raises(ValueError, match="version"):
+            WalkCheckpoint.from_json(v2)
+        registry = MetricsRegistry()
+        store = CheckpointStore(tmp_path, registry=registry)
+        path = store.path_for("rtx4090", ck.compute_key)
+        path.write_text(
+            json.dumps(
+                {
+                    "device": "rtx4090",
+                    "compute_key": ck.compute_key,
+                    "checkpoint": v2,
+                    "crc": entry_checksum(v2),
+                }
+            )
+        )
+        assert store.load("rtx4090", ck.compute_key) is None
+        assert (tmp_path / ".quarantine" / path.name).exists()
+        assert (
+            registry.counter("resilience_checkpoint_corrupt_total").value == 1
+        )
+        assert not dataclasses.replace(ck, version=2).matches(gemm(), cfg)
 
 
 class TestCheckpointPolicy:
@@ -250,7 +323,7 @@ class TestCheckpointer:
         assert calls == []
 
     def test_start_from_seeds_offsets(self, hw):
-        ck, _ = make_checkpoint(hw, total=40)
+        ck, _ = make_checkpoint(hw, iterations=(21, 19))
         cp = Checkpointer(CheckpointPolicy(every_steps=64))
         cp.start_from(ck)
         assert cp.last is ck
@@ -321,7 +394,7 @@ class TestCheckpointStore:
         store.save("rtx4090", ck)
         path = store.path_for("rtx4090", ck.compute_key)
         payload = json.loads(path.read_text())
-        payload["checkpoint"]["iteration"] += 1  # bit flip, stale CRC
+        payload["checkpoint"]["total_steps"] += 1  # bit flip, stale CRC
         path.write_text(json.dumps(payload))
         assert store.load("rtx4090", ck.compute_key) is None
 

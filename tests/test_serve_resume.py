@@ -12,6 +12,7 @@ from repro.core.cache import group_fingerprint
 from repro.core.constructor import Gensor, GensorConfig
 from repro.ir import operators as ops
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import RecordingTracer
 from repro.resilience.checkpoint import (
     CheckpointPolicy,
     Checkpointer,
@@ -43,8 +44,9 @@ def gemm(m=64, k=32, n=64, name="op"):
 
 
 #: a fusion group and a walk long enough that, at seed 0, attempt 0's last
-#: checkpoint (step 56 of 60, cadence 7) sits mid-chain with both
-#: epilogues fused: attempt 1 restores a fused state and walks on from it.
+#: checkpoint (step 56 of 60, cadence 7) holds both chains at iteration 28
+#: of 30 with both epilogues fused: attempt 1 restores fused states and
+#: walks on from them.
 FUSED_OP = ops.matmul(64, 48, 80, "fused_op")
 POOL = (ops.elementwise((64, 80), "gelu", "ep_gelu"), ops.add((64, 80), "ep_res"))
 FUSED_CONFIG = GensorConfig(
@@ -106,6 +108,26 @@ def record_resumes(service):
     return seen
 
 
+def record_walk(service):
+    """Record ``service``'s walk events; return the tracer and the list
+    that gets the tracer's event count at the start of each attempt."""
+    tracer = RecordingTracer()
+    service.dynamic.gensor.tracer = tracer
+    marks = []
+    real = service.dynamic.compile
+
+    def marking(compute, measurer=None, **kwargs):
+        marks.append(len(tracer.events))
+        return real(compute, measurer, **kwargs)
+
+    service.dynamic.compile = marking
+    return tracer, marks
+
+
+def walk_steps(events):
+    return [e.args for e in events if e.name == "walk_step"]
+
+
 def fault_free_key(hw):
     service, _ = make_service(hw)
     with service:
@@ -158,8 +180,11 @@ class TestRetryResume:
     def test_fused_retry_resumes_from_checkpoint_with_parity(self, hw):
         """A fusion group's walk resumes the way a bare operator's does:
         attempt 1 continues mid-chain from attempt 0's group-keyed
-        checkpoint, fused count included, and its compile equals the
-        fault-free one (schedule, top-k, iterations, states visited)."""
+        checkpoint, fused counts included, and its compile equals the
+        fault-free one (schedule, top-k, iterations, states visited).
+        The walk's tail revisits known states, so the summary alone would
+        not see a resume that lost a fused count: attempt 1's walk steps
+        must also be exactly the suffix of the fault-free walk's."""
         plan = FaultPlan(
             faults=(FaultSpec(kind="raise", attempts=(0,), rate=1.0),)
         )
@@ -168,6 +193,7 @@ class TestRetryResume:
             hw, plan, config=FUSED_CONFIG, checkpoint_policy=policy
         )
         resumes = record_resumes(service)
+        tracer, marks = record_walk(service)
         with service:
             response = service.submit(FUSED_OP, epilogues=POOL).result(
                 timeout=30.0
@@ -175,6 +201,7 @@ class TestRetryResume:
         clean, _ = make_service(
             hw, config=FUSED_CONFIG, checkpoint_policy=policy
         )
+        clean_tracer, _ = record_walk(clean)
         with clean:
             reference = clean.submit(FUSED_OP, epilogues=POOL).result(
                 timeout=30.0
@@ -184,13 +211,22 @@ class TestRetryResume:
         resumed = resumes[1]
         assert isinstance(resumed, WalkCheckpoint)
         assert resumed.compute_key == group_fingerprint(FUSED_OP, POOL)
-        assert resumed.iteration < FUSED_CONFIG.max_iterations_per_chain
-        assert resumed.state[3] > 0
+        assert all(
+            not chain.done
+            and chain.iteration < FUSED_CONFIG.max_iterations_per_chain
+            and chain.state[3] == len(POOL)
+            for chain in resumed.chains
+        )
         assert (
             registry.counter("resilience_checkpoint_resumes_total").value == 1
         )
         assert registry.total("resilience_wasted_states_total") <= FUSED_EVERY
         assert summarize(response.result) == summarize(reference.result)
+        assert len(marks) == 2
+        full = walk_steps(clean_tracer.events)
+        attempt1 = walk_steps(tracer.events[marks[1]:])
+        assert 0 < len(attempt1) < len(full)
+        assert attempt1 == full[len(full) - len(attempt1):]
 
     def test_stale_checkpoint_is_rejected_not_resumed(self, hw):
         service, registry = make_service(hw)

@@ -155,6 +155,34 @@ class TestServeTiers:
         assert warm.tier == "warm"
         assert all(r.ok and r.result is not None for r in (cold, hit, warm))
 
+    def test_served_hit_builds_each_fingerprint_once(self, hw, monkeypatch):
+        """A served hit keys its group several times (single-flight, the
+        attempt, the cache lookups); each operator of a fresh request
+        builds its shape fingerprint once."""
+        import repro.core.cache as cache_module
+
+        def group():
+            return ops.matmul(128, 64, 128, "fp_mm"), (
+                ops.elementwise((128, 128), "gelu", "fp_gelu"),
+            )
+
+        built: list[str] = []
+        original = cache_module.shape_fingerprint
+
+        def spy(compute):
+            if "_shape_fingerprint" not in compute.__dict__:
+                built.append(compute.name)
+            return original(compute)
+
+        with make_service(hw, workers=1) as service:
+            anchor, pool = group()
+            cold = service.submit(anchor, epilogues=pool).result(timeout=30.0)
+            monkeypatch.setattr(cache_module, "shape_fingerprint", spy)
+            anchor, pool = group()
+            hit = service.submit(anchor, epilogues=pool).result(timeout=30.0)
+        assert cold.tier == "cold" and hit.tier == "hit"
+        assert sorted(built) == ["fp_gelu", "fp_mm"]
+
     def test_failure_is_retried_then_shed_to_degraded(self, hw):
         service = make_service(hw)
         calls: list = []

@@ -4,7 +4,8 @@ The structure-of-arrays engine (repro.perf.soa) claims *bit-faithfulness*:
 every benefit, probability, chosen edge, latency, and node count must be
 byte-identical to what ConstructionGraph + TransitionPolicy produce.  This
 harness attacks that claim from every angle the contract names — randomized
-frontiers (hypothesis), annealed lockstep walks, the encode/decode
+frontiers (hypothesis), annealed lockstep walks, batched rounds (one
+``expand`` over many states, past the eviction cap too), the encode/decode
 boundary, forbidden-action filtering, polish, and the raw latency kernels
 — on both devices, including states the cost model rejects as INFEASIBLE,
 and for program fusion groups with pools of one to three epilogues at
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import GensorConfig
+from repro.core import Gensor, GensorConfig
 from repro.core.actions import ActionKind
 from repro.core.graph import ConstructionGraph
 from repro.core.markov import build_transition_matrix
@@ -252,6 +253,74 @@ def test_differential_walk_fused_with_forbid():
     )
     report = diff.walk(seed=2, chains=1, max_iterations=30, forbid=forbid)
     assert report["states_compared"] > 0
+
+
+# -- lockstep rounds: one batched expansion ------------------------------------
+
+
+@st.composite
+def rounds_for(draw, compute, epilogues):
+    """A round of states expanded together: drawn states (mixed levels),
+    some at every fused count of their pool, some repeated, in a drawn
+    order."""
+    states: list[ETIR] = []
+    for _ in range(draw(st.integers(1, 3))):
+        state = draw(states_for(compute, epilogues=epilogues))
+        states += _ladder(state) if draw(st.booleans()) else [state]
+    states += draw(st.lists(st.sampled_from(states), max_size=3))
+    return draw(st.permutations(states))
+
+
+@pytest.mark.parametrize(
+    ("device", "op", "pool_size"),
+    [(d, o, n) for d, o in COMBOS for n in (0, 3)],
+)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_round_expansion_matches_graph_per_state(device, op, pool_size, data):
+    """One batched ``engine.expand`` per round equals ``graph.expand`` per
+    state, edge for edge and in node count — with states a round repeats,
+    states whose edges an earlier round memoized, mixed levels, and fused
+    states at every count."""
+    pool = _pool(op, pool_size)
+    walker = DifferentialWalker(OPS[op], DEVICES[device], epilogues=pool)
+    first = data.draw(rounds_for(OPS[op], pool))
+    walker.compare_round(first)
+    second = data.draw(rounds_for(OPS[op], pool))
+    revisits = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4))
+    walker.compare_round(data.draw(st.permutations(second + revisits)))
+
+
+def test_round_expansion_past_the_eviction_cap(hw):
+    """Under a tiny memo cap a round's own evictions drop edges a later row
+    of the round needs; that row is priced again at its turn, and edges,
+    node counts and the exported node memo (membership and order) stay
+    equal to the graph's."""
+    pool = _pool("mm", 2)
+    walker = DifferentialWalker(OPS["mm"], hw, epilogues=pool)
+    walker.graph.max_cached_states = walker.engine.max_cached_states = 6
+    batches: list[int] = []
+    priced = walker.engine._expansion_slots
+
+    def spy(states):
+        batches.append(len(states))
+        return priced(states)
+
+    walker.engine._expansion_slots = spy
+    states = {
+        rung.key(): rung
+        for seed in Gensor(hw).seed_states(OPS["mm"], pool)
+        for rung in _ladder(seed)
+    }
+    first, fresh = list(states.values())[:8], list(states.values())[8:16]
+    walker.compare_round(first)
+    walker.compare_round(fresh + first)
+    assert batches[0] == 8 and 1 in batches[2:]
+    assert walker.engine.export_nodes() == walker.graph.export_nodes()
 
 
 # -- the encode/decode boundary ------------------------------------------------

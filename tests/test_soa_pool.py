@@ -7,8 +7,9 @@ ranking and the one-state-at-a-time polish.  These tests hold the two to
 the same answers — same states in the same order, same steps, same
 latency bits, same ``polish`` events — and pin the compile-level
 contracts: a cold compile prices through the scalar cost model only for
-the states it measures, and the rank/polish/measure pipeline runs a fixed
-number of times per compile whatever the walk's size.
+the states it measures, the rank/polish/measure pipeline runs a fixed
+number of times per compile whatever the walk's size, and the lockstep
+walk's rounds are the same on both engines.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.perf.soa import SoAFrontier, SoAWalkEngine, pack_for
 from repro.resilience.checkpoint import Checkpointer, CheckpointPolicy
 from repro.sim.costmodel import CostModel
 from repro.sim.measure import Measurer
+from repro.workloads import table4
 from tests.test_soa_parity import (
     COMBOS,
     DEVICES,
@@ -239,10 +241,10 @@ def test_pool_rows_are_never_decoded_during_the_walk(hw, monkeypatch):
 
 
 def test_packed_pool_checkpoints_like_the_reference(hw):
-    """Checkpoints of the packed pool hold the same portable candidate
-    configs as the reference's ETIR pool: whole snapshots are equal, for a
-    bare operator and for a fusion group (whose node keys carry fused
-    counts)."""
+    """Checkpoints of the packed pools hold the same portable candidate
+    configs as the reference's ETIR pools: whole snapshots, every chain's
+    record included, are equal, for a bare operator and for a fusion group
+    (whose node keys carry fused counts)."""
     cfg = GensorConfig(
         seed=4, num_chains=2, top_k=4, polish_steps=4, max_iterations_per_chain=40
     )
@@ -256,7 +258,7 @@ def test_packed_pool_checkpoints_like_the_reference(hw):
                 compute, checkpointer=ck, epilogues=epilogues
             )
             snapshots.append(ck.last.to_json())
-        assert snapshots[0]["candidates"]
+        assert all(chain["candidates"] for chain in snapshots[0]["chains"])
         assert snapshots[0] == snapshots[1]
         if epilogues:
             assert max(fused for *_, fused in snapshots[0]["node_keys"]) > 0
@@ -347,6 +349,20 @@ def _traced_signature(compiler, hw, compute, cfg):
         float(result.simulated_measure_s).hex(),
         events,
     )
+
+
+@pytest.mark.parametrize("label", ["M2", "P1"])
+def test_default_config_lockstep_walk_matches_reference(hw, label):
+    """At the default config (8 chains, seed 1) one chain of these walks
+    stops after one step while seven run 127, so most rounds run without
+    it.  Both engines walk the same rounds: every event, in its
+    round-interleaved order, and the compile's results are identical."""
+    cfg = GensorConfig(seed=1)
+    soa = _traced_signature(Gensor, hw, table4.build(label), cfg)
+    ref = _traced_signature(ReferenceGensor, hw, table4.build(label), cfg)
+    assert soa == ref
+    ends = [args["iterations"] for name, args in soa[-1] if name == "chain_end"]
+    assert sorted(ends) == [1] + [127] * 7
 
 
 def test_traffic_unsafe_shape_walks_identically(hw):

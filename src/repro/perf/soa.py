@@ -792,7 +792,11 @@ class SoAWalkEngine:
         for key, row in zip(keys, states):
             if key not in self._edges:
                 misses.setdefault(key, row)
-        priced = dict(zip(misses, self._expansion_edges(list(misses.values()))))
+        priced = (
+            dict(zip(misses, self._expansion_edges(list(misses.values()))))
+            if misses
+            else {}
+        )
         out: list[list[SoAEdge]] = []
         for key, row in zip(keys, states):
             self._add_node(key)
@@ -876,18 +880,15 @@ class SoAWalkEngine:
         slot)``, ``benefits`` their benefit values (0.0 on memory-check
         failure), and ``memok`` the candidates' relaxed memory-check mask.
         """
-        slot_lists = [self._slots(*row) for row in states]
-        cand_lists = [
-            [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
-            for slots in slot_lists
-        ]
-        flat = [(r, slot) for r, cands in enumerate(cand_lists) for _i, slot in cands]
-        benefits = [0.0] * len(flat)
-        memok = (
-            self._price(states, flat, benefits)
-            if flat
-            else np.zeros(0, dtype=bool)
-        )
+        slot_lists = []
+        cand_lists = []
+        for row in states:
+            slots = self._slots(*row)
+            slot_lists.append(slots)
+            cand_lists.append(
+                [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
+            )
+        benefits, memok = self._price(states, cand_lists)
         out = []
         lo = 0
         for slots, cands in zip(slot_lists, cand_lists):
@@ -986,74 +987,79 @@ class SoAWalkEngine:
         return slots
 
     def _price(
-        self,
-        states: list[tuple],
-        flat: list[tuple[int, _Slot]],
-        benefits: list[float],
-    ) -> np.ndarray:
-        """Price a batch's concatenated candidates into ``benefits`` and
-        return their relaxed memory-check mask.
+        self, states: list[tuple], cand_lists: list[list[tuple[int, _Slot]]]
+    ) -> tuple[list[float], np.ndarray]:
+        """Benefits and relaxed memory-check mask of a batch's candidates,
+        concatenated in state order (``cand_lists[r]`` holds state ``r``'s
+        structurally legal slots).
 
-        ``flat`` holds one ``(row, slot)`` per structurally legal
-        candidate, ``row`` indexing ``states``.  The legality mask runs
-        once over every candidate; the current-level tile rows of each
-        tiling candidate and of its source (Formula 1's Q/F), the sources
-        of the caching candidates (Formula 2) and the roofline term are
-        each priced in one stacked pass.
+        The legality mask runs once over every candidate; the
+        current-level tile rows of each tiling candidate and of its source
+        (Formula 1's Q/F), the sources of the caching candidates (Formula
+        2) and the roofline term are each priced in one stacked pass.
         """
+        slots = [slot for cands in cand_lists for _i, slot in cands]
+        if not slots:
+            return [], np.zeros(0, dtype=bool)
         pack = self.pack
-        dst_tiles = np.array([slot.tiles for _r, slot in flat])
+        dst_tiles = np.array([slot.tiles for slot in slots])
         num_levels = dst_tiles.shape[2]
-        dst_fused = np.array([slot.fused for _r, slot in flat], dtype=np.int64)
+        dst_fused = np.array([slot.fused for slot in slots], dtype=np.int64)
         memok, _smem_fp, _regs = self._memok_relaxed(
             dst_tiles[:, :, num_levels - 1], dst_tiles[:, :, 0], dst_fused
         )
 
         # Formula 1-3 formulas, in candidate order.
+        benefits = [0.0] * len(slots)
         qf_rows: list[np.ndarray] = []
-        qf_src: dict[int, int] = {}  # state row -> its source's Q/F row
-        tiling: list[tuple[int, int]] = []  # (candidate, its Q/F row)
-        caching: list[tuple[int, int]] = []  # (candidate, state row)
-        needs_accel: list[int] = []
-        for j, ok in enumerate(memok.tolist()):
-            if not ok:
-                continue
-            r, slot = flat[j]
+        tiling: list[tuple[int, int, int]] = []  # (candidate, src row, dst row)
+        caching: list[tuple[int, int]] = []  # (candidate, state)
+        groups: list[tuple[int, list[int]]] = []  # (state, roofline candidates)
+        ok = memok.tolist()
+        lo = 0
+        for r, cands in enumerate(cand_lists):
             tiles, vthreads, level, fused = states[r]
-            if slot.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
-                if r not in qf_src:
-                    qf_src[r] = len(qf_rows)
-                    qf_rows.append(tiles[:, level - 1])
-                assert slot.tiles is not None
-                tiling.append((j, len(qf_rows)))
-                qf_rows.append(slot.tiles[:, level - 1])
-            elif slot.kind == ActionKind.CACHE:
-                caching.append((j, r))
-            elif slot.kind == ActionKind.FUSE:
-                benefits[j] = self._fuse_benefit[fused]
-            elif slot.kind == ActionKind.UNFUSE:
-                benefits[j] = self._unfuse_benefit[fused]
-            else:
-                assert slot.vthreads is not None
-                benefits[j] = self._vthread_benefit(
-                    slot.axis,
-                    tiles,
-                    num_levels,
-                    int(vthreads[slot.axis]),
-                    int(slot.vthreads[slot.axis]),
-                )
-            if slot.kind not in _NO_ACCEL and self.multi_objective:
-                needs_accel.append(j)
+            src_row = -1
+            accel_js: list[int] = []
+            for j, (_i, slot) in enumerate(cands, lo):
+                if not ok[j]:
+                    continue
+                if slot.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
+                    if src_row < 0:
+                        src_row = len(qf_rows)
+                        qf_rows.append(tiles[:, level - 1])
+                    assert slot.tiles is not None
+                    tiling.append((j, src_row, len(qf_rows)))
+                    qf_rows.append(slot.tiles[:, level - 1])
+                elif slot.kind == ActionKind.CACHE:
+                    caching.append((j, r))
+                elif slot.kind == ActionKind.FUSE:
+                    benefits[j] = self._fuse_benefit[fused]
+                elif slot.kind == ActionKind.UNFUSE:
+                    benefits[j] = self._unfuse_benefit[fused]
+                else:
+                    assert slot.vthreads is not None
+                    benefits[j] = self._vthread_benefit(
+                        slot.axis,
+                        tiles,
+                        num_levels,
+                        int(vthreads[slot.axis]),
+                        int(slot.vthreads[slot.axis]),
+                    )
+                if slot.kind not in _NO_ACCEL and self.multi_objective:
+                    accel_js.append(j)
+            lo += len(cands)
+            if accel_js:
+                groups.append((r, accel_js))
 
         if tiling:
             # Exact integer Q/F per stacked row; the division is Formula 1.
             stack = np.array(qf_rows)
             traffic = pack.traffic_bytes_ints(stack)
             footprint = pack.footprint_bytes(stack, include_output=True).tolist()
-            for j, k in tiling:
-                src = qf_src[flat[j][0]]
+            for j, src, dst in tiling:
                 benefits[j] = self._tiling_ratio(
-                    traffic[src], footprint[src], traffic[k], footprint[k]
+                    traffic[src], footprint[src], traffic[dst], footprint[dst]
                 )
         if caching:
             src_rows = np.array(
@@ -1062,9 +1068,9 @@ class SoAWalkEngine:
             s_data = pack.footprint_bytes(src_rows, include_output=False).tolist()
             for (j, r), s_bytes in zip(caching, s_data):
                 benefits[j] = self._caching_benefit(s_bytes, states[r][2], num_levels)
-        if needs_accel:
-            self._apply_acceleration(states, flat, benefits, needs_accel)
-        return memok
+        if groups:
+            self._apply_acceleration(states, slots, benefits, groups)
+        return benefits, memok
 
     def _tiling_ratio(
         self, q_old: int, f_old: int, q_new: int, f_new: int
@@ -1118,12 +1124,12 @@ class SoAWalkEngine:
     def _apply_acceleration(
         self,
         states: list[tuple],
-        flat: list[tuple[int, _Slot]],
+        slots: list[_Slot],
         benefits: list[float],
-        needs_accel: list[int],
+        groups: list[tuple[int, list[int]]],
     ) -> None:
         """The roofline term of ``action_benefit``, memo-backed, for a
-        batch's tile and vThread candidates.
+        batch's tile and vThread candidates, grouped by source state.
 
         Those moves keep their source's fused count, so a candidate and
         its source price at one fused count.  The sources missing from the
@@ -1134,69 +1140,59 @@ class SoAWalkEngine:
         quick = self.bundle.quick
         if len(quick) > _MEMO_CAP:
             quick.clear()
-        lats: dict[tuple, float] = {}
-        src_keys: dict[int, tuple] = {}
-        missing_src: dict[tuple, tuple] = {}
-        for j in needs_accel:
-            r = flat[j][0]
-            if r in src_keys:
-                continue
+        src_keys: list[tuple] = []
+        befores: list = []
+        for r, _js in groups:
             tiles, vthreads, _level, fused = states[r]
-            key = src_keys[r] = (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
-            lat = quick.get(key)
-            if lat is None:
-                missing_src.setdefault(key, states[r])
-            else:
-                lats[key] = lat
-        if missing_src:
-            rows = list(missing_src.values())
-            priced = self._quick_latencies(
+            key = (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
+            src_keys.append(key)
+            befores.append(quick.get(key))
+        missing = [g for g, before in enumerate(befores) if before is None]
+        if missing:
+            rows = [states[groups[g][0]] for g in missing]
+            lats = self._quick_latencies(
                 np.array([row[0] for row in rows]),
                 np.array([row[1] for row in rows]),
                 np.array([row[3] for row in rows], dtype=np.int64),
-            )
-            for key, lat in zip(missing_src, priced.tolist()):
-                lats[key] = quick[key] = lat
+            ).tolist()
+            for g, lat in zip(missing, lats):
+                befores[g] = quick[src_keys[g]] = lat
 
-        dst_keys: list[tuple] = []
-        missing_dst: dict[tuple, _Slot] = {}
-        for j in needs_accel:
-            slot = flat[j][1]
-            assert slot.tiles is not None and slot.vthreads is not None
-            key = (slot.tiles.tobytes(), slot.vthreads.tobytes(), self._tags[slot.fused])
-            dst_keys.append(key)
-            if key in lats or key in missing_dst:
-                continue
-            lat = quick.get(key)
-            if lat is None:
-                missing_dst[key] = slot
-            else:
-                lats[key] = lat
-        if missing_dst:
-            slots = list(missing_dst.values())
-            batch_t = np.array([slot.tiles for slot in slots])
-            priced = quick_pipe(
+        dsts = [slots[j] for _r, js in groups for j in js]
+        tags = [src_key[2] for (_r, js), src_key in zip(groups, src_keys) for _j in js]
+        keys = [
+            (slot.tiles.tobytes(), slot.vthreads.tobytes(), tag)  # type: ignore[union-attr]
+            for slot, tag in zip(dsts, tags)
+        ]
+        afters = [quick.get(key) for key in keys]
+        missing = [k for k, after in enumerate(afters) if after is None]
+        if missing:
+            batch = [dsts[k] for k in missing]
+            batch_t = np.array([slot.tiles for slot in batch])
+            lats = quick_pipe(
                 self._quick_cols(
                     batch_t[:, :, -1],
                     batch_t[:, :, 0],
-                    np.array([slot.vthreads for slot in slots]),
-                    np.array([slot.fused for slot in slots], dtype=np.int64),
+                    np.array([slot.vthreads for slot in batch]),
+                    np.array([slot.fused for slot in batch], dtype=np.int64),
                 ),
                 self.hw,
-            )
-            for key, lat in zip(missing_dst, priced.tolist()):
-                lats[key] = quick[key] = lat
+            ).tolist()
+            for k, lat in zip(missing, lats):
+                afters[k] = quick[keys[k]] = lat
 
-        for j, key in zip(needs_accel, dst_keys):
-            before = lats[src_keys[flat[j][0]]]
-            after = lats[key]
-            if not math.isfinite(after) or after <= 0:
-                accel = 0.0
-            elif not math.isfinite(before):
-                accel = 4.0
-            else:
-                accel = min(16.0, before / after)
-            benefits[j] = benefits[j] * accel
+        k = 0
+        for (_r, js), before in zip(groups, befores):
+            for j in js:
+                after = afters[k]
+                k += 1
+                if not math.isfinite(after) or after <= 0:
+                    accel = 0.0
+                elif not math.isfinite(before):
+                    accel = 4.0
+                else:
+                    accel = min(16.0, before / after)
+                benefits[j] = benefits[j] * accel
 
     # -- legality / feature kernels -------------------------------------------
 

@@ -42,12 +42,10 @@ import sys
 
 from repro.baselines import Ansor, AnsorConfig, PyTorchEager, Roller, VendorLibrary
 from repro.core import DynamicCompileResult, DynamicGensor, Gensor, GensorConfig
-from repro.hardware import orin_nano, rtx4090
+from repro.hardware import DEVICES
 from repro.ir import operators as ops
 
 __all__ = ["main", "build_operator"]
-
-_DEVICES = {"rtx4090": rtx4090, "orin_nano": orin_nano}
 
 _EXPERIMENTS = {
     "fig01": "repro.experiments.fig01_tree_vs_graph",
@@ -120,7 +118,7 @@ def _make_method(name: str, hw, trials: int):
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    hw = _DEVICES[args.device]()
+    hw = DEVICES[args.device]()
     compute = build_operator(args.op, args.shape)
     method = _make_method(args.method, hw, args.trials)
     tracer = None
@@ -190,7 +188,7 @@ def _build_model(name: str, batch: int, seq: int):
 def _cmd_compile_graph(args: argparse.Namespace) -> int:
     from repro.models.runner import compile_and_time
 
-    hw = _DEVICES[args.device]()
+    hw = DEVICES[args.device]()
     graph = _build_model(args.model, args.batch, args.seq)
     cfg = (
         GensorConfig(seed=args.seed)
@@ -294,8 +292,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"chaos: {res['faults_injected']} faults injected, "
               f"{res['retries']} retries, "
               f"{res['breaker_opens']} breaker opens, "
-              f"{sum(res['worker_respawns'].values())} worker respawns, "
-              f"{len(res['quarantined'])} cache quarantines")
+              f"{sum(res['worker_respawns'].values())} worker respawns")
         print(f"availability: {report.availability:.1%} "
               f"(degraded tiers count as available)")
     return 0 if report.failed == 0 else 1
@@ -356,7 +353,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import run_walk_bench, write_bench
 
-    hw = _DEVICES[args.device]()
+    hw = DEVICES[args.device]()
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 1)
     payload = run_walk_bench(hw, seed=args.seed, quick=args.quick, repeats=repeats)
     out = write_bench(payload, args.out)
@@ -444,7 +441,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_devices(_args: argparse.Namespace) -> int:
-    for name, factory in _DEVICES.items():
+    for name, factory in DEVICES.items():
         hw = factory()
         print(
             f"{name}: {hw.num_sms} SMs @ {hw.clock_hz / 1e9:.2f} GHz, "
@@ -469,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--method", default="gensor",
                            choices=["gensor", "dynamic", "roller", "ansor",
                                     "cublas", "pytorch"])
-    p_compile.add_argument("--device", default="rtx4090", choices=list(_DEVICES))
+    p_compile.add_argument("--device", default="rtx4090", choices=list(DEVICES))
     p_compile.add_argument("--trials", type=int, default=500,
                            help="Ansor measurement budget")
     p_compile.add_argument("--emit", action="store_true",
@@ -487,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--batch", type=int, default=1)
     p_graph.add_argument("--seq", type=int, default=128,
                          help="sequence length (bert_small/gpt2 only)")
-    p_graph.add_argument("--device", default="rtx4090", choices=list(_DEVICES))
+    p_graph.add_argument("--device", default="rtx4090", choices=list(DEVICES))
     p_graph.add_argument("--seed", type=int, default=0)
     p_graph.add_argument("--no-fusion", action="store_true",
                          help="plan one group per op (the per-op baseline "
@@ -515,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--model", default="bert", choices=["bert", "gpt2"])
     p_serve.add_argument("--requests", type=int, default=200)
     p_serve.add_argument("--workers", type=int, default=8)
-    p_serve.add_argument("--device", default="rtx4090", choices=list(_DEVICES))
+    p_serve.add_argument("--device", default="rtx4090", choices=list(DEVICES))
     p_serve.add_argument("--deadline-ms", type=float, default=None,
                          help="per-request deadline; tight values trigger "
                               "degraded serving tiers")
@@ -551,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "8 full)")
     p_fleet.add_argument("--workers-per-shard", type=int, default=1,
                          help="worker threads inside each shard process")
-    p_fleet.add_argument("--device", default="rtx4090", choices=list(_DEVICES))
+    p_fleet.add_argument("--device", default="rtx4090", choices=list(DEVICES))
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument("--window", type=int, default=32,
                          help="closed-loop client concurrency")
@@ -583,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--quick", action="store_true",
                          help="one op per family with a reduced walk "
                               "(the CI smoke mode)")
-    p_bench.add_argument("--device", default="rtx4090", choices=list(_DEVICES))
+    p_bench.add_argument("--device", default="rtx4090", choices=list(DEVICES))
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default="BENCH_walk.json",
                          metavar="OUT.json")

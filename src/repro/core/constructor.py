@@ -139,9 +139,10 @@ class Gensor:
         Engines expose their ``epilogues`` pool, ``run_chains`` (which
         walks every chain in lockstep rounds, each filling its own
         candidate pool, a dict the engine owns the row format of),
-        ``add_states`` and ``rank`` over a pool, batched ``polish``,
-        ``num_nodes`` and ``restore_nodes``; one is built per call
-        because its node memo feeds ``states_visited``.
+        ``add_states`` and ``rank`` over a pool, ``polish`` (a list of
+        states in, the polished list out), ``num_nodes`` and
+        ``restore_nodes``; one is built per call because its node memo
+        feeds ``states_visited``.
         """
         from repro.perf.soa import SoAWalkEngine
 
@@ -347,27 +348,27 @@ class Gensor:
 
     def polish(
         self,
-        state: ETIR,
+        states: list[ETIR],
         max_steps: int,
         forbid: frozenset[str] = frozenset(),
         tracer: Tracer | None = None,
         cancel: CancelToken | None = None,
-    ) -> ETIR:
+    ) -> list[ETIR]:
         """Deterministic greedy refinement under the analytical value.
 
         Implements the optimal policy of the paper's value iteration: from
-        ``state``, repeatedly move to the neighbor (tile change at any
+        each state, repeatedly move to the neighbor (tile change at any
         level, vThread change) with the lowest analytical latency, until a
-        local optimum.  Purely analytical — no measurements.
+        local optimum.  Purely analytical — no measurements.  ``states``
+        (at least one) share one operator and epilogue pool, and polish
+        as one batch on one engine; the result is in their order.
 
         Public API: warm-started and degraded serving paths refine adapted
         cache entries with a reduced step budget instead of a full walk.
         """
         tracer = tracer if tracer is not None else self.tracer
-        engine = self._walk_engine(state.compute, state.epilogue_pool)
-        return engine.polish(
-            [state], max_steps, forbid, tracer=tracer, cancel=cancel
-        )[0]
+        engine = self._walk_engine(states[0].compute, states[0].epilogue_pool)
+        return engine.polish(states, max_steps, forbid, tracer=tracer, cancel=cancel)
 
     def seed_states(
         self,

@@ -189,7 +189,7 @@ class DynamicGensor:
                 self.stats.count("warm")
                 measured_before = measurer.simulated_seconds
                 # Refine the adapted entry alongside the best canonical dim
-                # configs — a few deterministic polish runs instead of the
+                # configs — one batched deterministic polish instead of the
                 # full annealed walk.
                 pool = [warm] + self.gensor.seed_states(compute, epilogues)
                 # Batched pricing; a stable index sort preserves the tie
@@ -199,16 +199,13 @@ class DynamicGensor:
                     pool[i]
                     for i in sorted(range(len(pool)), key=costs.__getitem__)
                 ]
-                polished = [
-                    self.gensor.polish(
-                        s,
-                        self.warm_polish_steps,
-                        frozenset(),
-                        tracer=tracer,
-                        cancel=cancel,
-                    )
-                    for s in pool[: self.warm_pool]
-                ]
+                polished = self.gensor.polish(
+                    pool[: self.warm_pool],
+                    self.warm_polish_steps,
+                    frozenset(),
+                    tracer=tracer,
+                    cancel=cancel,
+                )
                 costs = self._costs(polished)
                 refined = polished[
                     min(range(len(polished)), key=costs.__getitem__)

@@ -137,8 +137,6 @@ class ConstructionGraph:
         cap = self.max_cached_states
         if cap <= 0:
             return
-        # Rebind fresh dicts rather than mutating in place, so concurrent
-        # walkers iterating the old reference never see a resize.
         if len(self.nodes) > cap:
             items = list(self.nodes.items())
             self.nodes = dict(items[len(items) // 2 :])

@@ -14,7 +14,7 @@ from repro.baselines import (
     VendorLibrary,
 )
 from repro.core import Gensor, GensorConfig
-from repro.hardware import HardwareSpec, orin_nano, rtx4090
+from repro.hardware import DEVICES, HardwareSpec
 from repro.sim.measure import Measurer
 from repro.utils.tables import Table
 
@@ -37,11 +37,7 @@ def resolve_quick(quick: bool | None) -> bool:
 
 
 def device(name: str) -> HardwareSpec:
-    if name == "rtx4090":
-        return rtx4090()
-    if name == "orin_nano":
-        return orin_nano()
-    raise KeyError(f"unknown device {name!r} (rtx4090 | orin_nano)")
+    return DEVICES[name]()
 
 
 def make_methods(

@@ -36,7 +36,7 @@ from typing import cast
 from repro.core.cache import CachedSchedule, ScheduleCache, group_fingerprint
 from repro.core.constructor import GensorConfig
 from repro.fleet.autoscale import AutoscalePolicy, Autoscaler
-from repro.hardware import generic_gpu, orin_nano, rtx4090
+from repro.hardware import DEVICES
 from repro.ir.compute import ComputeDef
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.checkpoint import (
@@ -57,12 +57,6 @@ __all__ = [
     "ShardBye",
     "run_shard",
 ]
-
-_DEVICES = {
-    "rtx4090": rtx4090,
-    "orin_nano": orin_nano,
-    "generic_gpu": generic_gpu,
-}
 
 #: how long a stopping shard waits for its in-flight requests to land.
 _DRAIN_TIMEOUT_S = 60.0
@@ -203,7 +197,7 @@ def run_shard(shard_index: int, options: ShardOptions, req_q, resp_q) -> None:
     ``spawn`` start method (the fleet's default — safe to use from the
     dispatcher's multi-threaded process, unlike ``fork``).
     """
-    hw = _DEVICES[options.device]()
+    hw = DEVICES[options.device]()
     registry = MetricsRegistry()
     cache = ScheduleCache(hw)
     if options.cache_path:

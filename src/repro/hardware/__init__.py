@@ -9,6 +9,7 @@ simulator needs.
 """
 
 from repro.hardware.spec import (
+    DEVICES,
     HardwareSpec,
     MemoryLevel,
     generic_gpu,
@@ -18,6 +19,7 @@ from repro.hardware.spec import (
 from repro.hardware.memory import bank_conflict_factor, smem_transaction_factor
 
 __all__ = [
+    "DEVICES",
     "HardwareSpec",
     "MemoryLevel",
     "rtx4090",

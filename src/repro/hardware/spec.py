@@ -186,6 +186,11 @@ def orin_nano() -> HardwareSpec:
     return spec
 
 
+#: The named devices, by the name the CLI, serve-bench, fleet shards and
+#: experiments accept; each factory builds a fresh spec.
+DEVICES = {"rtx4090": rtx4090, "orin_nano": orin_nano}
+
+
 def generic_gpu(
     num_sms: int = 16,
     clock_hz: float = 1.0e9,

@@ -38,7 +38,6 @@ def summarize_walk(events: Iterable[TraceEvent]) -> dict:
     breaker_transitions: TallyCounter[str] = TallyCounter()
     respawns: TallyCounter[str] = TallyCounter()
     crashes = 0
-    quarantines = 0
     wasted_states = 0
     checkpoints = 0
     for event in events:
@@ -82,8 +81,6 @@ def summarize_walk(events: Iterable[TraceEvent]) -> dict:
             respawns[event.args.get("reason", "?")] += 1
         elif event.name == "worker_crash":
             crashes += 1
-        elif event.name == "quarantine":
-            quarantines += 1
         elif event.name == "wasted_recompute":
             wasted_states += int(event.args.get("states", 0))
             checkpoints += 1
@@ -113,7 +110,6 @@ def summarize_walk(events: Iterable[TraceEvent]) -> dict:
             "breaker_transitions": dict(sorted(breaker_transitions.items())),
             "worker_respawns": dict(sorted(respawns.items())),
             "worker_crashes": crashes,
-            "quarantines": quarantines,
             "wasted_states": wasted_states,
             "wasted_attempts": checkpoints,
         },
@@ -166,8 +162,6 @@ def render_report(summary: dict, title: str = "trace report") -> str:
             table.add_row(f"respawn:{reason}", count)
         if res.get("worker_crashes"):
             table.add_row("worker crashes", res["worker_crashes"])
-        if res.get("quarantines"):
-            table.add_row("cache quarantines", res["quarantines"])
         if res.get("wasted_states"):
             table.add_row("wasted walk states", res["wasted_states"])
     return table.render()

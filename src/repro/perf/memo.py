@@ -55,19 +55,16 @@ def _shape_key(compute: ComputeDef) -> str:
 
 
 class MetricsMemo:
-    """Bounded, thread-safe LRU of :class:`KernelMetrics` by (hardware, state).
-
-    ``capacity=0`` makes the memo a pass-through (every call re-evaluates);
-    useful for baselines and tests.
-    """
+    """Bounded, thread-safe LRU of :class:`KernelMetrics` by (hardware, state),
+    holding at most ``capacity`` (>= 1) entries."""
 
     def __init__(
         self,
         capacity: int = DEFAULT_MEMO_CAPACITY,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._registry = registry if registry is not None else get_registry()
         self._lock = threading.Lock()
@@ -101,11 +98,6 @@ class MetricsMemo:
 
     def evaluate(self, hw: HardwareSpec, state: ETIR) -> KernelMetrics:
         """Memoized :meth:`CostModel.evaluate` for ``state`` on ``hw``."""
-        if self.capacity == 0:
-            with self._lock:
-                self._misses += 1
-            self._c_misses.inc()
-            return self.model(hw).evaluate(state)
         model = self.model(hw)  # interns the spec so id(hw) is stable
         key = (id(hw), _shape_key(state.compute), state)
         with self._lock:
@@ -140,23 +132,18 @@ class MetricsMemo:
         results: list[KernelMetrics | None] = [None] * len(states)
         missing: list[int] = []
         model = self.model(hw)  # interns the spec so id(hw) is stable
-        if self.capacity == 0:
-            missing = list(range(len(states)))
-            with self._lock:
-                self._misses += len(missing)
-        else:
-            hwid = id(hw)
-            with self._lock:
-                for i, s in enumerate(states):
-                    key = (hwid, _shape_key(s.compute), s)
-                    cached = self._entries.get(key)
-                    if cached is not None:
-                        self._entries.move_to_end(key)
-                        results[i] = cached
-                    else:
-                        missing.append(i)
-                self._hits += len(states) - len(missing)
-                self._misses += len(missing)
+        hwid = id(hw)
+        with self._lock:
+            for i, s in enumerate(states):
+                key = (hwid, _shape_key(s.compute), s)
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+                    results[i] = cached
+                else:
+                    missing.append(i)
+            self._hits += len(states) - len(missing)
+            self._misses += len(missing)
         hits = len(states) - len(missing)
         if hits:
             self._c_hits.inc(hits)
@@ -165,10 +152,7 @@ class MetricsMemo:
             for i in missing:
                 state = states[i]
                 metrics = results[i] = model.evaluate(state)
-                if self.capacity:
-                    self._insert(
-                        (id(hw), _shape_key(state.compute), state), metrics
-                    )
+                self._insert((hwid, _shape_key(state.compute), state), metrics)
         return results  # type: ignore[return-value]
 
     def latency_batch(self, hw: HardwareSpec, states: "list[ETIR]") -> np.ndarray:

@@ -27,10 +27,13 @@ byte-identical.  That holds because
   order* as the scalar code (``math.ceil(a / b)`` becomes
   ``np.ceil(a / b)`` on the identical float64 division, sequential
   accumulations stay sequential per axis/access);
-* the roofline/pipe arithmetic is literally shared:
+* the roofline/pipe arithmetic runs the scalar models' operations, in
+  their order, over feature columns:
   :func:`repro.core.score.quick_pipe` and
-  :func:`repro.sim.costmodel.pipe_metrics` run the scalar models'
-  operations over feature columns;
+  :func:`repro.sim.costmodel.pipe_metrics` are bit-identical column twins
+  of :func:`~repro.core.score.quick_latency` and
+  :meth:`CostModel.evaluate <repro.sim.costmodel.CostModel.evaluate>`,
+  which keep their own scalar copies as the oracle's side;
 * everything that depends only on the fused count — the program FLOPs and
   IO, the epilogue terms of the cost model, the FUSE/UNFUSE benefits
   (:func:`repro.core.actions._fusion_benefit`), and the pending-epilogue
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -89,6 +92,26 @@ _MEMO_CAP = 65_536
 #: are tiny keys, so this is a few MB at worst; cleared wholesale on
 #: overflow — recomputation is value-identical).
 _ROW_CACHE_CAP = 262_144
+
+
+def _memo_rows(
+    cache: dict, keys: list, price: Callable[[list[int]], Iterable], cap: int
+) -> list:
+    """``cache``'s value for each key, in order.
+
+    The missing keys are priced in one ``price(missing_indices)`` call,
+    which returns their values in order, and stored.  A cache past ``cap``
+    is cleared first, not trimmed: every value is a pure function of its
+    key, so recomputation is value-identical.
+    """
+    if len(cache) > cap:
+        cache.clear()
+    out = [cache.get(key) for key in keys]
+    missing = [i for i, val in enumerate(out) if val is None]
+    if missing:
+        for i, val in zip(missing, price(missing)):
+            out[i] = cache[keys[i]] = val
+    return out
 
 
 class SoAParityError(AssertionError):
@@ -231,27 +254,13 @@ class SoAPack:
         the row keeps its footprint), so each distinct row is priced once
         per pack.
         """
-        cache = self._fpo_cache if include_output else self._fp_cache
-        if len(cache) > _ROW_CACHE_CAP:
-            cache.clear()
-        n = tiles.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        missing: list[int] = []
-        mkeys: list[bytes] = []
-        for i in range(n):
-            key = tiles[i].tobytes()
-            val = cache.get(key)
-            if val is None:
-                missing.append(i)
-                mkeys.append(key)
-            else:
-                out[i] = val
-        if missing:
-            vals = self._footprint_uncached(tiles[missing], include_output)
-            for i, key, v in zip(missing, mkeys, vals.tolist()):
-                out[i] = v
-                cache[key] = v
-        return out
+        vals = _memo_rows(
+            self._fpo_cache if include_output else self._fp_cache,
+            [row.tobytes() for row in tiles],
+            lambda idx: self._footprint_uncached(tiles[idx], include_output).tolist(),
+            _ROW_CACHE_CAP,
+        )
+        return np.array(vals, dtype=np.int64)
 
     def _footprint_uncached(
         self, tiles: np.ndarray, include_output: bool
@@ -279,27 +288,12 @@ class SoAPack:
         products) and vectorized when the pack's shape bound proves int64
         cannot overflow.
         """
-        cache = self._traffic_cache
-        if len(cache) > _ROW_CACHE_CAP:
-            cache.clear()
-        n = tiles.shape[0]
-        out: list = [None] * n
-        missing: list[int] = []
-        mkeys: list[bytes] = []
-        for i in range(n):
-            key = tiles[i].tobytes()
-            val = cache.get(key)
-            if val is None:
-                missing.append(i)
-                mkeys.append(key)
-            else:
-                out[i] = val
-        if missing:
-            vals = self._traffic_uncached(tiles[missing])
-            for i, key, v in zip(missing, mkeys, vals):
-                out[i] = v
-                cache[key] = v
-        return out
+        return _memo_rows(
+            self._traffic_cache,
+            [row.tobytes() for row in tiles],
+            lambda idx: self._traffic_uncached(tiles[idx]),
+            _ROW_CACHE_CAP,
+        )
 
     def _traffic_uncached(self, tiles: np.ndarray) -> list[int]:
         clipped = np.minimum(tiles, self.extents)
@@ -371,7 +365,7 @@ def _bundle_for(compute: ComputeDef, hw: HardwareSpec) -> _SoABundle:
     return bundle
 
 
-# -- the encode/decode boundary ----------------------------------------------
+# -- the packed candidate pool ------------------------------------------------
 
 
 class SoAFrontier:
@@ -380,11 +374,10 @@ class SoAFrontier:
     ``tiles`` is ``(n, A, L)`` int64, ``vthreads`` ``(n, A)`` int64, and
     ``cur_levels`` and ``fused`` ``(n,)`` int64; ``epilogues`` is the
     fusion group's pool every row's fused count indexes (empty for a bare
-    operator).  :meth:`encode` / :meth:`decode` cross between ETIR objects
-    and the packed representation; the round trip is exact (plain Python
-    ints on the way out, re-validated by the ETIR constructor).
-    :meth:`from_rows` packs a walk's candidate pool, which never held ETIR
-    objects, and :meth:`check` validates it in one array pass.
+    operator).  :meth:`from_rows` packs a walk's candidate pool, which
+    never held ETIR objects, :meth:`check` validates it in one array pass,
+    and :meth:`state` decodes one row exactly (plain Python ints,
+    re-validated by the ETIR constructor).
     """
 
     __slots__ = (
@@ -414,36 +407,6 @@ class SoAFrontier:
         self.vthreads = vthreads
         self.cur_levels = cur_levels
         self.fused = fused
-
-    @classmethod
-    def encode(cls, states: list[ETIR]) -> "SoAFrontier":
-        if not states:
-            raise ValueError("cannot encode an empty frontier")
-        compute = states[0].compute
-        num_levels = states[0].num_levels
-        epilogues = states[0].epilogue_pool
-        for s in states:
-            if s.compute is not compute and s.compute != compute:
-                raise ValueError("frontier mixes computes")
-            if s.num_levels != num_levels:
-                raise ValueError("frontier mixes num_levels")
-            if s.epilogue_pool != epilogues:
-                raise ValueError("frontier mixes epilogue pools")
-        tiles = np.empty(
-            (len(states), len(compute.axes), num_levels), dtype=np.int64
-        )
-        vthreads = np.empty((len(states), len(compute.axes)), dtype=np.int64)
-        cur_levels = np.empty(len(states), dtype=np.int64)
-        fused = np.empty(len(states), dtype=np.int64)
-        for i, s in enumerate(states):
-            t, v = s.config_arrays()
-            tiles[i] = t
-            vthreads[i] = v
-            cur_levels[i] = s.cur_level
-            fused[i] = s.fused
-        return cls(
-            compute, num_levels, tiles, vthreads, cur_levels, fused, epilogues
-        )
 
     @classmethod
     def from_rows(
@@ -505,9 +468,6 @@ class SoAFrontier:
             fused=int(self.fused[i]),
         )
 
-    def decode(self) -> list[ETIR]:
-        return [self.state(i) for i in range(len(self))]
-
     def __len__(self) -> int:
         return self.tiles.shape[0]
 
@@ -515,14 +475,17 @@ class SoAFrontier:
 # -- edges and expansion ------------------------------------------------------
 
 
-
-
 class SoAEdge:
-    """A surviving transition in packed form (mirror of ``graph.Edge``).
+    """One transition in packed form (mirror of ``graph.Edge``).
 
-    The arrays are owned by the engine and never mutated after creation —
-    destinations share their unchanged source arrays (e.g. a vThread edge
-    shares the tile matrix, a fuse edge shares both).
+    Expansion enumerates every action template of a state as an edge, in
+    ``enumerate_actions`` order: ``tiles is None`` marks a structurally
+    illegal one, and pricing sets ``benefit`` in place (0.0 until priced,
+    and on a failed memory check).  The edges that survive, benefit > 0,
+    are the state's frontier.  The arrays are owned by the engine and
+    never mutated after creation — destinations share their unchanged
+    source arrays (e.g. a vThread edge shares the tile matrix, a fuse edge
+    shares both).
     """
 
     __slots__ = ("kind", "axis", "benefit", "tiles", "vthreads", "level", "fused")
@@ -531,15 +494,14 @@ class SoAEdge:
         self,
         kind: str,
         axis: int,
-        benefit: float,
-        tiles: np.ndarray,
+        tiles: np.ndarray | None,
         vthreads: np.ndarray,
         level: int,
         fused: int,
     ) -> None:
         self.kind = kind
         self.axis = axis
-        self.benefit = benefit
+        self.benefit = 0.0
         self.tiles = tiles
         self.vthreads = vthreads
         self.level = level
@@ -549,28 +511,6 @@ class SoAEdge:
         """The destination's portable ``(tiles, vthreads, cur_level,
         fused)`` config."""
         return _portable_config(self.tiles, self.vthreads, self.level, self.fused)
-
-
-class _Slot:
-    """One enumerated action template (pre-legality), in enumeration order."""
-
-    __slots__ = ("kind", "axis", "tiles", "vthreads", "level", "fused")
-
-    def __init__(
-        self,
-        kind: str,
-        axis: int,
-        tiles: np.ndarray | None,
-        vthreads: np.ndarray | None,
-        level: int,
-        fused: int,
-    ) -> None:
-        self.kind = kind
-        self.axis = axis
-        self.tiles = tiles  # None => structurally illegal
-        self.vthreads = vthreads
-        self.level = level
-        self.fused = fused
 
 
 @dataclass(slots=True)
@@ -816,24 +756,8 @@ class SoAWalkEngine:
 
     def _expansion_edges(self, states: list[tuple]) -> list[list[SoAEdge]]:
         """The surviving (benefit > 0) edges of each state, unmemoized."""
-        return [
-            [
-                SoAEdge(
-                    slot.kind,
-                    slot.axis,
-                    benefit,
-                    slot.tiles,
-                    slot.vthreads,
-                    slot.level,
-                    slot.fused,
-                )
-                for (_i, slot), benefit in zip(candidates, benefits)
-                if benefit > 0.0
-            ]
-            for _slots, candidates, benefits, _memok in self._expansion_slots(
-                states
-            )
-        ]
+        slot_lists, _memok = self._expansion_slots(states)
+        return [[edge for edge in slots if edge.benefit > 0.0] for slots in slot_lists]
 
     def expand_detail(
         self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int = 0
@@ -844,233 +768,197 @@ class SoAWalkEngine:
         enumeration order, without touching the node/edge memos:
         ``{kind, axis, legal, mem_ok, benefit, dst_config}``.
         """
-        slots, candidates, benefits, memok = self._expansion_slots(
-            [(tiles, vthreads, level, fused)]
-        )[0]
-        by_slot: dict[int, tuple[float, bool, tuple]] = {}
-        for j, (slot_idx, slot) in enumerate(candidates):
-            assert slot.tiles is not None and slot.vthreads is not None
-            cfg = _portable_config(slot.tiles, slot.vthreads, slot.level, slot.fused)
-            by_slot[slot_idx] = (benefits[j], bool(memok[j]), cfg)
-        detail = []
-        for i, slot in enumerate(slots):
-            benefit, mem_ok, cfg = by_slot.get(i, (0.0, False, None))
-            detail.append(
-                {
-                    "kind": slot.kind,
-                    "axis": slot.axis,
-                    "legal": slot.tiles is not None,
-                    "mem_ok": mem_ok,
-                    "benefit": benefit,
-                    "dst_config": cfg,
-                }
-            )
-        return detail
+        slot_lists, memok = self._expansion_slots([(tiles, vthreads, level, fused)])
+        legal_ok = iter(memok.tolist())
+        return [
+            {
+                "kind": edge.kind,
+                "axis": edge.axis,
+                "legal": edge.tiles is not None,
+                "mem_ok": edge.tiles is not None and next(legal_ok),
+                "benefit": edge.benefit,
+                "dst_config": None if edge.tiles is None else edge.dst_config(),
+            }
+            for edge in slot_lists[0]
+        ]
 
     def _expansion_slots(
         self, states: list[tuple]
-    ) -> list[tuple[list[_Slot], list[tuple[int, _Slot]], list[float], np.ndarray]]:
-        """Enumerate, legality-check, and price a batch of frontiers.
+    ) -> tuple[list[list[SoAEdge]], np.ndarray]:
+        """Enumerate and price a batch of frontiers.
 
         Enumeration runs per state; the pricing runs once over the
-        concatenated candidates of every state (see :meth:`_price`).
-        Returns one ``(slots, candidates, benefits, memok)`` per state,
-        where ``slots`` is every action template in ``enumerate_actions``
-        order, ``candidates`` the structurally legal ones as ``(slot_idx,
-        slot)``, ``benefits`` their benefit values (0.0 on memory-check
-        failure), and ``memok`` the candidates' relaxed memory-check mask.
+        concatenated legal slots of every state (see :meth:`_price`).
+        Returns every state's action templates in ``enumerate_actions``
+        order, priced in place, and the relaxed memory-check mask of the
+        legal ones, concatenated in state order.
         """
-        slot_lists = []
-        cand_lists = []
-        for row in states:
-            slots = self._slots(*row)
-            slot_lists.append(slots)
-            cand_lists.append(
-                [(i, s) for i, s in enumerate(slots) if s.tiles is not None]
+        slot_lists = [self._slots(*row) for row in states]
+        return slot_lists, self._price(states, slot_lists)
+
+    def _tile_step(
+        self,
+        tiles: np.ndarray,
+        rows: list[list[int]],
+        vlist: list[int],
+        a: int,
+        level: int,
+        up: bool,
+    ) -> np.ndarray | None:
+        """``ETIR.scaled_tile_at`` on arrays: ``tiles`` with axis ``a``'s
+        tile at ``level`` doubled or halved, ``None`` when illegal.
+
+        Doubling clips to the next level's tile (the extent at the top
+        level); halving may not drop below the previous level's tile (the
+        vThread count at level 1).  ``rows`` and ``vlist`` are the tile
+        matrix and the vThread vector as lists.
+        """
+        cur = rows[a][level - 1]
+        if up:
+            upper = (
+                self.pack.extent_list[a] if level == len(rows[a]) else rows[a][level]
             )
-        benefits, memok = self._price(states, cand_lists)
-        out = []
-        lo = 0
-        for slots, cands in zip(slot_lists, cand_lists):
-            hi = lo + len(cands)
-            out.append((slots, cands, benefits[lo:hi], memok[lo:hi]))
-            lo = hi
-        return out
+            new = cur * 2
+            if new > upper:
+                if cur >= upper:
+                    return None
+                new = upper
+        else:
+            new = cur // 2
+            if new < (max(1, vlist[a]) if level == 1 else rows[a][level - 2]):
+                return None
+        dst = tiles.copy()
+        dst[a, level - 1] = new
+        return dst
 
     def _slots(
         self, tiles: np.ndarray, vthreads: np.ndarray, level: int, fused: int
-    ) -> list[_Slot]:
-        """Every action template of one state, in ``enumerate_actions``
-        order; a structurally illegal one carries ``tiles=None``."""
+    ) -> list[SoAEdge]:
+        """Every action template of one state as an unpriced edge, in
+        ``enumerate_actions`` order; a structurally illegal one carries
+        ``tiles=None``."""
         pack = self.pack
         forbid = self.forbid
-        num_levels = tiles.shape[1]
         rows = tiles.tolist()
         vlist = vthreads.tolist()
 
-        slots: list[_Slot] = []
+        slots: list[SoAEdge] = []
         for a in range(pack.num_axes):
-            if ActionKind.TILE_UP not in forbid:
-                cur = rows[a][level - 1]
-                upper = (
-                    pack.extent_list[a]
-                    if level == num_levels
-                    else rows[a][level]
-                )
-                new: int | None = cur * 2
-                if new > upper:
-                    new = upper if cur < upper else None
-                if new is None:
-                    slots.append(
-                        _Slot(ActionKind.TILE_UP, a, None, None, level, fused)
-                    )
-                else:
-                    dst = tiles.copy()
-                    dst[a, level - 1] = new
-                    slots.append(
-                        _Slot(ActionKind.TILE_UP, a, dst, vthreads, level, fused)
-                    )
-            if ActionKind.TILE_DOWN not in forbid:
-                cur = rows[a][level - 1]
-                down = cur // 2
-                lower = 1 if level == 1 else rows[a][level - 2]
-                if level == 1:
-                    lower = max(lower, vlist[a])
-                if down < lower:
-                    slots.append(
-                        _Slot(ActionKind.TILE_DOWN, a, None, None, level, fused)
-                    )
-                else:
-                    dst = tiles.copy()
-                    dst[a, level - 1] = down
-                    slots.append(
-                        _Slot(ActionKind.TILE_DOWN, a, dst, vthreads, level, fused)
-                    )
-            if not pack.is_reduce[a] and level == 1:
-                if ActionKind.VTHREAD_UP not in forbid:
-                    count = vlist[a] * 2
-                    if count > rows[a][0]:
-                        slots.append(
-                            _Slot(ActionKind.VTHREAD_UP, a, None, None, level, fused)
-                        )
-                    else:
+            for kind, up in ((ActionKind.TILE_UP, True), (ActionKind.TILE_DOWN, False)):
+                if kind not in forbid:
+                    dst = self._tile_step(tiles, rows, vlist, a, level, up)
+                    slots.append(SoAEdge(kind, a, dst, vthreads, level, fused))
+            if pack.is_reduce[a] or level != 1:
+                continue
+            v = vlist[a]
+            for kind, nv, legal in (
+                (ActionKind.VTHREAD_UP, v * 2, v * 2 <= rows[a][0]),
+                (ActionKind.VTHREAD_DOWN, v // 2, v > 1),
+            ):
+                if kind not in forbid:
+                    dv = vthreads
+                    if legal:
                         dv = vthreads.copy()
-                        dv[a] = count
-                        slots.append(
-                            _Slot(ActionKind.VTHREAD_UP, a, tiles, dv, level, fused)
-                        )
-                if ActionKind.VTHREAD_DOWN not in forbid:
-                    v = vlist[a]
-                    if v <= 1:
-                        slots.append(
-                            _Slot(ActionKind.VTHREAD_DOWN, a, None, None, level, fused)
-                        )
-                    else:
-                        dv = vthreads.copy()
-                        dv[a] = v // 2
-                        slots.append(
-                            _Slot(ActionKind.VTHREAD_DOWN, a, tiles, dv, level, fused)
-                        )
+                        dv[a] = nv
+                    slots.append(
+                        SoAEdge(kind, a, tiles if legal else None, dv, level, fused)
+                    )
         if level > 1 and ActionKind.CACHE not in forbid:
-            slots.append(
-                _Slot(ActionKind.CACHE, -1, tiles, vthreads, level - 1, fused)
-            )
+            slots.append(SoAEdge(ActionKind.CACHE, -1, tiles, vthreads, level - 1, fused))
         if self.epilogues:
             if fused < len(self.epilogues) and ActionKind.FUSE not in forbid:
                 slots.append(
-                    _Slot(ActionKind.FUSE, -1, tiles, vthreads, level, fused + 1)
+                    SoAEdge(ActionKind.FUSE, -1, tiles, vthreads, level, fused + 1)
                 )
             if fused > 0 and ActionKind.UNFUSE not in forbid:
                 slots.append(
-                    _Slot(ActionKind.UNFUSE, -1, tiles, vthreads, level, fused - 1)
+                    SoAEdge(ActionKind.UNFUSE, -1, tiles, vthreads, level, fused - 1)
                 )
         return slots
 
     def _price(
-        self, states: list[tuple], cand_lists: list[list[tuple[int, _Slot]]]
-    ) -> tuple[list[float], np.ndarray]:
-        """Benefits and relaxed memory-check mask of a batch's candidates,
-        concatenated in state order (``cand_lists[r]`` holds state ``r``'s
-        structurally legal slots).
+        self, states: list[tuple], slot_lists: list[list[SoAEdge]]
+    ) -> np.ndarray:
+        """Set the benefit of a batch's legal slots in place; return their
+        relaxed memory-check mask, concatenated in state order
+        (``slot_lists[r]`` holds state ``r``'s action templates).
 
-        The legality mask runs once over every candidate; the
+        The legality mask runs once over every legal slot; the
         current-level tile rows of each tiling candidate and of its source
         (Formula 1's Q/F), the sources of the caching candidates (Formula
-        2) and the roofline term are each priced in one stacked pass.
+        2) and the roofline term are each priced in one stacked pass.  A
+        slot failing the memory check keeps benefit 0.0.
         """
-        slots = [slot for cands in cand_lists for _i, slot in cands]
-        if not slots:
-            return [], np.zeros(0, dtype=bool)
+        cand_lists = [
+            [edge for edge in slots if edge.tiles is not None] for slots in slot_lists
+        ]
+        cands = [edge for legal in cand_lists for edge in legal]
+        if not cands:
+            return np.zeros(0, dtype=bool)
         pack = self.pack
-        dst_tiles = np.array([slot.tiles for slot in slots])
+        dst_tiles = np.array([edge.tiles for edge in cands])
         num_levels = dst_tiles.shape[2]
-        dst_fused = np.array([slot.fused for slot in slots], dtype=np.int64)
+        dst_fused = np.array([edge.fused for edge in cands], dtype=np.int64)
         memok, _smem_fp, _regs = self._memok_relaxed(
             dst_tiles[:, :, num_levels - 1], dst_tiles[:, :, 0], dst_fused
         )
 
         # Formula 1-3 formulas, in candidate order.
-        benefits = [0.0] * len(slots)
         qf_rows: list[np.ndarray] = []
-        tiling: list[tuple[int, int, int]] = []  # (candidate, src row, dst row)
-        caching: list[tuple[int, int]] = []  # (candidate, state)
-        groups: list[tuple[int, list[int]]] = []  # (state, roofline candidates)
-        ok = memok.tolist()
-        lo = 0
-        for r, cands in enumerate(cand_lists):
-            tiles, vthreads, level, fused = states[r]
+        tiling: list[tuple[SoAEdge, int, int]] = []  # (edge, src row, dst row)
+        caching: list[tuple[SoAEdge, np.ndarray, int]] = []  # (edge, src row, level)
+        groups: list[tuple[tuple, list[SoAEdge]]] = []  # (state, roofline edges)
+        ok = iter(memok.tolist())
+        for state, legal in zip(states, cand_lists):
+            tiles, vthreads, level, fused = state
             src_row = -1
-            accel_js: list[int] = []
-            for j, (_i, slot) in enumerate(cands, lo):
-                if not ok[j]:
+            accel: list[SoAEdge] = []
+            for edge in legal:
+                if not next(ok):
                     continue
-                if slot.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
+                if edge.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
                     if src_row < 0:
                         src_row = len(qf_rows)
                         qf_rows.append(tiles[:, level - 1])
-                    assert slot.tiles is not None
-                    tiling.append((j, src_row, len(qf_rows)))
-                    qf_rows.append(slot.tiles[:, level - 1])
-                elif slot.kind == ActionKind.CACHE:
-                    caching.append((j, r))
-                elif slot.kind == ActionKind.FUSE:
-                    benefits[j] = self._fuse_benefit[fused]
-                elif slot.kind == ActionKind.UNFUSE:
-                    benefits[j] = self._unfuse_benefit[fused]
+                    tiling.append((edge, src_row, len(qf_rows)))
+                    qf_rows.append(edge.tiles[:, level - 1])
+                elif edge.kind == ActionKind.CACHE:
+                    caching.append((edge, tiles[:, level - 1], level))
+                elif edge.kind == ActionKind.FUSE:
+                    edge.benefit = self._fuse_benefit[fused]
+                elif edge.kind == ActionKind.UNFUSE:
+                    edge.benefit = self._unfuse_benefit[fused]
                 else:
-                    assert slot.vthreads is not None
-                    benefits[j] = self._vthread_benefit(
-                        slot.axis,
+                    edge.benefit = self._vthread_benefit(
+                        edge.axis,
                         tiles,
                         num_levels,
-                        int(vthreads[slot.axis]),
-                        int(slot.vthreads[slot.axis]),
+                        int(vthreads[edge.axis]),
+                        int(edge.vthreads[edge.axis]),
                     )
-                if slot.kind not in _NO_ACCEL and self.multi_objective:
-                    accel_js.append(j)
-            lo += len(cands)
-            if accel_js:
-                groups.append((r, accel_js))
+                if edge.kind not in _NO_ACCEL and self.multi_objective:
+                    accel.append(edge)
+            if accel:
+                groups.append((state, accel))
 
         if tiling:
             # Exact integer Q/F per stacked row; the division is Formula 1.
             stack = np.array(qf_rows)
             traffic = pack.traffic_bytes_ints(stack)
             footprint = pack.footprint_bytes(stack, include_output=True).tolist()
-            for j, src, dst in tiling:
-                benefits[j] = self._tiling_ratio(
+            for edge, src, dst in tiling:
+                edge.benefit = self._tiling_ratio(
                     traffic[src], footprint[src], traffic[dst], footprint[dst]
                 )
         if caching:
-            src_rows = np.array(
-                [states[r][0][:, states[r][2] - 1] for _j, r in caching]
-            )
-            s_data = pack.footprint_bytes(src_rows, include_output=False).tolist()
-            for (j, r), s_bytes in zip(caching, s_data):
-                benefits[j] = self._caching_benefit(s_bytes, states[r][2], num_levels)
+            s_data = pack.footprint_bytes(
+                np.array([row for _edge, row, _level in caching]), include_output=False
+            ).tolist()
+            for (edge, _row, level), s_bytes in zip(caching, s_data):
+                edge.benefit = self._caching_benefit(s_bytes, level, num_levels)
         if groups:
-            self._apply_acceleration(states, slots, benefits, groups)
-        return benefits, memok
+            self._apply_acceleration(groups)
+        return memok
 
     def _tiling_ratio(
         self, q_old: int, f_old: int, q_new: int, f_new: int
@@ -1121,78 +1009,61 @@ class SoAWalkEngine:
             return 0.0
         return groups_old / groups_new
 
-    def _apply_acceleration(
-        self,
-        states: list[tuple],
-        slots: list[_Slot],
-        benefits: list[float],
-        groups: list[tuple[int, list[int]]],
-    ) -> None:
-        """The roofline term of ``action_benefit``, memo-backed, for a
-        batch's tile and vThread candidates, grouped by source state.
+    def _latency_key(self, tiles: np.ndarray, vthreads: np.ndarray, fused: int) -> tuple:
+        """The key of a state in the bundle's latency memos."""
+        return (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
 
-        Those moves keep their source's fused count, so a candidate and
-        its source price at one fused count.  The sources missing from the
+    def _apply_acceleration(self, groups: list[tuple[tuple, list[SoAEdge]]]) -> None:
+        """The roofline term of ``action_benefit``, memo-backed, for a
+        batch's tile and vThread edges, grouped by source state.
+
+        Those moves keep their source's fused count, so an edge and its
+        source price at one fused count.  The sources missing from the
         memo are priced in one ``_quick_latencies`` pass, then the
         destinations still missing in one ``_quick_cols`` + ``quick_pipe``
         pass (they already passed the relaxed memory check).
         """
-        quick = self.bundle.quick
-        if len(quick) > _MEMO_CAP:
-            quick.clear()
-        src_keys: list[tuple] = []
-        befores: list = []
-        for r, _js in groups:
-            tiles, vthreads, _level, fused = states[r]
-            key = (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
-            src_keys.append(key)
-            befores.append(quick.get(key))
-        missing = [g for g, before in enumerate(befores) if before is None]
-        if missing:
-            rows = [states[groups[g][0]] for g in missing]
-            lats = self._quick_latencies(
-                np.array([row[0] for row in rows]),
-                np.array([row[1] for row in rows]),
-                np.array([row[3] for row in rows], dtype=np.int64),
-            ).tolist()
-            for g, lat in zip(missing, lats):
-                befores[g] = quick[src_keys[g]] = lat
+        srcs = [state for state, _edges in groups]
+        befores = _memo_rows(
+            self.bundle.quick,
+            [self._latency_key(t, v, f) for t, v, _level, f in srcs],
+            lambda idx: self._quick_latencies(
+                np.array([srcs[i][0] for i in idx]),
+                np.array([srcs[i][1] for i in idx]),
+                np.array([srcs[i][3] for i in idx], dtype=np.int64),
+            ).tolist(),
+            _MEMO_CAP,
+        )
+        dsts = [edge for _state, edges in groups for edge in edges]
 
-        dsts = [slots[j] for _r, js in groups for j in js]
-        tags = [src_key[2] for (_r, js), src_key in zip(groups, src_keys) for _j in js]
-        keys = [
-            (slot.tiles.tobytes(), slot.vthreads.tobytes(), tag)  # type: ignore[union-attr]
-            for slot, tag in zip(dsts, tags)
-        ]
-        afters = [quick.get(key) for key in keys]
-        missing = [k for k, after in enumerate(afters) if after is None]
-        if missing:
-            batch = [dsts[k] for k in missing]
-            batch_t = np.array([slot.tiles for slot in batch])
-            lats = quick_pipe(
-                self._quick_cols(
-                    batch_t[:, :, -1],
-                    batch_t[:, :, 0],
-                    np.array([slot.vthreads for slot in batch]),
-                    np.array([slot.fused for slot in batch], dtype=np.int64),
-                ),
-                self.hw,
-            ).tolist()
-            for k, lat in zip(missing, lats):
-                afters[k] = quick[keys[k]] = lat
+        def price_dsts(idx: list[int]) -> list[float]:
+            tiles = np.array([dsts[i].tiles for i in idx])
+            cols = self._quick_cols(
+                tiles[:, :, -1],
+                tiles[:, :, 0],
+                np.array([dsts[i].vthreads for i in idx]),
+                np.array([dsts[i].fused for i in idx], dtype=np.int64),
+            )
+            return quick_pipe(cols, self.hw).tolist()
 
-        k = 0
-        for (_r, js), before in zip(groups, befores):
-            for j in js:
-                after = afters[k]
-                k += 1
+        afters = iter(
+            _memo_rows(
+                self.bundle.quick,
+                [self._latency_key(e.tiles, e.vthreads, e.fused) for e in dsts],
+                price_dsts,
+                _MEMO_CAP,
+            )
+        )
+        for (_state, edges), before in zip(groups, befores):
+            for edge in edges:
+                after = next(afters)
                 if not math.isfinite(after) or after <= 0:
                     accel = 0.0
                 elif not math.isfinite(before):
                     accel = 4.0
                 else:
                     accel = min(16.0, before / after)
-                benefits[j] = benefits[j] * accel
+                edge.benefit = edge.benefit * accel
 
     # -- legality / feature kernels -------------------------------------------
 
@@ -1266,27 +1137,13 @@ class SoAWalkEngine:
         Same access loop, same accumulation order, same float operations
         as ``score._coalescing_uncached`` / the cost model's twin.
         """
-        cache = self.bundle.coal
-        if len(cache) > _ROW_CACHE_CAP:
-            cache.clear()
-        n = block.shape[0]
-        out = np.empty(n)
-        missing: list[int] = []
-        mkeys: list[bytes] = []
-        for i in range(n):
-            key = block[i].tobytes()
-            val = cache.get(key)
-            if val is None:
-                missing.append(i)
-                mkeys.append(key)
-            else:
-                out[i] = val
-        if missing:
-            vals = self._coalescing_uncached(block[missing])
-            for i, key, v in zip(missing, mkeys, vals.tolist()):
-                out[i] = v
-                cache[key] = v
-        return out
+        vals = _memo_rows(
+            self.bundle.coal,
+            [row.tobytes() for row in block],
+            lambda idx: self._coalescing_uncached(block[idx]).tolist(),
+            _ROW_CACHE_CAP,
+        )
+        return np.array(vals, dtype=np.float64)
 
     def _coalescing_uncached(self, block: np.ndarray) -> np.ndarray:
         n = block.shape[0]
@@ -1327,30 +1184,53 @@ class SoAWalkEngine:
         )
         return 1.0 + 0.35 * (groups - 1.0)
 
-    def _fused_rows(self, fused: "int | np.ndarray", n: int) -> np.ndarray:
-        if isinstance(fused, np.ndarray):
-            return fused
-        return np.full(n, int(fused), dtype=np.int64)
+    def _shared_cols(
+        self,
+        block: np.ndarray,
+        thread: np.ndarray,
+        vthreads: np.ndarray,
+        fused: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """The feature columns both cost models derive alike, per feasible
+        row: ``(num_blocks, thread_points, coalesce, conflict, dram_q,
+        smem_q)``, the block count as int64 and the rest float64.
+
+        ``thread_points`` is the thread tile's point product, multiplied
+        sequentially in float64 as the scalar models do (one int64
+        product when the pack proves every partial product exact).
+        """
+        pack = self.pack
+        nblk = self._nblk(block)
+        if pack.products_f64_exact:
+            thread_points = thread.prod(axis=1).astype(np.float64)
+        else:
+            thread_points = np.ones(block.shape[0])
+            for a in range(pack.num_axes):
+                thread_points = thread_points * thread[:, a].astype(np.float64)
+        smem_q = np.array(
+            [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
+        )
+        return (
+            nblk,
+            thread_points,
+            self._coalescing(block),
+            self._conflict(block, thread, vthreads),
+            self._dram_q(block, fused, nblk),
+            smem_q,
+        )
 
     def _quick_latencies(
-        self,
-        tiles3: np.ndarray,
-        vthreads2: np.ndarray,
-        fused: "int | np.ndarray" = 0,
+        self, tiles3: np.ndarray, vthreads2: np.ndarray, fused: np.ndarray
     ) -> np.ndarray:
-        """``quick_latency(strict=False)`` per row, via the shared pipe."""
-        n = tiles3.shape[0]
-        out = np.full(n, math.inf)
-        fused = self._fused_rows(fused, n)
-        num_levels = tiles3.shape[2]
-        block = tiles3[:, :, num_levels - 1]
+        """``quick_latency(strict=False)`` per row, via ``quick_pipe``."""
+        out = np.full(tiles3.shape[0], math.inf)
+        block = tiles3[:, :, -1]
         thread = tiles3[:, :, 0]
         ok, _smem_fp, _regs = self._memok_relaxed(block, thread, fused)
         idx = np.nonzero(ok)[0]
-        if idx.size == 0:
-            return out
-        cols = self._quick_cols(block[idx], thread[idx], vthreads2[idx], fused[idx])
-        out[idx] = quick_pipe(cols, self.hw)
+        if idx.size:
+            cols = self._quick_cols(block[idx], thread[idx], vthreads2[idx], fused[idx])
+            out[idx] = quick_pipe(cols, self.hw)
         return out
 
     def _quick_cols(
@@ -1361,27 +1241,14 @@ class SoAWalkEngine:
         fused: np.ndarray,
     ) -> np.ndarray:
         """The 8 ``quick_pipe`` feature rows for feasible rows."""
-        pack = self.pack
-        n = block.shape[0]
-        tpb = self._tpb(block, thread).astype(np.float64)
-        nblk = self._nblk(block)
-        if pack.products_f64_exact:
-            inner_work = thread.prod(axis=1).astype(np.float64)
-        else:
-            inner_work = np.ones(n)
-            for a in range(pack.num_axes):
-                inner_work = inner_work * thread[:, a].astype(np.float64)
-        coalesce = self._coalescing(block)
-        conflict = self._conflict(block, thread, vthreads)
-        dram_q = self._dram_q(block, fused, nblk)
-        smem_q = np.array(
-            [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
+        nblk, thread_points, coalesce, conflict, dram_q, smem_q = self._shared_cols(
+            block, thread, vthreads, fused
         )
         return np.array(
             [
-                tpb,
+                self._tpb(block, thread).astype(np.float64),
                 nblk.astype(np.float64),
-                inner_work,
+                thread_points,
                 coalesce,
                 conflict,
                 dram_q,
@@ -1391,12 +1258,9 @@ class SoAWalkEngine:
         )
 
     def _full_latencies(
-        self,
-        tiles3: np.ndarray,
-        vthreads2: np.ndarray,
-        fused: "int | np.ndarray" = 0,
+        self, tiles3: np.ndarray, vthreads2: np.ndarray, fused: np.ndarray
     ) -> np.ndarray:
-        """``CostModel.evaluate(...).latency_s`` per row, via the shared pipe."""
+        """``CostModel.evaluate(...).latency_s`` per row, via ``pipe_metrics``."""
         out = np.full(tiles3.shape[0], math.inf)
         idx, cols = self._full_features(tiles3, vthreads2, fused)
         if idx.size:
@@ -1404,18 +1268,12 @@ class SoAWalkEngine:
         return out
 
     def _full_features(
-        self,
-        tiles3: np.ndarray,
-        vthreads2: np.ndarray,
-        fused: "int | np.ndarray" = 0,
+        self, tiles3: np.ndarray, vthreads2: np.ndarray, fused: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Rows ``CostModel.evaluate`` would not reject as INFEASIBLE, and
         their 14 ``pipe_metrics`` feature columns (``None`` if no row is)."""
         hw = self.hw
-        n = tiles3.shape[0]
-        fused = self._fused_rows(fused, n)
-        num_levels = tiles3.shape[2]
-        block = tiles3[:, :, num_levels - 1]
+        block = tiles3[:, :, -1]
         thread = tiles3[:, :, 0]
         ok, smem_fp, regs = self._memok_relaxed(block, thread, fused)
         tpb = self._tpb(block, thread)
@@ -1468,7 +1326,9 @@ class SoAWalkEngine:
         """
         pack = self.pack
         n = block.shape[0]
-        nblk = self._nblk(block)
+        nblk, thread_points, coalesce, conflict, dram_q, smem_q = self._shared_cols(
+            block, thread, vthreads, fused
+        )
         padded = np.ones(n)
         padded_sp = np.ones(n)
         for a in range(pack.num_axes):
@@ -1481,10 +1341,7 @@ class SoAWalkEngine:
             if self.epilogues and not pack.is_reduce[a]:
                 padded_sp = padded_sp * points_a
         padded_flops = pack.flops_per_point * padded
-        inner_work = np.ones(n)
-        for a in range(pack.num_axes):
-            inner_work = inner_work * thread[:, a].astype(np.float64)
-        inner_work = inner_work * pack.flops_per_point / 2.0
+        inner_work = thread_points * pack.flops_per_point / 2.0
         is_fused = fused > 0
         if is_fused.any():
             ep_fpp = self._ep_fpp[fused]
@@ -1498,13 +1355,7 @@ class SoAWalkEngine:
                 is_fused, inner_work + sp_thread * ep_fpp / 2.0, inner_work
             )
         vt = vthreads.prod(axis=1)
-        coalesce = self._coalescing(block)
-        dram_q = self._dram_q(block, fused, nblk)
         unique_bytes = self._io[fused]
-        conflict = self._conflict(block, thread, vthreads)
-        smem_q = np.array(
-            [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
-        )
         reduce_chunks = (
             np.ceil(pack.reduce_extents / block[:, pack.reduce_cols])
             .astype(np.int64)
@@ -1533,30 +1384,17 @@ class SoAWalkEngine:
         self, states: list[tuple[np.ndarray, np.ndarray, int]]
     ) -> np.ndarray:
         """Memo-backed full latencies for ``(tiles, vthreads, fused)`` rows."""
-        full = self.bundle.full
-        if len(full) > _MEMO_CAP:
-            full.clear()
-        out = np.empty(len(states))
-        missing: list[int] = []
-        keys: list[tuple] = []
-        for i, (t, v, f) in enumerate(states):
-            key = (t.tobytes(), v.tobytes(), self._tags[f])
-            keys.append(key)
-            lat = full.get(key)
-            if lat is None:
-                missing.append(i)
-            else:
-                out[i] = lat
-        if missing:
-            lats = self._full_latencies(
-                np.array([states[i][0] for i in missing]),
-                np.array([states[i][1] for i in missing]),
-                np.array([states[i][2] for i in missing], dtype=np.int64),
-            )
-            for i, lat in zip(missing, lats):
-                out[i] = lat
-                full[keys[i]] = float(lat)
-        return out
+        lats = _memo_rows(
+            self.bundle.full,
+            [self._latency_key(t, v, f) for t, v, f in states],
+            lambda idx: self._full_latencies(
+                np.array([states[i][0] for i in idx]),
+                np.array([states[i][1] for i in idx]),
+                np.array([states[i][2] for i in idx], dtype=np.int64),
+            ).tolist(),
+            _MEMO_CAP,
+        )
+        return np.array(lats, dtype=np.float64)
 
     # -- the walk (mirrors TransitionPolicy + the reference chain) -------------
 
@@ -1755,27 +1593,24 @@ class SoAWalkEngine:
 
     def polish(
         self,
-        states: "list[ETIR] | ETIR",
+        states: list[ETIR],
         max_steps: int,
         forbid: frozenset[str] = frozenset(),
         tracer: Tracer | None = None,
         cancel: "CancelToken | None" = None,
-    ) -> "list[ETIR] | ETIR":
+    ) -> list[ETIR]:
         """Greedy value refinement of a batch of states, stepped together.
 
         Value-identical to polishing each state alone on the reference:
         the same neighbor enumeration order (fuse/unfuse last), the same
-        full-model latencies (shared pipe) plus, for a fusion group, the
-        standalone cost of every epilogue left unfused, and per state the
-        same first-strict-improvement tie-break, step count and stop.
+        full-model latencies (``pipe_metrics``) plus, for a fusion group,
+        the standalone cost of every epilogue left unfused, and per state
+        the same first-strict-improvement tie-break, step count and stop.
         Each step prices the neighbours of every state still improving in
         one memo-backed pass.  One ``polish`` event per state is emitted,
         in batch order, each carrying an even share of the batch's wall
-        time.  States must carry this engine's epilogue pool; a single
-        state polishes as a batch of one and is returned unwrapped.
+        time.  States must carry this engine's epilogue pool.
         """
-        if isinstance(states, ETIR):
-            return self.polish([states], max_steps, forbid, tracer, cancel)[0]
         tracer = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter() if tracer.enabled else 0.0
         vthread_allowed = ActionKind.VTHREAD_UP not in forbid
@@ -1794,9 +1629,7 @@ class SoAWalkEngine:
             for i in active:
                 tiles, vthreads, fused = current[i]
                 lo = len(rows)
-                rows += self._polish_neighbors(
-                    tiles, vthreads, fused, tiles.shape[1], vthread_allowed
-                )
+                rows += self._polish_neighbors(tiles, vthreads, fused, vthread_allowed)
                 spans.append((i, lo, len(rows)))
             if not rows:
                 break
@@ -1842,7 +1675,6 @@ class SoAWalkEngine:
         tiles: np.ndarray,
         vthreads: np.ndarray,
         fused: int,
-        num_levels: int,
         vthread_allowed: bool,
     ) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """The reference ``all_level_neighbors`` on arrays, in order."""
@@ -1851,28 +1683,10 @@ class SoAWalkEngine:
         vlist = vthreads.tolist()
         out: list[tuple[np.ndarray, np.ndarray, int]] = []
         for a in range(pack.num_axes):
-            for level in range(1, num_levels + 1):
-                cur = rows[a][level - 1]
+            for level in range(1, len(rows[a]) + 1):
                 for up in (True, False):
-                    if up:
-                        new: int | None = cur * 2
-                        upper = (
-                            pack.extent_list[a]
-                            if level == num_levels
-                            else rows[a][level]
-                        )
-                        if new > upper:
-                            new = upper if cur < upper else None
-                    else:
-                        new = cur // 2
-                        lower = 1 if level == 1 else rows[a][level - 2]
-                        if level == 1:
-                            lower = max(lower, vlist[a])
-                        if new < lower:
-                            new = None
-                    if new is not None:
-                        dst = tiles.copy()
-                        dst[a, level - 1] = new
+                    dst = self._tile_step(tiles, rows, vlist, a, level, up)
+                    if dst is not None:
                         out.append((dst, vthreads, fused))
             if vthread_allowed and not pack.is_reduce[a]:
                 v = vlist[a]

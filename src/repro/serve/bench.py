@@ -10,7 +10,7 @@ overlaps across workers — the worker-scaling numbers are wall-clock real.
 ``--faults plan.json`` replays the same trace under a seeded
 :class:`~repro.resilience.faults.FaultPlan` (chaos mode): the report then
 carries availability (non-error response share) and the resilience
-counters (retries, breaker transitions, worker respawns, quarantines).
+counters (retries, breaker transitions, worker respawns).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.cache import shape_fingerprint
 from repro.core.constructor import GensorConfig
-from repro.hardware import orin_nano, rtx4090
+from repro.hardware import DEVICES
 from repro.models.trace import shape_stream, trace_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -30,8 +30,6 @@ from repro.serve.service import CompileService
 from repro.sim.measure import MICROBENCH_SECONDS, Measurer
 
 __all__ = ["BenchReport", "bench_config", "run_serve_bench"]
-
-_DEVICES = {"rtx4090": rtx4090, "orin_nano": orin_nano}
 
 #: per-ticket wait cap — generous; a stuck service should fail loudly.
 _RESULT_TIMEOUT_S = 600.0
@@ -71,7 +69,7 @@ class BenchReport:
     #: degraded tiers count as available).
     availability: float = 1.0
     #: resilience counters of the run (faults injected, retries, breaker
-    #: transitions, worker respawns/crashes, cache quarantines).
+    #: transitions, worker respawns/crashes).
     resilience: dict = field(default_factory=dict)
     #: ``(shape_fingerprint, schedule_key)`` per request in submission
     #: order, for fault-free vs chaos parity checks; ``schedule_key`` is
@@ -143,13 +141,13 @@ def run_serve_bench(
     switches on chaos mode.  ``fail_fast`` aborts the replay on the first
     error response instead of completing the trace.
     """
-    if device_name not in _DEVICES:
+    if device_name not in DEVICES:
         raise ValueError(
-            f"unknown device {device_name!r}; choices: {sorted(_DEVICES)}"
+            f"unknown device {device_name!r}; choices: {sorted(DEVICES)}"
         )
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    hw = _DEVICES[device_name]()
+    hw = DEVICES[device_name]()
     trace = shape_stream(model, num_requests=num_requests, seed=seed)
     summary = trace_summary(trace)
     deadline_s = None if deadline_ms is None else deadline_ms / 1e3
@@ -207,7 +205,6 @@ def run_serve_bench(
         respawns = dict(service.pool.respawns)
         abandoned = service.pool.abandoned_count()
         breaker_states = service.breakers.states()
-        quarantined = list(service.cache.quarantined)
     failed = sum(1 for r in responses if not r.ok)
     availability = (
         (len(responses) - failed) / len(responses) if responses else 1.0
@@ -223,7 +220,6 @@ def run_serve_bench(
         "breaker_states": breaker_states,
         "worker_respawns": respawns,
         "workers_abandoned": abandoned,
-        "quarantined": quarantined,
         "availability": availability,
         # Walk steps re-done because an attempt failed past its last
         # checkpoint; this stays bounded by one checkpoint interval per

@@ -692,8 +692,8 @@ class CompileService:
             warm = neighbor.instantiate(compute, epilogues)
             if warm is not None and warm.memory_ok(self.hw):
                 measured_before = measurer.simulated_seconds
-                refined = gensor.polish(
-                    warm, self.degraded_polish_steps, frozenset()
+                (refined,) = gensor.polish(
+                    [warm], self.degraded_polish_steps, frozenset()
                 )
                 metrics = measurer.measure(refined)
                 self.cache.put(refined, metrics.latency_s)

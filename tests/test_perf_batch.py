@@ -76,10 +76,11 @@ def batches(min_size=1, max_size=24):
 
 
 def _packed(states):
+    """``(tiles, vthreads, fused)`` arrays of unfused states."""
     arrays = [s.config_arrays() for s in states]
     tiles = [t for t, _v in arrays]
     vthreads = [v for _t, v in arrays]
-    return np.stack(tiles), np.stack(vthreads)
+    return np.stack(tiles), np.stack(vthreads), np.zeros(len(states), dtype=np.int64)
 
 
 def _memo():
@@ -101,8 +102,7 @@ class TestEvaluateBatchParity:
             assert got == model.evaluate(state)
         if not states:
             return
-        tiles, vthreads = _packed(states)
-        idx, cols = SoAWalkEngine(GEMM, hw)._full_features(tiles, vthreads)
+        idx, cols = SoAWalkEngine(GEMM, hw)._full_features(*_packed(states))
         feasible = {int(i) for i in idx}
         assert feasible == {
             i for i, s in enumerate(states) if model.evaluate(s) is not INFEASIBLE
@@ -120,8 +120,7 @@ class TestEvaluateBatchParity:
     def test_infeasible_states_marked(self, states):
         batch = _memo().evaluate_batch(RTX, states)
         if states:
-            tiles, vthreads = _packed(states)
-            lats = SoAWalkEngine(GEMM, RTX)._full_latencies(tiles, vthreads)
+            lats = SoAWalkEngine(GEMM, RTX)._full_latencies(*_packed(states))
         for i, (state, got) in enumerate(zip(states, batch)):
             if not state.memory_ok(RTX):
                 assert got is INFEASIBLE
@@ -138,11 +137,11 @@ class TestEvaluateBatchParity:
         assert not state.memory_ok(RTX)
         batch = _memo().evaluate_batch(RTX, [state] * 20)
         assert all(m is INFEASIBLE for m in batch)
-        tiles, vthreads = _packed([state] * 20)
+        packed = _packed([state] * 20)
         engine = SoAWalkEngine(GEMM, RTX)
-        idx, cols = engine._full_features(tiles, vthreads)
+        idx, cols = engine._full_features(*packed)
         assert idx.size == 0 and cols is None
-        assert all(lat == math.inf for lat in engine._full_latencies(tiles, vthreads))
+        assert all(lat == math.inf for lat in engine._full_latencies(*packed))
 
 
 class TestQuickLatencyBatchParity:
@@ -154,8 +153,7 @@ class TestQuickLatencyBatchParity:
         ``quick_latency`` (``strict=False``, the walk's roofline)."""
         if not states:
             return
-        tiles, vthreads = _packed(states)
-        lats = SoAWalkEngine(GEMM, hw)._quick_latencies(tiles, vthreads)
+        lats = SoAWalkEngine(GEMM, hw)._quick_latencies(*_packed(states))
         assert lats.shape == (len(states),)
         for state, got in zip(states, lats):
             want = quick_latency(state, hw, strict=False)

@@ -135,19 +135,10 @@ class TestBounding:
         assert memo.evaluate(hw, a) is kept
         assert memo.stats()["misses"] == before
 
-    def test_capacity_zero_is_passthrough(self, hw, registry):
-        memo = MetricsMemo(capacity=0, registry=registry)
-        (state,) = walk_states(hw, 1)
-        first = memo.evaluate(hw, state)
-        second = memo.evaluate(hw, state)
-        assert first == second
-        assert len(memo) == 0
-        assert memo.stats()["hits"] == 0
-        assert memo.stats()["misses"] == 2
-
     def test_negative_capacity_rejected(self, registry):
-        with pytest.raises(ValueError, match="capacity"):
-            MetricsMemo(capacity=-1, registry=registry)
+        for capacity in (-1, 0):
+            with pytest.raises(ValueError, match="capacity"):
+                MetricsMemo(capacity=capacity, registry=registry)
 
     def test_steady_state_size_over_repeated_pools(self, hw, registry):
         # Re-pricing the same states forever must not grow the memo.

@@ -136,7 +136,7 @@ def test_compile_and_polish_build_only_the_soa_engine(built, hw, fused):
     assert result.best.epilogue_pool == epilogues
 
     built.clear()
-    gensor.polish(result.best, 4)
+    gensor.polish([result.best], 4)
     assert built == ["soa"]
 
 

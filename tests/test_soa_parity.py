@@ -5,7 +5,7 @@ every benefit, probability, chosen edge, latency, and node count must be
 byte-identical to what ConstructionGraph + TransitionPolicy produce.  This
 harness attacks that claim from every angle the contract names — randomized
 frontiers (hypothesis), annealed lockstep walks, batched rounds (one
-``expand`` over many states, past the eviction cap too), the encode/decode
+``expand`` over many states, past the eviction cap too), the packed pool
 boundary, forbidden-action filtering, polish, and the raw latency kernels
 — on both devices, including states the cost model rejects as INFEASIBLE,
 and for program fusion groups with pools of one to three epilogues at
@@ -200,7 +200,8 @@ def test_infeasible_states_still_compared(device):
     diff = DifferentialWalker(compute, hw)
     diff.compare_state(state)
     tiles, vthreads = state.config_arrays()
-    assert float(diff.engine._full_latencies(tiles[None], vthreads[None])[0]) == math.inf
+    fused = np.zeros(1, dtype=np.int64)
+    assert float(diff.engine._full_latencies(tiles[None], vthreads[None], fused)[0]) == math.inf
 
 
 # -- lockstep annealed walks ---------------------------------------------------
@@ -323,7 +324,7 @@ def test_round_expansion_past_the_eviction_cap(hw):
     assert walker.engine.export_nodes() == walker.graph.export_nodes()
 
 
-# -- the encode/decode boundary ------------------------------------------------
+# -- the packed pool -----------------------------------------------------------
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,23 +335,17 @@ def test_frontier_roundtrip(data):
         data.draw(states_for(compute))
         for _ in range(data.draw(st.integers(1, 4)))
     ]
-    frontier = SoAFrontier.encode(states)
+    frontier = SoAFrontier.from_rows(
+        compute, (), [(*s.config_arrays(), s.cur_level, s.fused) for s in states]
+    )
+    frontier.check()
     assert len(frontier) == len(states)
-    decoded = frontier.decode()
+    decoded = [frontier.state(i) for i in range(len(frontier))]
     assert [s.key() for s in decoded] == [s.key() for s in states]
     for s in decoded:
         # Plain Python ints all the way down: keys are JSON-serialized
         # (golden fixtures, persistent caches), where np.int64 would raise.
         json.dumps(s.key())
-
-
-def test_frontier_rejects_empty_and_mixed():
-    with pytest.raises(ValueError, match="empty"):
-        SoAFrontier.encode([])
-    a = ETIR.initial(OPS["mm"], num_levels=2)
-    b = ETIR.initial(OPS["conv"], num_levels=2)
-    with pytest.raises(ValueError, match="mixes"):
-        SoAFrontier.encode([a, b])
 
 
 # -- latency kernels, bit-compared ---------------------------------------------
@@ -369,10 +364,11 @@ def test_latency_bit_parity(device, op, data):
     state = data.draw(states_for(OPS[op]))
     engine = _engine(device, op)
     tiles, vthreads = state.config_arrays()
-    quick = float(engine._quick_latencies(tiles[None], vthreads[None])[0])
+    fused = np.zeros(1, dtype=np.int64)
+    quick = float(engine._quick_latencies(tiles[None], vthreads[None], fused)[0])
     ref_quick = quick_latency(state, hw, strict=False)
     assert float(quick).hex() == float(ref_quick).hex()
-    full = float(engine._full_latencies(tiles[None], vthreads[None])[0])
+    full = float(engine._full_latencies(tiles[None], vthreads[None], fused)[0])
     ref_full = CostModel(hw).evaluate(state).latency_s
     assert float(full).hex() == float(ref_full).hex()
 
@@ -394,7 +390,7 @@ def test_fused_latency_bit_parity(device, op, data):
     engine = _engine(device, op, pool_size)
     tiles, vthreads = state.config_arrays()
     for rung in _ladder(state):
-        f = rung.fused
+        f = np.array([rung.fused])
         quick = float(engine._quick_latencies(tiles[None], vthreads[None], f)[0])
         ref_quick = quick_latency(rung, hw, strict=False)
         assert float(quick).hex() == float(ref_quick).hex()
@@ -420,11 +416,11 @@ def _assert_polish_parity(hw, state, steps):
     soa_tracer = RecordingTracer()
     soa = SoAWalkEngine(
         state.compute, hw, epilogues=state.epilogue_pool
-    ).polish(state, steps, tracer=soa_tracer)
+    ).polish([state], steps, tracer=soa_tracer)[0]
 
     obj_tracer = RecordingTracer()
-    obj = ReferenceGensor(hw, GensorConfig(seed=0)).polish(
-        state, steps, tracer=obj_tracer
+    (obj,) = ReferenceGensor(hw, GensorConfig(seed=0)).polish(
+        [state], steps, tracer=obj_tracer
     )
 
     assert soa.key() == obj.key()

@@ -174,17 +174,17 @@ def test_polish_events_share_the_batch_wall(hw):
 
 
 def test_frontier_roundtrips_fused_states():
-    """The fused column and the pool survive encode/decode, and a batch
-    may not mix epilogue pools."""
+    """The fused column and the pool survive packing and decoding."""
     start = ETIR.initial(OPS["mm"], num_levels=2, epilogues=_pool("mm", 3))
     states = _ladder(start)
-    frontier = SoAFrontier.encode(states)
+    frontier = SoAFrontier.from_rows(
+        OPS["mm"],
+        start.epilogue_pool,
+        [(*s.config_arrays(), s.cur_level, s.fused) for s in states],
+    )
     frontier.check()
     assert frontier.fused.tolist() == [0, 1, 2, 3]
-    assert _keys(frontier.decode()) == _keys(states)
-    other = ETIR.initial(OPS["mm"], num_levels=2, epilogues=_pool("mm", 1))
-    with pytest.raises(ValueError, match="mixes epilogue pools"):
-        SoAFrontier.encode([start, other])
+    assert _keys(frontier.state(i) for i in range(len(frontier))) == _keys(states)
 
 
 def _corrupt(row, how: str):
@@ -300,21 +300,30 @@ def test_cold_compile_prices_only_what_it_measures(hw, monkeypatch, fused):
 def test_pipeline_runs_once_per_compile(hw, monkeypatch, num_chains):
     """Per compile, rank runs twice, polish runs once on the whole
     shortlist and at most ``top_k`` states are measured — however many
-    chains fed the pool."""
-    counts = {"rank": 0, "polish": 0, "polished": 0, "measure": 0}
+    chains fed the pool.  The walk expands once per lockstep round: as
+    many ``expand`` calls as the longest chain's iterations, covering one
+    row per step of every chain, plus one for each chain that stopped on
+    an empty frontier before the iteration cap."""
+    counts = {
+        "rank": 0, "polish": 0, "polished": 0, "measure": 0, "expand": 0,
+        "expanded": 0,
+    }
 
-    def spy(name, original, count_arg=False):
+    def spy(name, original, rows=None):
         def wrapper(self, *args, **kwargs):
             counts[name] += 1
-            if count_arg:
-                counts["polished"] += len(args[0])
+            if rows is not None:
+                counts[rows] += len(args[0])
             return original(self, *args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(SoAWalkEngine, "rank", spy("rank", SoAWalkEngine.rank))
     monkeypatch.setattr(
-        SoAWalkEngine, "polish", spy("polish", SoAWalkEngine.polish, True)
+        SoAWalkEngine, "polish", spy("polish", SoAWalkEngine.polish, "polished")
+    )
+    monkeypatch.setattr(
+        SoAWalkEngine, "expand", spy("expand", SoAWalkEngine.expand, "expanded")
     )
     monkeypatch.setattr(Measurer, "measure", spy("measure", Measurer.measure))
     cfg = GensorConfig(
@@ -325,11 +334,19 @@ def test_pipeline_runs_once_per_compile(hw, monkeypatch, num_chains):
         max_iterations_per_chain=24,
     )
     compute = ops.matmul(64, 48, 80, f"pipe_{num_chains}")
-    Gensor(hw, cfg, memo=MetricsMemo()).compile(compute)
+    tracer = RecordingTracer()
+    Gensor(hw, cfg, memo=MetricsMemo()).compile(compute, tracer=tracer)
     assert counts["rank"] == 2
     assert counts["polish"] == 1
     assert counts["polished"] <= cfg.top_k
     assert 0 < counts["measure"] <= cfg.top_k
+    ends = [event.args["iterations"] for event in tracer.by_name("chain_end")]
+    assert len(ends) == num_chains
+    assert counts["expand"] == max(ends)
+    cap = cfg.max_iterations_per_chain
+    assert counts["expanded"] == sum(ends) + sum(1 for n in ends if n < cap)
+    if num_chains == 8:
+        assert sorted(ends) == [1] + [cap] * 7
 
 
 def _traced_signature(compiler, hw, compute, cfg):

@@ -7,7 +7,8 @@ frontier as numpy structure-of-arrays: one ``(A, L)`` int64 tile matrix and
 one ``(A,)`` vThread vector per state, plus the fused-epilogue count of a
 program fusion group.  The chains of a walk advance in lockstep rounds, and
 a round's legality masks and benefit scoring run vectorized across the
-frontiers of every chain in one pass.
+frontiers of every chain in one pass: one :meth:`SoAPack.row_terms` call
+prices every tile row the round's pricing reads.
 :meth:`Gensor.compile <repro.core.constructor.Gensor.compile>` and
 :meth:`Gensor.polish <repro.core.constructor.Gensor.polish>` run every
 walk here, bare operators and fusion groups alike, and so does the rest
@@ -27,6 +28,10 @@ byte-identical.  That holds because
   order* as the scalar code (``math.ceil(a / b)`` becomes
   ``np.ceil(a / b)`` on the identical float64 division, sequential
   accumulations stay sequential per axis/access);
+* the roulette (:func:`_roulette`) is ``Generator.choice``'s own
+  arithmetic for one draw with ``p`` — cumulative sum, normalized by its
+  last value, one ``random()``, bisect right — so it picks the same edge
+  and consumes exactly what ``rng.choice`` does;
 * the roofline/pipe arithmetic runs the scalar models' operations, in
   their order, over feature columns:
   :func:`repro.core.score.quick_pipe` and
@@ -46,8 +51,10 @@ byte-identical.  That holds because
 
 from __future__ import annotations
 
+import copy
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -88,10 +95,8 @@ __all__ = [
 #: trimmed — entries are tiny) past this, like the ETIR derived pools.
 _MEMO_CAP = 65_536
 
-#: cap for the per-row footprint/traffic/coalescing caches (tile vectors
-#: are tiny keys, so this is a few MB at worst; cleared wholesale on
-#: overflow — recomputation is value-identical).
-_ROW_CACHE_CAP = 262_144
+#: ``Generator.choice``'s tolerance on the sum of ``p``.
+_PROB_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _memo_rows(
@@ -112,6 +117,23 @@ def _memo_rows(
         for i, val in zip(missing, price(missing)):
             out[i] = cache[keys[i]] = val
     return out
+
+
+def _roulette(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """``int(rng.choice(len(probs), p=probs))``, written out.
+
+    numpy's ``Generator.choice`` with ``size=None, replace=True`` does
+    exactly this: normalize the cumulative sum by its last value, draw one
+    ``random()`` and bisect right.  Like ``choice`` it raises
+    ``ValueError`` unless the probabilities sum to 1 within ``sqrt(eps)``,
+    so a NaN or non-finite total raises; they are non-negative by
+    construction (``_probabilities`` clamps every weight at 0).
+    """
+    cdf = probs.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _PROB_ATOL:
+        raise ValueError(f"probabilities do not sum to 1: {probs!r}")
+    cdf /= cdf[-1]
+    return bisect_right(cdf.tolist(), rng.random())
 
 
 class SoAParityError(AssertionError):
@@ -142,7 +164,8 @@ class SoAPack:
     does not depend on the tile configuration: axis extents and kinds, the
     absolute affine coefficients of every access as an ``(ndim, A)`` matrix
     (so index spans become one small matmul), and the scalar workload
-    constants.  Built once per compute via :func:`pack_for`.
+    constants.  Built once per compute via :func:`pack_for`; it holds no
+    per-row state.
     """
 
     __slots__ = (
@@ -165,9 +188,6 @@ class SoAPack:
         "total_io",
         "traffic_int64_safe",
         "products_f64_exact",
-        "_fp_cache",
-        "_fpo_cache",
-        "_traffic_cache",
     )
 
     def __init__(self, compute: ComputeDef) -> None:
@@ -237,88 +257,43 @@ class SoAPack:
         # Whether every product of per-axis tile sizes is below 2**53, so
         # a float64 running product is exact and equals the int64 one.
         self.products_f64_exact = count_bound < 2**53
-        self._fp_cache: dict[bytes, int] = {}
-        self._fpo_cache: dict[bytes, int] = {}
-        self._traffic_cache: dict[bytes, int] = {}
 
-    # ``tiles`` below is always an ``(n, A)`` int64 matrix of per-axis tile
-    # sizes at one level — the vector analogue of a tile_sizes mapping.
+    def row_terms(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact per-row tile quantities of an ``(..., A)`` int64 array of
+        per-axis tile sizes (one row per tile at one level), each shaped
+        ``rows.shape[:-1]``: ``tile_footprint_bytes`` without and with the
+        output tile, and ``tile_traffic_bytes`` (Formula 1's ``Q``).
 
-    def footprint_bytes(
-        self, tiles: np.ndarray, include_output: bool
-    ) -> np.ndarray:
-        """Exact ``tile_footprint_bytes`` per row, as an int64 vector.
-
-        Row-cached: tile vectors recur constantly across frontiers and
-        polish neighborhoods (a move changes one component, the rest of
-        the row keeps its footprint), so each distinct row is priced once
-        per pack.
+        The footprints and every span/count intermediate are int64.  The
+        traffic's final per-row products are int64 when the pack's shape
+        bound proves they cannot overflow, and otherwise run on exact
+        Python ints in an object array: the object path computes them as
+        Python ints too, and Formula 1 divides the exact cross products.
         """
-        vals = _memo_rows(
-            self._fpo_cache if include_output else self._fp_cache,
-            [row.tobytes() for row in tiles],
-            lambda idx: self._footprint_uncached(tiles[idx], include_output).tolist(),
-            _ROW_CACHE_CAP,
-        )
-        return np.array(vals, dtype=np.int64)
-
-    def _footprint_uncached(
-        self, tiles: np.ndarray, include_output: bool
-    ) -> np.ndarray:
-        total = np.zeros(tiles.shape[0], dtype=np.int64)
-        tm1 = tiles - 1
+        shape = rows.shape[:-1]
+        rows = rows.reshape(-1, self.num_axes)
+        fin = np.zeros(rows.shape[0], dtype=np.int64)
+        tm1 = rows - 1
         for coefs, dims, nbytes in self.unique_inputs:
             spans = 1 + tm1 @ coefs.T
-            elems = np.minimum(spans, dims).prod(axis=1)
-            total = total + elems * nbytes
-        if include_output:
-            out = np.minimum(
-                tiles[:, self.spatial_cols], self.spatial_extents
-            ).prod(axis=1)
-            total = total + out * self.out_bytes
-        return total
-
-    def traffic_bytes_ints(self, tiles: np.ndarray) -> list[int]:
-        """Exact ``tile_traffic_bytes`` per row, as Python ints (row-cached).
-
-        Span/count intermediates are int64 vectors; the final per-row
-        products run as Python ints when ``spatial * reduce * footprint``
-        could exceed 2**63 on large shapes (the object path computes them
-        as exact Python ints too, and Formula 1 divides the exact cross
-        products) and vectorized when the pack's shape bound proves int64
-        cannot overflow.
-        """
-        return _memo_rows(
-            self._traffic_cache,
-            [row.tobytes() for row in tiles],
-            lambda idx: self._traffic_uncached(tiles[idx]),
-            _ROW_CACHE_CAP,
-        )
-
-    def _traffic_uncached(self, tiles: np.ndarray) -> list[int]:
-        clipped = np.minimum(tiles, self.extents)
+            fin = fin + np.minimum(spans, dims).prod(axis=1) * nbytes
+        clipped = np.minimum(rows, self.extents)
         counts = np.ceil(self.extents_f / clipped.astype(np.float64)).astype(
             np.int64
         )
-        fin = self.footprint_bytes(tiles, include_output=False)
-        if self.traffic_int64_safe:
-            sp = counts[:, self.spatial_cols].prod(axis=1)
-            rt = counts[:, self.reduce_cols].prod(axis=1)
-            ote = clipped[:, self.spatial_cols].prod(axis=1)
-            return (sp * rt * fin + sp * ote * self.out_bytes).tolist()
-        out: list[int] = []
-        for crow, trow, f in zip(counts.tolist(), clipped.tolist(), fin.tolist()):
-            sp = 1
-            rt = 1
-            ote = 1
-            for a, red in enumerate(self.is_reduce):
-                if red:
-                    rt *= crow[a]
-                else:
-                    sp *= crow[a]
-                    ote *= trow[a]
-            out.append(sp * rt * f + sp * ote * self.out_bytes)
-        return out
+        out_tile = clipped[:, self.spatial_cols]
+        fpo = fin + out_tile.prod(axis=1) * self.out_bytes
+        fin_q = fin
+        if not self.traffic_int64_safe:
+            counts, out_tile, fin_q = (
+                counts.astype(object), out_tile.astype(object), fin.astype(object)
+            )
+        sp = counts[:, self.spatial_cols].prod(axis=1)
+        rt = counts[:, self.reduce_cols].prod(axis=1)
+        traffic = sp * rt * fin_q + sp * out_tile.prod(axis=1) * self.out_bytes
+        return fin.reshape(shape), fpo.reshape(shape), traffic.reshape(shape)
 
 
 def pack_for(compute: ComputeDef) -> SoAPack:
@@ -343,16 +318,13 @@ class _SoABundle:
     (the ``_memok_cache`` pattern).
     """
 
-    __slots__ = ("hw", "pack", "quick", "full", "coal")
+    __slots__ = ("hw", "pack", "quick", "full")
 
     def __init__(self, hw: HardwareSpec, pack: SoAPack) -> None:
         self.hw = hw
         self.pack = pack
         self.quick: dict[tuple, float] = {}
         self.full: dict[tuple, float] = {}
-        #: per-block-row coalescing factors (warp-size dependent, hence
-        #: bundled with the hardware rather than the pack).
-        self.coal: dict[bytes, float] = {}
 
 
 def _bundle_for(compute: ComputeDef, hw: HardwareSpec) -> _SoABundle:
@@ -883,11 +855,11 @@ class SoAWalkEngine:
         relaxed memory-check mask, concatenated in state order
         (``slot_lists[r]`` holds state ``r``'s action templates).
 
-        The legality mask runs once over every legal slot; the
-        current-level tile rows of each tiling candidate and of its source
-        (Formula 1's Q/F), the sources of the caching candidates (Formula
-        2) and the roofline term are each priced in one stacked pass.  A
-        slot failing the memory check keeps benefit 0.0.
+        One :meth:`SoAPack.row_terms` pass prices every level row of the
+        legal slots and of their sources.  The memory mask, Formula 1's
+        Q/F at the move's level, Formula 2's source footprint and the
+        traffic of the roofline term's quick-latency misses all read from
+        it.  A slot failing the memory check keeps benefit 0.0.
         """
         cand_lists = [
             [edge for edge in slots if edge.tiles is not None] for slots in slot_lists
@@ -895,39 +867,40 @@ class SoAWalkEngine:
         cands = [edge for legal in cand_lists for edge in legal]
         if not cands:
             return np.zeros(0, dtype=bool)
-        pack = self.pack
-        dst_tiles = np.array([edge.tiles for edge in cands])
-        num_levels = dst_tiles.shape[2]
-        dst_fused = np.array([edge.fused for edge in cands], dtype=np.int64)
-        memok, _smem_fp, _regs = self._memok_relaxed(
-            dst_tiles[:, :, num_levels - 1], dst_tiles[:, :, 0], dst_fused
+        # Row i < n is candidate i; row n + r is state r.
+        n = len(cands)
+        tiles3 = np.array([edge.tiles for edge in cands] + [s[0] for s in states])
+        fused = np.array(
+            [edge.fused for edge in cands] + [s[3] for s in states], dtype=np.int64
         )
+        num_levels = tiles3.shape[2]
+        fin, fpo, traffic = self.pack.row_terms(tiles3.transpose(0, 2, 1))
+        memok, _regs = self._memok(fin[:, -1], fpo[:, 0], tiles3[:, :, 0], fused)
+        fin_l, fpo_l, traffic_l = fin.tolist(), fpo.tolist(), traffic.tolist()
 
-        # Formula 1-3 formulas, in candidate order.
-        qf_rows: list[np.ndarray] = []
-        tiling: list[tuple[SoAEdge, int, int]] = []  # (edge, src row, dst row)
-        caching: list[tuple[SoAEdge, np.ndarray, int]] = []  # (edge, src row, level)
-        groups: list[tuple[tuple, list[SoAEdge]]] = []  # (state, roofline edges)
-        ok = iter(memok.tolist())
-        for state, legal in zip(states, cand_lists):
-            tiles, vthreads, level, fused = state
-            src_row = -1
-            accel: list[SoAEdge] = []
+        # Formula 1-3, in candidate order.
+        groups: list[tuple[tuple, int, list[tuple[int, SoAEdge]]]] = []
+        ok = iter(enumerate(memok.tolist()))
+        for src, (state, legal) in enumerate(zip(states, cand_lists), n):
+            tiles, vthreads, level, fused_src = state
+            accel: list[tuple[int, SoAEdge]] = []
             for edge in legal:
-                if not next(ok):
+                row, edge_ok = next(ok)
+                if not edge_ok:
                     continue
                 if edge.kind in (ActionKind.TILE_UP, ActionKind.TILE_DOWN):
-                    if src_row < 0:
-                        src_row = len(qf_rows)
-                        qf_rows.append(tiles[:, level - 1])
-                    tiling.append((edge, src_row, len(qf_rows)))
-                    qf_rows.append(edge.tiles[:, level - 1])
+                    lv = level - 1
+                    edge.benefit = self._tiling_ratio(
+                        traffic_l[src][lv], fpo_l[src][lv], traffic_l[row][lv], fpo_l[row][lv]
+                    )
                 elif edge.kind == ActionKind.CACHE:
-                    caching.append((edge, tiles[:, level - 1], level))
+                    edge.benefit = self._caching_benefit(
+                        fin_l[src][level - 1], level, num_levels
+                    )
                 elif edge.kind == ActionKind.FUSE:
-                    edge.benefit = self._fuse_benefit[fused]
+                    edge.benefit = self._fuse_benefit[fused_src]
                 elif edge.kind == ActionKind.UNFUSE:
-                    edge.benefit = self._unfuse_benefit[fused]
+                    edge.benefit = self._unfuse_benefit[fused_src]
                 else:
                     edge.benefit = self._vthread_benefit(
                         edge.axis,
@@ -937,28 +910,12 @@ class SoAWalkEngine:
                         int(edge.vthreads[edge.axis]),
                     )
                 if edge.kind not in _NO_ACCEL and self.multi_objective:
-                    accel.append(edge)
+                    accel.append((row, edge))
             if accel:
-                groups.append((state, accel))
-
-        if tiling:
-            # Exact integer Q/F per stacked row; the division is Formula 1.
-            stack = np.array(qf_rows)
-            traffic = pack.traffic_bytes_ints(stack)
-            footprint = pack.footprint_bytes(stack, include_output=True).tolist()
-            for edge, src, dst in tiling:
-                edge.benefit = self._tiling_ratio(
-                    traffic[src], footprint[src], traffic[dst], footprint[dst]
-                )
-        if caching:
-            s_data = pack.footprint_bytes(
-                np.array([row for _edge, row, _level in caching]), include_output=False
-            ).tolist()
-            for (edge, _row, level), s_bytes in zip(caching, s_data):
-                edge.benefit = self._caching_benefit(s_bytes, level, num_levels)
+                groups.append((state, src, accel))
         if groups:
-            self._apply_acceleration(groups)
-        return memok
+            self._apply_acceleration(groups, tiles3, fused, memok, traffic)
+        return memok[:n]
 
     def _tiling_ratio(
         self, q_old: int, f_old: int, q_new: int, f_new: int
@@ -1013,49 +970,52 @@ class SoAWalkEngine:
         """The key of a state in the bundle's latency memos."""
         return (tiles.tobytes(), vthreads.tobytes(), self._tags[fused])
 
-    def _apply_acceleration(self, groups: list[tuple[tuple, list[SoAEdge]]]) -> None:
+    def _apply_acceleration(
+        self,
+        groups: list[tuple[tuple, int, list[tuple[int, SoAEdge]]]],
+        tiles3: np.ndarray,
+        fused: np.ndarray,
+        memok: np.ndarray,
+        traffic: np.ndarray,
+    ) -> None:
         """The roofline term of ``action_benefit``, memo-backed, for a
-        batch's tile and vThread edges, grouped by source state.
+        round's tile and vThread edges, grouped by source state.
 
-        Those moves keep their source's fused count, so an edge and its
-        source price at one fused count.  The sources missing from the
-        memo are priced in one ``_quick_latencies`` pass, then the
-        destinations still missing in one ``_quick_cols`` + ``quick_pipe``
-        pass (they already passed the relaxed memory check).
+        ``groups`` holds ``(state, source row, [(candidate row, edge)])``;
+        a row indexes ``_price``'s stacked ``tiles3``, ``fused``, memory
+        mask and per-level traffic.  Those moves keep their source's fused
+        count, so an edge and its source price at one fused count.  The
+        sources missing from the quick memo are priced in one
+        :meth:`_quick_masked` pass, then the destinations still missing in
+        another.
         """
-        srcs = [state for state, _edges in groups]
+
+        def price(rows: list[int], vthreads: list[np.ndarray]) -> list[float]:
+            return self._quick_masked(
+                tiles3[rows], np.array(vthreads), fused[rows], memok[rows], traffic[rows]
+            ).tolist()
+
         befores = _memo_rows(
             self.bundle.quick,
-            [self._latency_key(t, v, f) for t, v, _level, f in srcs],
-            lambda idx: self._quick_latencies(
-                np.array([srcs[i][0] for i in idx]),
-                np.array([srcs[i][1] for i in idx]),
-                np.array([srcs[i][3] for i in idx], dtype=np.int64),
-            ).tolist(),
+            [self._latency_key(t, v, f) for (t, v, _l, f), _src, _edges in groups],
+            lambda idx: price(
+                [groups[i][1] for i in idx], [groups[i][0][1] for i in idx]
+            ),
             _MEMO_CAP,
         )
-        dsts = [edge for _state, edges in groups for edge in edges]
-
-        def price_dsts(idx: list[int]) -> list[float]:
-            tiles = np.array([dsts[i].tiles for i in idx])
-            cols = self._quick_cols(
-                tiles[:, :, -1],
-                tiles[:, :, 0],
-                np.array([dsts[i].vthreads for i in idx]),
-                np.array([dsts[i].fused for i in idx], dtype=np.int64),
-            )
-            return quick_pipe(cols, self.hw).tolist()
-
+        dsts = [item for _state, _src, edges in groups for item in edges]
         afters = iter(
             _memo_rows(
                 self.bundle.quick,
-                [self._latency_key(e.tiles, e.vthreads, e.fused) for e in dsts],
-                price_dsts,
+                [self._latency_key(e.tiles, e.vthreads, e.fused) for _row, e in dsts],
+                lambda idx: price(
+                    [dsts[i][0] for i in idx], [dsts[i][1].vthreads for i in idx]
+                ),
                 _MEMO_CAP,
             )
         )
-        for (_state, edges), before in zip(groups, befores):
-            for edge in edges:
+        for (_state, _src, edges), before in zip(groups, befores):
+            for _row, edge in edges:
                 after = next(afters)
                 if not math.isfinite(after) or after <= 0:
                     accel = 0.0
@@ -1071,19 +1031,23 @@ class SoAWalkEngine:
         """Points of the spatial tile per row (``ETIR._spatial_tile_points``)."""
         return tiles[:, self.pack.spatial_cols].prod(axis=1)
 
-    def _memok_relaxed(
-        self, block: np.ndarray, thread: np.ndarray, fused: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _memok(
+        self,
+        smem_fp: np.ndarray,
+        regs_fp: np.ndarray,
+        thread: np.ndarray,
+        fused: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Traversal-time memory check per row: smem slab + register budget.
 
-        ``fused`` is the per-row fused count: fused epilogues' extra inputs
-        live in registers at the spatial thread tile.  Returns ``(ok,
-        smem_fp, regs)``; the latter two feed the strict check and the
-        cost-model features.
+        ``smem_fp`` is the block row's input footprint and ``regs_fp`` the
+        thread row's footprint with its output tile
+        (:meth:`SoAPack.row_terms`).  ``fused`` is the per-row fused count:
+        fused epilogues' extra inputs live in registers at the spatial
+        thread tile.  Returns ``(ok, regs)``; the register count feeds the
+        strict check.
         """
-        pack = self.pack
-        smem_fp = pack.footprint_bytes(block, include_output=False)
-        regs_nbytes = pack.footprint_bytes(thread, include_output=True)
+        regs_nbytes = regs_fp
         if self.epilogues:
             regs_nbytes = regs_nbytes + self._ep_bytes[fused] * self._spatial_points(
                 thread
@@ -1092,7 +1056,7 @@ class SoAWalkEngine:
             1, np.ceil(regs_nbytes.astype(np.float64) / 4).astype(np.int64)
         )
         ok = (smem_fp <= self.hw.smem.capacity_bytes) & (regs <= 255)
-        return ok, smem_fp, regs
+        return ok, regs
 
     def _tpb(self, block: np.ndarray, thread: np.ndarray) -> np.ndarray:
         """threads_per_block per row (exact int64)."""
@@ -1109,43 +1073,38 @@ class SoAWalkEngine:
         )
 
     def _dram_q(
-        self, block: np.ndarray, fused: np.ndarray, nblk: np.ndarray
+        self,
+        block: np.ndarray,
+        fused: np.ndarray,
+        nblk: np.ndarray,
+        traffic: np.ndarray,
     ) -> np.ndarray:
         """``float(ETIR.dram_traffic_bytes())`` per row (``nblk`` is
-        :meth:`_nblk` of ``block``).
+        :meth:`_nblk` of ``block``, ``traffic`` its
+        :meth:`SoAPack.row_terms` traffic).
 
         Fused rows add their epilogues' extra inputs, streamed once per
         block at the spatial block tile — exact Python ints, as the object
         path sums them.
         """
-        traffic = self.pack.traffic_bytes_ints(block)
         if not self.epilogues or not fused.any():
-            return np.array([float(q) for q in traffic], dtype=np.float64)
+            return traffic.astype(np.float64)
         ep_bytes = self._ep_bytes[fused].tolist()
         pts = self._spatial_points(block).tolist()
         return np.array(
             [
                 float(q + nb * (p * eb))
-                for q, nb, p, eb in zip(traffic, nblk.tolist(), pts, ep_bytes)
+                for q, nb, p, eb in zip(traffic.tolist(), nblk.tolist(), pts, ep_bytes)
             ],
             dtype=np.float64,
         )
 
     def _coalescing(self, block: np.ndarray) -> np.ndarray:
-        """Footprint-weighted coalescing factor per row (row-cached).
+        """Footprint-weighted coalescing factor per row.
 
         Same access loop, same accumulation order, same float operations
         as ``score._coalescing_uncached`` / the cost model's twin.
         """
-        vals = _memo_rows(
-            self.bundle.coal,
-            [row.tobytes() for row in block],
-            lambda idx: self._coalescing_uncached(block[idx]).tolist(),
-            _ROW_CACHE_CAP,
-        )
-        return np.array(vals, dtype=np.float64)
-
-    def _coalescing_uncached(self, block: np.ndarray) -> np.ndarray:
         n = block.shape[0]
         warp = self.hw.warp_size
         acc_f = np.zeros(n)
@@ -1190,10 +1149,14 @@ class SoAWalkEngine:
         thread: np.ndarray,
         vthreads: np.ndarray,
         fused: np.ndarray,
+        traffic: np.ndarray,
     ) -> tuple[np.ndarray, ...]:
         """The feature columns both cost models derive alike, per feasible
         row: ``(num_blocks, thread_points, coalesce, conflict, dram_q,
         smem_q)``, the block count as int64 and the rest float64.
+        ``traffic`` is the rows' ``(n, L)`` per-level
+        :meth:`SoAPack.row_terms` traffic: ``dram_q`` reads the block
+        level's, ``smem_q`` the thread level's.
 
         ``thread_points`` is the thread tile's point product, multiplied
         sequentially in float64 as the scalar models do (one int64
@@ -1207,29 +1170,41 @@ class SoAWalkEngine:
             thread_points = np.ones(block.shape[0])
             for a in range(pack.num_axes):
                 thread_points = thread_points * thread[:, a].astype(np.float64)
-        smem_q = np.array(
-            [float(q) for q in pack.traffic_bytes_ints(thread)], dtype=np.float64
-        )
         return (
             nblk,
             thread_points,
             self._coalescing(block),
             self._conflict(block, thread, vthreads),
-            self._dram_q(block, fused, nblk),
-            smem_q,
+            self._dram_q(block, fused, nblk, traffic[:, -1]),
+            traffic[:, 0].astype(np.float64),
         )
 
     def _quick_latencies(
         self, tiles3: np.ndarray, vthreads2: np.ndarray, fused: np.ndarray
     ) -> np.ndarray:
         """``quick_latency(strict=False)`` per row, via ``quick_pipe``."""
+        fin, fpo, traffic = self.pack.row_terms(tiles3.transpose(0, 2, 1))
+        ok, _regs = self._memok(fin[:, -1], fpo[:, 0], tiles3[:, :, 0], fused)
+        return self._quick_masked(tiles3, vthreads2, fused, ok, traffic)
+
+    def _quick_masked(
+        self,
+        tiles3: np.ndarray,
+        vthreads2: np.ndarray,
+        fused: np.ndarray,
+        ok: np.ndarray,
+        traffic: np.ndarray,
+    ) -> np.ndarray:
+        """``quick_latency(strict=False)`` per row from its relaxed memory
+        mask ``ok`` and ``(n, L)`` per-level traffic: ``inf`` where the
+        mask fails, ``quick_pipe`` elsewhere."""
         out = np.full(tiles3.shape[0], math.inf)
-        block = tiles3[:, :, -1]
-        thread = tiles3[:, :, 0]
-        ok, _smem_fp, _regs = self._memok_relaxed(block, thread, fused)
         idx = np.nonzero(ok)[0]
         if idx.size:
-            cols = self._quick_cols(block[idx], thread[idx], vthreads2[idx], fused[idx])
+            tiles = tiles3[idx]
+            cols = self._quick_cols(
+                tiles[:, :, -1], tiles[:, :, 0], vthreads2[idx], fused[idx], traffic[idx]
+            )
             out[idx] = quick_pipe(cols, self.hw)
         return out
 
@@ -1239,10 +1214,11 @@ class SoAWalkEngine:
         thread: np.ndarray,
         vthreads: np.ndarray,
         fused: np.ndarray,
+        traffic: np.ndarray,
     ) -> np.ndarray:
         """The 8 ``quick_pipe`` feature rows for feasible rows."""
         nblk, thread_points, coalesce, conflict, dram_q, smem_q = self._shared_cols(
-            block, thread, vthreads, fused
+            block, thread, vthreads, fused, traffic
         )
         return np.array(
             [
@@ -1275,7 +1251,9 @@ class SoAWalkEngine:
         hw = self.hw
         block = tiles3[:, :, -1]
         thread = tiles3[:, :, 0]
-        ok, smem_fp, regs = self._memok_relaxed(block, thread, fused)
+        fin, fpo, traffic = self.pack.row_terms(tiles3.transpose(0, 2, 1))
+        smem_fp = fin[:, -1]
+        ok, regs = self._memok(smem_fp, fpo[:, 0], thread, fused)
         tpb = self._tpb(block, thread)
         strict_ok = (
             ok
@@ -1307,6 +1285,7 @@ class SoAWalkEngine:
             bps[idx],
             smem_fp[idx],
             fused[idx],
+            traffic[idx],
         )
 
     def _full_cols(
@@ -1318,6 +1297,7 @@ class SoAWalkEngine:
         bps: np.ndarray,
         smem_fp: np.ndarray,
         fused: np.ndarray,
+        traffic: np.ndarray,
     ) -> np.ndarray:
         """The 14 ``pipe_metrics`` feature rows for feasible rows.
 
@@ -1327,7 +1307,7 @@ class SoAWalkEngine:
         pack = self.pack
         n = block.shape[0]
         nblk, thread_points, coalesce, conflict, dram_q, smem_q = self._shared_cols(
-            block, thread, vthreads, fused
+            block, thread, vthreads, fused, traffic
         )
         padded = np.ones(n)
         padded_sp = np.ones(n)
@@ -1456,8 +1436,8 @@ class SoAWalkEngine:
 
         A round first expands the state of every chain due to step in one
         :meth:`expand` call, then steps those chains in chain order, each
-        exactly as a chain walked alone: one ``cancel`` poll, one
-        ``choice`` and one ``random`` draw from its own generator, the
+        exactly as a chain walked alone: one ``cancel`` poll, the roulette's
+        ``random`` draw and one more from its own generator, the
         pool append, its ``walk_step`` event, cooling, and the
         checkpointer's step hook.  A chain stops — appending its last
         state and emitting ``chain_end`` there — at the start of a round
@@ -1534,7 +1514,7 @@ class SoAWalkEngine:
                 if not kept:
                     stop(c)
                     continue
-                idx = int(c.rng.choice(len(kept), p=probs))
+                idx = _roulette(c.rng, probs)
                 edge = kept[idx]
                 src_level = c.level
                 c.tiles, c.vthreads, c.level, c.fused = (
@@ -1889,8 +1869,10 @@ class DifferentialWalker:
         """Drive annealed chains through both paths on one RNG stream.
 
         Every visited state (including the terminal one) is cross-checked
-        with :meth:`compare_state`; each step additionally asserts the
-        roulette-chosen edge lands on the same destination.  At the end the
+        with :meth:`compare_state`; each step additionally draws the
+        engine's roulette on a clone of the generator, asserts it picks
+        ``rng.choice``'s edge and leaves the same generator state, and
+        asserts the chosen edge lands on the same destination.  At the end the
         monotone node counts of both paths must agree.  Chains start from
         the initial state (fused count 0) unless ``start`` is given.
         """
@@ -1921,14 +1903,25 @@ class DifferentialWalker:
                 )
                 states_compared += 1
                 edges, probs = policy.probabilities(state, progress, forbid)
-                kept, _s_probs = self.engine._probabilities(
+                kept, s_probs = self.engine._probabilities(
                     self.engine.expand([(tiles, vthreads, level, fused)])[0],
                     progress,
                     forbid,
                 )
                 if not edges:
                     break
+                clone = copy.deepcopy(rng)
+                soa_idx = _roulette(clone, s_probs)
                 idx = int(rng.choice(len(edges), p=probs))
+                if (
+                    soa_idx != idx
+                    or clone.bit_generator.state != rng.bit_generator.state
+                ):
+                    raise SoAParityError(
+                        f"chain {chain} iter {iteration}: the engine's roulette"
+                        f" picked {soa_idx}, rng.choice {idx}, or left another"
+                        " generator state"
+                    )
                 edge, soa_edge = edges[idx], kept[idx]
                 dst_cfg = state_config(edge.dst)
                 if dst_cfg != soa_edge.dst_config():

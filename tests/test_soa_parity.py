@@ -6,12 +6,13 @@ byte-identical to what ConstructionGraph + TransitionPolicy produce.  This
 harness attacks that claim from every angle the contract names — randomized
 frontiers (hypothesis), annealed lockstep walks, batched rounds (one
 ``expand`` over many states, past the eviction cap too), the packed pool
-boundary, forbidden-action filtering, polish, and the raw latency kernels
-— on both devices, including states the cost model rejects as INFEASIBLE,
-and for program fusion groups with pools of one to three epilogues at
-every fused count.
+boundary, forbidden-action filtering, polish, the roulette, the tile-row
+pass and the raw latency kernels — on both devices, including states the
+cost model rejects as INFEASIBLE, and for program fusion groups with
+pools of one to three epilogues at every fused count.
 """
 
+import copy
 import json
 import math
 
@@ -28,14 +29,19 @@ from repro.core.reference import ReferenceGensor
 from repro.core.score import quick_latency
 from repro.hardware import orin_nano, rtx4090
 from repro.ir import operators as ops
+from repro.ir.access import tile_footprint_bytes, tile_traffic_bytes
 from repro.ir.etir import ETIR, TileConfig
-from repro.obs import RecordingTracer
+from repro.obs import NULL_TRACER, RecordingTracer
 from repro.perf.soa import (
     DifferentialWalker,
+    SoAEdge,
     SoAFrontier,
     SoAWalkEngine,
+    _roulette,
+    pack_for,
 )
 from repro.sim.costmodel import CostModel
+from repro.workloads import table4
 
 DEVICES = {"rtx4090": rtx4090(), "orin_nano": orin_nano()}
 
@@ -256,6 +262,85 @@ def test_differential_walk_fused_with_forbid():
     assert report["states_compared"] > 0
 
 
+# -- the roulette ----------------------------------------------------------------
+
+
+def _frontier(benefits: list[float], cache: list[bool]) -> list[SoAEdge]:
+    """Edges with the given benefits; ``cache[i]`` makes edge ``i`` a CACHE
+    edge, whose weight ``_probabilities`` anneals."""
+    tiles = np.ones((3, 2), dtype=np.int64)
+    vthreads = np.ones(3, dtype=np.int64)
+    edges = []
+    for benefit, is_cache in zip(benefits, cache):
+        kind = ActionKind.CACHE if is_cache else ActionKind.TILE_UP
+        edge = SoAEdge(kind, -1 if is_cache else 0, tiles, vthreads, 1, 0)
+        edge.benefit = benefit
+        edges.append(edge)
+    return edges
+
+
+@st.composite
+def frontier_benefits(draw):
+    """1-40 edge benefits as the engine meets them: all positive across
+    about 40 decades, some of them zero, or all zero (``_probabilities``'
+    uniform fallback)."""
+    n = draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(["positive", "zeros", "uniform"]))
+    if mode == "uniform":
+        return [0.0] * n
+    benefits = [10.0 ** draw(st.floats(-20.0, 20.0)) for _ in range(n)]
+    if mode == "zeros":
+        benefits = [0.0 if draw(st.booleans()) else b for b in benefits]
+    return benefits
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    benefits=frontier_benefits(),
+    data=st.data(),
+    progress=st.floats(0.0, 14.0),
+    seed=st.integers(0, 2**64 - 1),
+    advance=st.integers(0, 3),
+)
+def test_roulette_equals_generator_choice(benefits, data, progress, seed, advance):
+    """The engine's inline roulette picks ``Generator.choice``'s index for
+    every probability vector ``_probabilities`` can hand it, and leaves
+    the generator in the identical bit state."""
+    cache = [data.draw(st.booleans()) for _ in benefits]
+    _kept, probs = _engine("rtx4090", "mm")._probabilities(
+        _frontier(benefits, cache), progress
+    )
+    ours = np.random.default_rng(seed)
+    ours.random(advance)
+    theirs = copy.deepcopy(ours)
+    assert _roulette(ours, probs) == int(theirs.choice(len(probs), p=probs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "benefits", [[math.inf, 1.0], [1e308, 1e308]], ids=["inf-weight", "inf-total"]
+)
+def test_non_finite_frontier_raises_like_choice(benefits):
+    """A frontier whose total weight is not finite makes ``Generator.choice``
+    (the reference's draw) raise ``ValueError``; the engine's walk raises
+    it too instead of picking an edge."""
+    engine = SoAWalkEngine(OPS["mm"], DEVICES["rtx4090"])
+    edges = _frontier(benefits, [False] * len(benefits))
+    _kept, probs = engine._probabilities(edges, 0.0)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(probs), p=probs)
+    engine.expand = lambda states: [edges for _ in states]
+    with pytest.raises(ValueError):
+        engine.run_chains(
+            GensorConfig(seed=0),
+            [(np.random.default_rng(0), {}, None)],
+            frozenset(),
+            NULL_TRACER,
+            None,
+        )
+
+
 # -- lockstep rounds: one batched expansion ------------------------------------
 
 
@@ -346,6 +431,38 @@ def test_frontier_roundtrip(data):
         # Plain Python ints all the way down: keys are JSON-serialized
         # (golden fixtures, persistent caches), where np.int64 would raise.
         json.dumps(s.key())
+
+
+# -- the tile-row pass, against the scalar oracle -------------------------------
+
+ROW_OPS = {
+    # C6's shape bound, like huge_mm's, does not prove int64 traffic
+    # products safe, so both take the exact Python-int path; the other
+    # three take the int64 one.
+    **{label: table4.build(label) for label in ("C6", "M6", "P3", "V8")},
+    "huge_mm": ops.matmul(1 << 18, 1 << 18, 1 << 18, "row_huge_mm"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ROW_OPS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_terms_match_the_scalar_oracle(op, data):
+    """``SoAPack.row_terms`` equals ``tile_footprint_bytes`` (without and
+    with the output tile) and ``tile_traffic_bytes`` exactly, per row."""
+    compute = ROW_OPS[op]
+    pack = pack_for(compute)
+    assert pack.traffic_int64_safe == (op not in ("C6", "huge_mm"))
+    rows = [
+        [data.draw(st.integers(1, ax.extent)) for ax in compute.axes]
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    fin, fpo, traffic = pack.row_terms(np.array(rows, dtype=np.int64))
+    for row, f, fo, q in zip(rows, fin.tolist(), fpo.tolist(), traffic.tolist()):
+        tiles = {ax.name: t for ax, t in zip(compute.axes, row)}
+        assert f == tile_footprint_bytes(compute, tiles, include_output=False)
+        assert fo == tile_footprint_bytes(compute, tiles)
+        assert type(q) is int and q == tile_traffic_bytes(compute, tiles)
 
 
 # -- latency kernels, bit-compared ---------------------------------------------

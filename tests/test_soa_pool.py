@@ -24,7 +24,7 @@ from repro.ir import operators as ops
 from repro.ir.etir import ETIR
 from repro.obs import RecordingTracer
 from repro.perf.memo import MetricsMemo
-from repro.perf.soa import SoAFrontier, SoAWalkEngine, pack_for
+from repro.perf.soa import SoAFrontier, SoAPack, SoAWalkEngine, pack_for
 from repro.resilience.checkpoint import Checkpointer, CheckpointPolicy
 from repro.sim.costmodel import CostModel
 from repro.sim.measure import Measurer
@@ -303,27 +303,51 @@ def test_pipeline_runs_once_per_compile(hw, monkeypatch, num_chains):
     chains fed the pool.  The walk expands once per lockstep round: as
     many ``expand`` calls as the longest chain's iterations, covering one
     row per step of every chain, plus one for each chain that stopped on
-    an empty frontier before the iteration cap."""
+    an empty frontier before the iteration cap.  Pricing is batched per
+    round: during the walk ``_price`` runs once per round with an
+    edge-memo miss, and ``SoAPack.row_terms`` exactly once per ``_price``
+    call."""
     counts = {
         "rank": 0, "polish": 0, "polished": 0, "measure": 0, "expand": 0,
-        "expanded": 0,
+        "expanded": 0, "missed_rounds": 0, "price": 0, "row_pass": 0,
     }
+    walking = []
 
-    def spy(name, original, rows=None):
+    def spy(name, original, rows=None, walk_only=False):
         def wrapper(self, *args, **kwargs):
-            counts[name] += 1
+            if walking or not walk_only:
+                counts[name] += 1
             if rows is not None:
                 counts[rows] += len(args[0])
             return original(self, *args, **kwargs)
 
         return wrapper
 
+    def run_chains(self, *args, **kwargs):
+        walking.append(True)
+        try:
+            return original_run_chains(self, *args, **kwargs)
+        finally:
+            walking.pop()
+
+    def expand(self, states):
+        if any(self._key(*row) not in self._edges for row in states):
+            counts["missed_rounds"] += 1
+        return original_expand(self, states)
+
+    original_run_chains = SoAWalkEngine.run_chains
+    original_expand = spy("expand", SoAWalkEngine.expand, "expanded")
+    monkeypatch.setattr(SoAWalkEngine, "run_chains", run_chains)
+    monkeypatch.setattr(SoAWalkEngine, "expand", expand)
     monkeypatch.setattr(SoAWalkEngine, "rank", spy("rank", SoAWalkEngine.rank))
     monkeypatch.setattr(
         SoAWalkEngine, "polish", spy("polish", SoAWalkEngine.polish, "polished")
     )
     monkeypatch.setattr(
-        SoAWalkEngine, "expand", spy("expand", SoAWalkEngine.expand, "expanded")
+        SoAWalkEngine, "_price", spy("price", SoAWalkEngine._price, walk_only=True)
+    )
+    monkeypatch.setattr(
+        SoAPack, "row_terms", spy("row_pass", SoAPack.row_terms, walk_only=True)
     )
     monkeypatch.setattr(Measurer, "measure", spy("measure", Measurer.measure))
     cfg = GensorConfig(
@@ -345,6 +369,8 @@ def test_pipeline_runs_once_per_compile(hw, monkeypatch, num_chains):
     assert counts["expand"] == max(ends)
     cap = cfg.max_iterations_per_chain
     assert counts["expanded"] == sum(ends) + sum(1 for n in ends if n < cap)
+    assert 0 < counts["missed_rounds"] <= counts["expand"]
+    assert counts["row_pass"] == counts["price"] == counts["missed_rounds"]
     if num_chains == 8:
         assert sorted(ends) == [1] + [cap] * 7
 

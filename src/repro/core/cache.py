@@ -3,12 +3,19 @@
 Production tensor compilers keep a tuning database (TVM's tophub, Ansor's
 log files) so a shape is only ever optimized once per device.  The cache
 stores winning ETIR configurations keyed by (device, group fingerprint)
-and can persist itself as JSON.  A group is a bare operator or a program
-fusion group (anchor plus epilogue pool); :func:`group_fingerprint` of a
-bare operator is its shape fingerprint.  The cache also powers
+and persists itself as one JSON file.  A group is a bare operator or a
+program fusion group (anchor plus epilogue pool); :func:`group_fingerprint`
+of a bare operator is its shape fingerprint.  The cache also powers
 :mod:`repro.core.dynamic`: for an unseen group it returns the *nearest*
 cached entry of the same anchor and pool families, which seeds
 warm-started re-optimization.
+
+The file has one reader and one writer.  :meth:`ScheduleCache.refresh`,
+:meth:`~ScheduleCache.sync` and :meth:`~ScheduleCache.load` all parse it
+through the reader, which CRC-checks every record and quarantines what
+is corrupt; :meth:`~ScheduleCache.sync` alone writes it.  The checkpoint
+store (:mod:`repro.resilience.checkpoint`) shares the file lock, the
+journal+fsync+rename writer and the quarantine defined here.
 """
 
 from __future__ import annotations
@@ -214,15 +221,23 @@ class ScheduleCache:
 
     Thread-safe: the serving layer (:mod:`repro.serve`) reads and writes
     one shared cache from many worker threads, so every entry operation
-    holds an internal lock.
+    holds an internal lock.  Records quarantined while reading the file
+    count as ``cache_quarantined_total`` on ``registry`` (the process-wide
+    registry by default; a fleet shard passes its own).
     """
 
-    def __init__(self, hardware: HardwareSpec) -> None:
+    def __init__(
+        self, hardware: HardwareSpec, registry: MetricsRegistry | None = None
+    ) -> None:
         self.hw = hardware
+        self.registry = registry if registry is not None else get_registry()
         self._entries: dict[str, CachedSchedule] = {}
         self._lock = threading.RLock()
-        #: reasons for every record quarantined by the last :meth:`load`.
+        #: reasons for every record or file this cache quarantined.
         self.quarantined: list[str] = []
+        #: ``(key, record)`` of every bad record already quarantined, so a
+        #: record seen again before a :meth:`sync` drops it is one incident.
+        self._parked: set[tuple[str, str]] = set()
 
     def __len__(self) -> int:
         with self._lock:
@@ -232,11 +247,7 @@ class ScheduleCache:
         """Record a winner under its group key (the state's anchor and
         pool); keeps the lower program cost on collision."""
         key = group_fingerprint(state.compute, state.epilogue_pool)
-        entry = CachedSchedule.priced(state, latency_s, self.hw)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is None or entry.cost_s < existing.cost_s:
-                self._entries[key] = entry
+        self.merge_entries({key: CachedSchedule.priced(state, latency_s, self.hw)})
 
     def get(
         self, compute: ComputeDef, epilogues: tuple[ComputeDef, ...] = ()
@@ -333,121 +344,78 @@ class ScheduleCache:
     def refresh(self, path: str | Path) -> int:
         """Pull: merge the on-disk database into memory (returns updates).
 
-        A missing or unreadable file merges nothing — replication must
-        never crash a serving shard because a sibling wrote garbage.
+        A missing file merges nothing, and a corrupt one merges only its
+        healthy records (the rest are quarantined): replication must never
+        crash a serving shard because a sibling wrote garbage.
         """
         path = Path(path)
         with _file_lock(path):
-            disk = _read_entries(path, self.hw.name)
+            disk = self._read_entries(path)
         return self.merge_entries(disk)
 
     def sync(self, path: str | Path) -> int:
         """Push+pull: union memory with the on-disk database, write both.
 
-        Under one advisory file lock, the current file is read, its entries
-        are merged into memory (lower program cost wins), and the merged view
-        is written back crash-safely.  Concurrent syncers from different
-        processes serialize on the lock, so no process's published entries
-        are ever lost to a last-writer-wins race.  Returns the number of
-        entries pulled in from disk.
+        The only writer of the file.  Under one advisory file lock, the
+        current file is read, its entries are merged into memory (lower
+        program cost wins), and the merged view is written back through
+        :func:`_write_atomic`.  Concurrent syncers from different processes
+        serialize on the lock, so no process's published entries are ever
+        lost to a last-writer-wins race, and the records the read
+        quarantined are gone from the rewritten file.  Returns the number
+        of entries pulled in from disk.
         """
         path = Path(path)
         with _file_lock(path):
-            pulled = self.merge_entries(_read_entries(path, self.hw.name))
-            self._write_locked(path)
+            pulled = self.merge_entries(self._read_entries(path))
+            with self._lock:
+                payload = {
+                    "device": self.hw.name,
+                    "entries": {
+                        key: {**entry.to_json(), "crc": entry_checksum(entry.to_json())}
+                        for key, entry in self._entries.items()
+                    },
+                }
+            _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
         return pulled
 
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path: str | Path, *, merge: bool = True) -> None:
-        """Persist crash-safely: journal write, fsync, then atomic rename.
-
-        The checksummed payload is written to a journal sibling, flushed
-        to disk, and moved into place with :func:`os.replace`, so readers
-        only ever observe either the old or the new complete database —
-        a crash mid-save never corrupts the live file.
-
-        Saves from different processes additionally serialize on an
-        advisory lock file (``<name>.lock``, :mod:`fcntl`) and, with
-        ``merge=True`` (the default), union the in-memory entries with
-        whatever is already on disk — keeping the cheaper entry per key —
-        instead of last-writer-wins.  Two processes saving concurrently
-        therefore never interleave their :func:`os.replace` calls and
-        never drop each other's entries.  ``merge=False`` restores plain
-        overwrite semantics (still locked) for tools that intend to
-        truncate the database.
-        """
-        path = Path(path)
-        with _file_lock(path):
-            if merge:
-                self.merge_entries(_read_entries(path, self.hw.name))
-            self._write_locked(path)
-
-    def _write_locked(self, path: Path) -> None:
-        """Journal+fsync+rename of the current entries (lock already held)."""
-        with self._lock:
-            payload = {
-                "device": self.hw.name,
-                "entries": {
-                    key: {**entry.to_json(), "crc": entry_checksum(entry.to_json())}
-                    for key, entry in self._entries.items()
-                },
-            }
-        journal = path.parent / f".{path.name}.journal.{os.getpid()}"
-        try:
-            with open(journal, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(journal, path)
-        finally:
-            journal.unlink(missing_ok=True)
-
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        hardware: HardwareSpec,
-        *,
-        strict: bool = False,
-        registry: MetricsRegistry | None = None,
-    ) -> "ScheduleCache":
-        """Load a persisted cache, quarantining whatever is corrupt.
-
-        A truncated file, a flipped bit in one record (checksum mismatch),
-        or a missing field never crashes the serving layer and never
-        poisons the healthy entries: bad records are moved to a
-        ``.quarantine/`` directory next to the cache file (with the reason
-        attached), the rest load normally, and every quarantined record
-        increments ``cache_quarantined_total``.  ``strict=True`` restores
-        the all-or-nothing behavior (raise :class:`ValueError` on the
-        first corruption) for tools that prefer loud failure.  A device
-        mismatch always raises — that is a configuration error, not
-        corruption.
-        """
-        path = Path(path)
-        registry = registry if registry is not None else get_registry()
+    def load(cls, path: str | Path, hardware: HardwareSpec) -> "ScheduleCache":
+        """A fresh cache holding the healthy records of ``path``
+        (:meth:`refresh`; see :meth:`_read_entries` for what is quarantined)."""
         cache = cls(hardware)
+        cache.refresh(path)
+        return cache
+
+    def _read_entries(self, path: Path) -> dict[str, CachedSchedule]:
+        """The one parser of the cache file (the caller holds its lock).
+
+        Every record is CRC-checked and parsed.  A bad record is moved to
+        ``.quarantine/`` with its reason and counted, and the healthy ones
+        come back.  A file that is no cache at all (truncated, not JSON,
+        the wrong shape) moves there whole and reads as empty, so the next
+        :meth:`sync` starts clean; a missing file reads as empty.  A device
+        mismatch raises: merging databases tuned for different hardware is
+        a configuration error, not corruption.
+        """
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise ValueError(f"corrupt schedule cache {path}: {exc}") from exc
-            cache._quarantine_file(path, f"corrupt JSON: {exc}", registry)
-            return cache
+            payload = json.loads(path.read_bytes())
+        except FileNotFoundError:
+            return {}
+        except ValueError as exc:  # truncated, not JSON, not UTF-8
+            self._park(path, f"corrupt JSON: {exc}")
+            return {}
         if not isinstance(payload, dict) or not isinstance(
             payload.get("entries"), dict
         ):
-            reason = "expected an object with an 'entries' mapping"
-            if strict:
-                raise ValueError(f"ill-formed schedule cache {path}: {reason}")
-            cache._quarantine_file(path, reason, registry)
-            return cache
-        if payload.get("device") != hardware.name:
+            self._park(path, "expected an object with an 'entries' mapping")
+            return {}
+        if payload.get("device") != self.hw.name:
             raise ValueError(
-                f"cache was tuned for {payload.get('device')!r}, "
-                f"not {hardware.name!r}"
+                f"cache {path} was tuned for {payload.get('device')!r}, "
+                f"not {self.hw.name!r}"
             )
+        out: dict[str, CachedSchedule] = {}
         for key, data in payload["entries"].items():
             try:
                 if isinstance(data, dict) and "crc" in data:
@@ -458,62 +426,24 @@ class ScheduleCache:
                             f"computed {entry_checksum(body)})"
                         )
                     data = body
-                cache._entries[key] = CachedSchedule.from_json(data)
+                out[key] = CachedSchedule.from_json(data)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                if strict:
-                    raise ValueError(
-                        f"ill-formed schedule cache entry {key!r} in {path}: "
-                        f"{exc}"
-                    ) from exc
-                cache._quarantine_entry(path, key, data, str(exc), registry)
-        return cache
+                self._park(path, str(exc), key, data)
+        return out
 
-    def _quarantine_file(
-        self, path: Path, reason: str, registry: MetricsRegistry
+    def _park(
+        self, path: Path, reason: str, key: str | None = None, entry: object = None
     ) -> None:
-        """Move an unreadable cache file aside and start empty."""
-        qdir = path.parent / ".quarantine"
-        qdir.mkdir(exist_ok=True)
-        # Unique target per incident (same probe discipline as
-        # _quarantine_entry): a cache corrupted twice leaves two records.
-        target = qdir / path.name
-        n = 0
-        while target.exists():
-            n += 1
-            target = qdir / f"{path.name}.{n}"
-        try:
-            os.replace(path, target)
-        except OSError:  # cross-device or permission trouble: leave in place
-            pass
-        self.quarantined.append(f"{path.name}: {reason}")
-        registry.counter("cache_quarantined_total").inc()
-
-    def _quarantine_entry(
-        self,
-        path: Path,
-        key: str,
-        data: object,
-        reason: str,
-        registry: MetricsRegistry,
-    ) -> None:
-        """Park one bad record in ``.quarantine/`` and keep loading."""
-        qdir = path.parent / ".quarantine"
-        qdir.mkdir(exist_ok=True)
-        digest = hashlib.sha256(key.encode()).hexdigest()[:8]
-        record = {"cache": path.name, "key": key, "reason": reason, "entry": data}
-        # Unique target per incident: the same key corrupted twice must
-        # leave two records behind, not overwrite the first (forensics).
-        target = qdir / f"{path.name}.{digest}.json"
-        n = 0
-        while target.exists():
-            n += 1
-            target = qdir / f"{path.name}.{digest}.{n}.json"
-        try:
-            target.write_text(json.dumps(record, indent=2, default=str))
-        except OSError:
-            pass
-        self.quarantined.append(f"{key}: {reason}")
-        registry.counter("cache_quarantined_total").inc()
+        """Quarantine and count one incident: the whole file, or one record."""
+        if key is not None:
+            incident = (key, json.dumps(entry, sort_keys=True, default=str))
+            with self._lock:
+                if incident in self._parked:
+                    return
+                self._parked.add(incident)
+        _quarantine(path, reason, key, entry)
+        self.quarantined.append(f"{path.name if key is None else key}: {reason}")
+        self.registry.counter("cache_quarantined_total").inc()
 
 
 def entry_checksum(entry_json: dict) -> int:
@@ -524,7 +454,7 @@ def entry_checksum(entry_json: dict) -> int:
 
 @contextlib.contextmanager
 def _file_lock(path: Path):
-    """Advisory cross-process lock guarding ``path``'s save/merge cycle.
+    """Advisory cross-process lock guarding ``path``'s read/write cycle.
 
     Locks a ``<name>.lock`` sibling rather than the database itself so the
     lock survives :func:`os.replace` of the data file.  The OS releases the
@@ -546,37 +476,53 @@ def _file_lock(path: Path):
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
-def _read_entries(path: Path, device: str) -> dict[str, CachedSchedule]:
-    """Checksummed entries of an on-disk database, skipping whatever is bad.
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` crash-safely (the caller holds its lock).
 
-    The lenient read used by merge paths: a missing/corrupt file yields an
-    empty mapping and individual bad records are skipped (the next real
-    :meth:`ScheduleCache.load` quarantines them).  A device mismatch raises
-    — merging databases tuned for different hardware is a configuration
-    error, not corruption.
+    The text goes to a journal sibling, is fsynced, and moves into place
+    with :func:`os.replace`, so a reader sees the old or the new file and
+    a crash at any point leaves the old one byte-identical.
     """
+    journal = path.parent / f".{path.name}.journal.{os.getpid()}"
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("entries"), dict
-    ):
-        return {}
-    if payload.get("device") != device:
-        raise ValueError(
-            f"cache {path} was tuned for {payload.get('device')!r}, "
-            f"not {device!r}"
-        )
-    out: dict[str, CachedSchedule] = {}
-    for key, data in payload["entries"].items():
-        try:
-            if isinstance(data, dict) and "crc" in data:
-                body = {k: v for k, v in data.items() if k != "crc"}
-                if entry_checksum(body) != data["crc"]:
-                    continue
-                data = body
-            out[key] = CachedSchedule.from_json(data)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            continue
-    return out
+        with open(journal, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(journal, path)
+    finally:
+        journal.unlink(missing_ok=True)
+
+
+def _quarantine(
+    path: Path, reason: str, key: str | None = None, entry: object = None
+) -> None:
+    """Park one incident's evidence in ``.quarantine/`` beside ``path``.
+
+    Without ``key`` the whole file moves there, with a ``.reason`` sibling;
+    with one, only that record is written out as JSON, its reason inside.
+    The name is the first of ``<name>``, ``<name>.1``, ... that no earlier
+    incident holds, so repeated corruption never overwrites evidence.  A
+    filesystem refusal leaves the evidence in place: quarantine must never
+    crash a reader.
+    """
+    qdir = path.parent / ".quarantine"
+    stem, ext = path.name, ""
+    if key is not None:
+        digest = hashlib.sha256(key.encode()).hexdigest()[:8]
+        stem, ext = f"{path.name}.{digest}", ".json"
+    target = qdir / f"{stem}{ext}"
+    n = 0
+    while target.exists():
+        n += 1
+        target = qdir / f"{stem}.{n}{ext}"
+    try:
+        qdir.mkdir(exist_ok=True)
+        if key is None:
+            os.replace(path, target)
+            target.with_name(f"{target.name}.reason").write_text(reason)
+        else:
+            record = {"cache": path.name, "key": key, "reason": reason, "entry": entry}
+            target.write_text(json.dumps(record, indent=2, default=str))
+    except OSError:
+        pass

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from repro.hardware.memory import smem_transaction_factor
 from repro.hardware.spec import HardwareSpec
 from repro.ir.etir import ETIR
+from repro.sim.costmodel import bank_conflicts, coalescing
 
 __all__ = [
     "quick_latency",
@@ -50,30 +50,18 @@ def quick_latency(state: ETIR, hw: HardwareSpec, strict: bool = True) -> float:
     util_eff = util / (util + 0.12)
     # Blocks smaller than a warp waste SIMT lanes.
     warp_eff = threads / (math.ceil(threads / hw.warp_size) * hw.warp_size)
-    flops = state.program_flops() if state.fused else compute.total_flops
-    compute_time = flops / max(
+    compute_time = state.program_flops() / max(
         1.0, hw.peak_flops * ilp_eff * util_eff * warp_eff
     )
-
-    coalesce = _coalescing(state, hw)
     dram_time = (
-        state.dram_traffic_bytes() * coalesce / hw.dram.bandwidth_bytes_per_s
+        state.dram_traffic_bytes()
+        * coalescing(state, hw)
+        / hw.dram.bandwidth_bytes_per_s
     )
-
-    spatial = [
-        (idx, ax) for idx, ax in enumerate(compute.axes) if not ax.is_reduce
-    ]
-    conflict = 1.0
-    if spatial:
-        idx, _ = spatial[-1]
-        t1 = state.tile(idx, 1)
-        threads_row = max(1, state.tile(idx, state.num_levels) // max(1, t1))
-        span = min(hw.warp_size, threads_row) * t1
-        conflict = smem_transaction_factor(
-            max(1, span), hw.bank_width_elems, state.total_vthreads()
-        )
     smem_time = (
-        state.smem_traffic_bytes() * conflict / hw.smem.bandwidth_bytes_per_s
+        state.smem_traffic_bytes()
+        * bank_conflicts(state, hw)
+        / hw.smem.bandwidth_bytes_per_s
     )
     return max(compute_time, dram_time, smem_time)
 
@@ -103,45 +91,6 @@ def quick_pipe(cols: np.ndarray, hw: HardwareSpec) -> np.ndarray:
     dram_time = dram_q * coalesce / hw.dram.bandwidth_bytes_per_s
     smem_time = smem_q * conflict / hw.smem.bandwidth_bytes_per_s
     return np.maximum(np.maximum(compute_time, dram_time), smem_time)
-
-
-def _coalescing(state: ETIR, hw: HardwareSpec) -> float:
-    """Footprint-weighted DRAM-transaction inflation (shared with the
-    simulator's fuller model; constructive compilers model coalescing too —
-    Roller's rTiles exist to align slabs with memory transactions).
-
-    Depends only on the block tiles (and the warp size), so it is memoized
-    in the compute's tile-keyed cache.
-    """
-    from repro.ir.access import _tile_cache
-
-    cache = _tile_cache(state.compute)
-    lvl = state.num_levels
-    key = ("coal", tuple(t[lvl - 1] for t in state.config.tiles), hw.warp_size)
-    cached = cache.get(key)
-    if cached is None:
-        cached = cache[key] = _coalescing_uncached(state, hw)
-    return cached
-
-
-def _coalescing_uncached(state: ETIR, hw: HardwareSpec) -> float:
-    from repro.hardware.memory import coalescing_factor
-    from repro.ir.access import access_footprint_elems
-
-    block_tiles = state.tile_sizes(state.num_levels)
-    total_w = 0.0
-    acc_f = 0.0
-    for acc in state.compute.inputs:
-        width = min(
-            acc.indices[-1].extent_under_tiles(block_tiles),
-            acc.tensor.shape[-1],
-        )
-        weight = float(
-            access_footprint_elems(acc, block_tiles) * acc.tensor.dtype_bytes
-        )
-        acc_f += coalescing_factor(width, hw.warp_size) * weight
-        total_w += weight
-    return acc_f / total_w if total_w else 1.0
 
 
 def epilogue_standalone_s(ep, hw: HardwareSpec) -> float:
@@ -186,5 +135,4 @@ def quick_score(state: ETIR, hw: HardwareSpec) -> float:
     lat = quick_latency(state, hw)
     if not math.isfinite(lat) or lat <= 0:
         return 0.0
-    flops = state.program_flops() if state.fused else state.compute.total_flops
-    return flops / lat
+    return state.program_flops() / lat

@@ -199,7 +199,9 @@ def run_shard(shard_index: int, options: ShardOptions, req_q, resp_q) -> None:
     """
     hw = DEVICES[options.device]()
     registry = MetricsRegistry()
-    cache = ScheduleCache(hw)
+    # The shard's registry, so quarantines of the shared file reach
+    # ``FleetDispatcher.fleet_metrics()``.
+    cache = ScheduleCache(hw, registry=registry)
     if options.cache_path:
         # Warm boot: adopt whatever siblings (or a previous life of this
         # shard) already published.

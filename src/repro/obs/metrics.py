@@ -25,14 +25,18 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
+    "percentile",
 ]
 
 
-def _nearest_rank(ordered: list[float], pct: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
+def percentile(values: Iterable[float], pct: float) -> float:
+    """Nearest-rank percentile of ``values`` (0 for an empty sample)."""
+    ordered = sorted(values)
     if not ordered:
         return 0.0
-    rank = max(1, -(-len(ordered) * pct // 100))
+    if not (0.0 < pct <= 100.0):
+        raise ValueError(f"pct must be in (0, 100], got {pct}")
+    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without math import
     return ordered[int(rank) - 1]
 
 
@@ -143,7 +147,7 @@ class Histogram:
 
     def percentile(self, pct: float) -> float:
         with self._lock:
-            return _nearest_rank(sorted(self._samples), pct)
+            return percentile(self._samples, pct)
 
     def summary(self) -> dict:
         with self._lock:
@@ -155,9 +159,9 @@ class Histogram:
                 "mean": self.total / count if count else 0.0,
                 "min": self._min if count else 0.0,
                 "max": self._max if count else 0.0,
-                "p50": _nearest_rank(ordered, 50),
-                "p95": _nearest_rank(ordered, 95),
-                "p99": _nearest_rank(ordered, 99),
+                "p50": percentile(ordered, 50),
+                "p95": percentile(ordered, 95),
+                "p99": percentile(ordered, 99),
             }
 
 

@@ -1103,7 +1103,7 @@ class SoAWalkEngine:
         """Footprint-weighted coalescing factor per row.
 
         Same access loop, same accumulation order, same float operations
-        as ``score._coalescing_uncached`` / the cost model's twin.
+        as :func:`repro.sim.costmodel.coalescing`.
         """
         n = block.shape[0]
         warp = self.hw.warp_size

@@ -26,11 +26,12 @@ Three pieces cooperate:
   a crash loses are exactly those past the last checkpoint, so
   ``wasted_states()`` is bounded by one cadence interval.
 - :class:`CheckpointStore` persists checkpoints across process death
-  with the same discipline as the crash-safe schedule cache: CRC-32 of
-  the canonical JSON body, journal sibling + fsync + :func:`os.replace`,
-  an advisory ``.lock`` sibling for cross-process writers, and a
-  ``.quarantine/`` directory for corrupt records (a bad checkpoint
-  degrades to a fresh walk, never a crash).
+  through the crash-safe schedule cache's own file machinery
+  (:mod:`repro.core.cache`): CRC-32 of the canonical JSON body, the
+  journal + fsync + :func:`os.replace` writer under an advisory
+  ``.lock`` sibling, and the quarantine that parks a corrupt record in
+  ``.quarantine/`` (a bad checkpoint degrades to a fresh walk, never a
+  crash).
 
 Every construction walk checkpoints the same way, a bare operator's or
 a fusion group's: a state is the engine's pool row ``(tiles, vthreads,
@@ -47,14 +48,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.cache import _file_lock, entry_checksum, group_fingerprint
+from repro.core.cache import (
+    _file_lock,
+    _quarantine,
+    _write_atomic,
+    entry_checksum,
+    group_fingerprint,
+)
 from repro.ir.etir import ETIR
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.utils import rng as rng_util
@@ -439,14 +445,14 @@ class Checkpointer:
 class CheckpointStore:
     """On-disk checkpoint records, one per (device, group key).
 
-    Same crash-safety discipline as the schedule cache: the JSON body
-    carries a CRC-32 of its canonical serialization, writes go through a
-    journal sibling + fsync + atomic :func:`os.replace` under an
-    advisory ``.lock`` sibling, and a record that fails any load check
-    is moved into ``.quarantine/`` (with a uniqued filename, so repeated
-    corruption never overwrites earlier evidence) and reported as
-    ``resilience_checkpoint_corrupt_total`` — the caller sees ``None``
-    and falls back to a fresh walk, never an exception.
+    The schedule cache's writer and quarantine: the JSON body carries a
+    CRC-32 of its canonical serialization, writes go through a journal
+    sibling + fsync + atomic :func:`os.replace` under an advisory
+    ``.lock`` sibling, and a record that fails any load check is moved
+    into ``.quarantine/`` (with a uniqued filename and a ``.reason``
+    sibling, so repeated corruption never overwrites earlier evidence)
+    and reported as ``resilience_checkpoint_corrupt_total`` — the caller
+    sees ``None`` and falls back to a fresh walk, never an exception.
     """
 
     def __init__(
@@ -475,15 +481,7 @@ class CheckpointStore:
             "crc": entry_checksum(body),
         }
         with _file_lock(path):
-            journal = path.parent / f".{path.name}.journal.{os.getpid()}"
-            try:
-                with open(journal, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(payload, sort_keys=True))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(journal, path)
-            finally:
-                journal.unlink(missing_ok=True)
+            _write_atomic(path, json.dumps(payload, sort_keys=True))
         self.registry.counter("resilience_checkpoint_saves_total").inc()
         return path
 
@@ -491,7 +489,7 @@ class CheckpointStore:
         """The stored checkpoint, or ``None`` (missing or quarantined-corrupt)."""
         path = self.path_for(device, compute_key)
         try:
-            raw = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             return None
         try:
@@ -511,9 +509,10 @@ class CheckpointStore:
             json.JSONDecodeError,
             KeyError,
             TypeError,
-            ValueError,
+            ValueError,  # also a record that is not UTF-8
         ) as exc:
-            self._quarantine(path, str(exc))
+            _quarantine(path, str(exc))
+            self.registry.counter("resilience_checkpoint_corrupt_total").inc()
             return None
         self.registry.counter("resilience_checkpoint_loads_total").inc()
         return checkpoint
@@ -523,18 +522,3 @@ class CheckpointStore:
         path = self.path_for(device, compute_key)
         with _file_lock(path):
             path.unlink(missing_ok=True)
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        qdir = self.root / ".quarantine"
-        qdir.mkdir(exist_ok=True)
-        target = qdir / path.name
-        suffix = 1
-        while target.exists():
-            target = qdir / f"{path.name}.{suffix}"
-            suffix += 1
-        try:
-            os.replace(path, target)
-            (qdir / f"{target.name}.reason").write_text(reason)
-        except OSError:  # permission/cross-device trouble: leave in place
-            pass
-        self.registry.counter("resilience_checkpoint_corrupt_total").inc()

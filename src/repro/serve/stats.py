@@ -12,22 +12,11 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, percentile
 from repro.serve.request import CompileResponse, TIERS
 from repro.utils.tables import Table
 
 __all__ = ["ServiceStats", "percentile"]
-
-
-def percentile(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile of ``values`` (0 for an empty sample)."""
-    if not values:
-        return 0.0
-    if not (0.0 < pct <= 100.0):
-        raise ValueError(f"pct must be in (0, 100], got {pct}")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without math import
-    return ordered[int(rank) - 1]
 
 
 class ServiceStats:
@@ -37,7 +26,11 @@ class ServiceStats:
     :class:`~repro.obs.metrics.MetricsRegistry` by default) with labeled
     counters (``serve_responses_total{tier=...}``) and the latency
     histogram, so registry totals always agree with the snapshot — the
-    serving stress tests assert that consistency.
+    serving stress tests assert that consistency.  The snapshot's own
+    latencies live in a private :class:`~repro.obs.metrics.Histogram`
+    (exact count, bounded reservoir), so a service's memory stays flat
+    however long it runs and two services sharing a registry keep
+    separate snapshots.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -51,7 +44,7 @@ class ServiceStats:
         self._retries = 0
         self._respawns = 0
         self._breaker_opens = 0
-        self._latencies: list[float] = []
+        self._latency = Histogram()
         self._first_submit: float | None = None
         self._last_done: float | None = None
 
@@ -89,7 +82,7 @@ class ServiceStats:
             if response.coalesced:
                 self._coalesced += 1
             if response.ok:
-                self._latencies.append(response.service_latency_s)
+                self._latency.observe(response.service_latency_s)
             if not response.deadline_met and response.deadline_s is not None:
                 self._deadline_missed += 1
             self._last_done = time.perf_counter()
@@ -111,8 +104,8 @@ class ServiceStats:
         """
         with self._lock:
             tiers = dict(self._tiers)
-            latencies = list(self._latencies)
-            completed = len(latencies)
+            latency = self._latency.summary()
+            completed = latency["count"]
             if wall_s is None:
                 if self._first_submit is None or self._last_done is None:
                     wall_s = 0.0
@@ -131,9 +124,9 @@ class ServiceStats:
                 "breaker_opens": self._breaker_opens,
                 "wall_s": wall_s,
                 "throughput_rps": completed / wall_s if wall_s > 0 else 0.0,
-                "p50_ms": percentile(latencies, 50) * 1e3,
-                "p95_ms": percentile(latencies, 95) * 1e3,
-                "p99_ms": percentile(latencies, 99) * 1e3,
+                "p50_ms": latency["p50"] * 1e3,
+                "p95_ms": latency["p95"] * 1e3,
+                "p99_ms": latency["p99"] * 1e3,
             }
 
     def metrics_snapshot(self) -> dict:

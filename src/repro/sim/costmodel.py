@@ -31,10 +31,11 @@ import numpy as np
 
 from repro.hardware.memory import coalescing_factor, smem_transaction_factor
 from repro.hardware.spec import HardwareSpec
+from repro.ir.access import _tile_cache, access_footprint_elems
 from repro.ir.etir import ETIR
 from repro.sim.metrics import KernelMetrics
 
-__all__ = ["CostModel", "INFEASIBLE", "pipe_metrics"]
+__all__ = ["CostModel", "INFEASIBLE", "bank_conflicts", "coalescing", "pipe_metrics"]
 
 #: Metrics object returned for states that violate hardware limits.
 INFEASIBLE = KernelMetrics(
@@ -65,7 +66,6 @@ class CostModel:
     def evaluate(self, state: ETIR) -> KernelMetrics:
         """Predict metrics for one schedule state; INFEASIBLE if illegal."""
         hw = self.hw
-        compute = state.compute
         if not state.memory_ok(hw):
             return INFEASIBLE
         threads_per_block = state.threads_per_block()
@@ -100,11 +100,9 @@ class CostModel:
         compute_time = padded_flops * vthread_overhead / max(compute_rate, 1.0)
 
         # --- DRAM / L2 pipe ------------------------------------------------------
-        coalesce = self._coalescing(state)
+        coalesce = coalescing(state, hw)
         l2_requests = state.dram_traffic_bytes() * coalesce
-        unique_bytes = (
-            state.program_io_bytes() if state.fused else compute.total_io_bytes()
-        )
+        unique_bytes = state.program_io_bytes()
         l2_hit = self._l2_hit_rate(state, l2_requests, unique_bytes, concurrent_blocks)
         dram_bytes = max(unique_bytes * min(1.0, coalesce), l2_requests * (1.0 - l2_hit))
         dram_time = dram_bytes / hw.dram.bandwidth_bytes_per_s
@@ -114,7 +112,7 @@ class CostModel:
         # Conflicted transactions also stall the issue pipeline: dependent
         # FMAs wait on serialized LSU replays, so part of the conflict
         # factor leaks into compute time even when smem bandwidth has slack.
-        conflict = self._bank_conflicts(state)
+        conflict = bank_conflicts(state, hw)
         compute_time *= 1.0 + _CONFLICT_STALL * (conflict - 1.0)
         smem_bytes = state.smem_traffic_bytes() * conflict
         smem_bw = hw.smem.bandwidth_bytes_per_s * min(
@@ -136,10 +134,7 @@ class CostModel:
             + _OVERLAP * (sum(pipes) - bound)
             + stage_time
         )
-        useful_flops = (
-            state.program_flops() if state.fused else compute.total_flops
-        )
-        achieved = useful_flops / latency
+        achieved = state.program_flops() / latency
         return KernelMetrics(
             latency_s=latency,
             achieved_flops=achieved,
@@ -221,53 +216,6 @@ class CostModel:
             work += spatial * state.epilogue_flops_per_point() / 2.0
         return work
 
-    def _coalescing(self, state: ETIR) -> float:
-        """Traffic inflation from partially used DRAM transactions.
-
-        For each input access, the contiguity of a staged slab is set by the
-        tile extent of the axes indexing the tensor's innermost dimension.
-        The per-access factors are averaged weighted by each access's share
-        of the footprint.
-
-        Memoized by block tiles; the key (and the float it maps to) is
-        shared with :func:`repro.core.score._coalescing`, which runs the
-        same weighted average in the same operation order.
-        """
-        from repro.ir.access import _tile_cache
-
-        cache = _tile_cache(state.compute)
-        lvl = state.num_levels
-        key = (
-            "coal",
-            tuple(t[lvl - 1] for t in state.config.tiles),
-            self.hw.warp_size,
-        )
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = self._coalescing_uncached(state)
-        return cached
-
-    def _coalescing_uncached(self, state: ETIR) -> float:
-        hw = self.hw
-        block_tiles = state.tile_sizes(state.num_levels)
-        total_weight = 0.0
-        acc_factor = 0.0
-        for acc in state.compute.inputs:
-            innermost = acc.indices[-1]
-            width = innermost.extent_under_tiles(block_tiles)
-            width = min(width, acc.tensor.shape[-1])
-            factor = coalescing_factor(width, hw.warp_size)
-            from repro.ir.access import access_footprint_elems
-
-            weight = float(
-                access_footprint_elems(acc, block_tiles) * acc.tensor.dtype_bytes
-            )
-            acc_factor += factor * weight
-            total_weight += weight
-        if total_weight == 0.0:
-            return 1.0
-        return acc_factor / total_weight
-
     def _l2_hit_rate(
         self,
         state: ETIR,
@@ -286,37 +234,67 @@ class CostModel:
         hit = _L2_BASE_HIT + (1.0 - _L2_BASE_HIT) * reuse_fraction * capture
         return min(0.999, hit * min(1.0, reuse_fraction * 4.0 + 0.2))
 
-    def _bank_conflicts(self, state: ETIR) -> float:
-        """Shared-memory serialization from one warp's access pattern.
-
-        Along the innermost spatial axis, each of the warp's row-adjacent
-        threads loads a ``t1``-wide fragment; the warp's combined span is
-        ``threads_row * t1`` elements and conflicts serialize it into
-        ``ceil(span / (V * bank_width))`` transaction groups.  Virtual
-        threads interleave the fragments across banks, shrinking the group
-        count — the effect the paper's Formula 3 estimates.
-        """
-        hw = self.hw
-        spatial = [
-            (idx, ax) for idx, ax in enumerate(state.compute.axes) if not ax.is_reduce
-        ]
-        if not spatial:
-            return 1.0
-        idx, _ax = spatial[-1]
-        t1 = state.tile(idx, 1)
-        threads_row = max(
-            1, state.tile(idx, state.num_levels) // max(1, t1)
-        )
-        span = min(hw.warp_size, threads_row) * t1
-        vt = state.total_vthreads()
-        return smem_transaction_factor(max(1, span), hw.bank_width_elems, vt)
-
     def _reduce_chunks(self, state: ETIR) -> int:
         chunks = 1
         for idx, ax in enumerate(state.compute.axes):
             if ax.is_reduce:
                 chunks *= math.ceil(ax.extent / state.tile(idx, state.num_levels))
         return chunks
+
+
+def coalescing(state: ETIR, hw: HardwareSpec) -> float:
+    """Traffic inflation from partially used DRAM transactions.
+
+    For each input access, the contiguity of a staged slab is set by the
+    tile extent of the axes indexing the tensor's innermost dimension.
+    The per-access factors are averaged weighted by each access's share
+    of the footprint (constructive compilers model coalescing too —
+    Roller's rTiles exist to align slabs with memory transactions).
+    Depends only on the block tiles and the warp size, so it is memoized
+    in the compute's tile-keyed cache; :func:`repro.core.score.quick_latency`
+    and :class:`CostModel` share the entry.
+    """
+    cache = _tile_cache(state.compute)
+    lvl = state.num_levels
+    key = ("coal", tuple(t[lvl - 1] for t in state.config.tiles), hw.warp_size)
+    cached = cache.get(key)
+    if cached is None:
+        block_tiles = state.tile_sizes(lvl)
+        total_weight = 0.0
+        acc_factor = 0.0
+        for acc in state.compute.inputs:
+            width = min(
+                acc.indices[-1].extent_under_tiles(block_tiles),
+                acc.tensor.shape[-1],
+            )
+            weight = float(
+                access_footprint_elems(acc, block_tiles) * acc.tensor.dtype_bytes
+            )
+            acc_factor += coalescing_factor(width, hw.warp_size) * weight
+            total_weight += weight
+        cached = cache[key] = acc_factor / total_weight if total_weight else 1.0
+    return cached
+
+
+def bank_conflicts(state: ETIR, hw: HardwareSpec) -> float:
+    """Shared-memory serialization from one warp's access pattern.
+
+    Along the innermost spatial axis, each of the warp's row-adjacent
+    threads loads a ``t1``-wide fragment; the warp's combined span is
+    ``threads_row * t1`` elements and conflicts serialize it into
+    ``ceil(span / (V * bank_width))`` transaction groups.  Virtual
+    threads interleave the fragments across banks, shrinking the group
+    count — the effect the paper's Formula 3 estimates.
+    """
+    spatial = [idx for idx, ax in enumerate(state.compute.axes) if not ax.is_reduce]
+    if not spatial:
+        return 1.0
+    t1 = state.tile(spatial[-1], 1)
+    threads_row = max(1, state.tile(spatial[-1], state.num_levels) // max(1, t1))
+    span = min(hw.warp_size, threads_row) * t1
+    return smem_transaction_factor(
+        max(1, span), hw.bank_width_elems, state.total_vthreads()
+    )
 
 
 def pipe_metrics(

@@ -91,9 +91,7 @@ class Measurer:
         rng = spawn_rng(self.seed, "measure", *map(str, state.key()))
         jitter = math.exp(rng.normal(0.0, self.noise_sigma))
         latency = truth.latency_s * jitter
-        flops = (
-            state.program_flops() if state.fused else state.compute.total_flops
-        )
+        flops = state.program_flops()
         metrics = KernelMetrics(
             latency_s=latency,
             achieved_flops=flops / latency,

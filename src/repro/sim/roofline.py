@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.hardware.spec import HardwareSpec
 from repro.ir.etir import ETIR
-from repro.sim.costmodel import CostModel
+from repro.sim.costmodel import CostModel, coalescing
 
 __all__ = ["RooflineReport", "analyze_roofline", "roofline_limit_flops"]
 
@@ -61,14 +61,13 @@ def analyze_roofline(state: ETIR, hw: HardwareSpec) -> RooflineReport:
     Raises ``ValueError`` for infeasible schedules — there is no roofline
     position for a kernel that cannot launch.
     """
-    model = CostModel(hw)
-    metrics = model.evaluate(state)
+    metrics = CostModel(hw).evaluate(state)
     if not metrics.feasible:
         raise ValueError("cannot analyze an infeasible schedule")
     compute = state.compute
 
     # Recompute the individual pipe times the way the model combines them.
-    coalesce = model._coalescing(state)
+    coalesce = coalescing(state, hw)
     l2_requests = state.dram_traffic_bytes() * coalesce
     pipe_times = {
         "compute": compute.total_flops

@@ -1,8 +1,9 @@
-"""Crash-safe schedule cache: checksums, atomic saves, quarantine.
+"""Crash-safe schedule cache: checksums, atomic syncs, quarantine.
 
-The satellite contract: a truncated file, a flipped bit in one record,
-or a crash mid-save each load with quarantine — never a crash, never
-silently poisoned entries.
+The contract: a truncated file, a flipped bit in one record, or a crash
+mid-sync each read with quarantine — never a crash, never silently
+poisoned entries — on every read path (``load``, and the ``refresh`` and
+``sync`` a fleet shard runs).
 """
 
 import json
@@ -27,11 +28,13 @@ def make_state(m=512, k=256, n=512, name="g"):
 
 
 def saved_cache(hw, tmp_path, states=None):
+    """A fresh database of ``states`` (sync would read a file left behind)."""
     cache = ScheduleCache(hw)
     for state in states or [make_state(), make_state(1024, 256, 512, "h")]:
         cache.put(state, 1e-3)
     path = tmp_path / "cache.json"
-    cache.save(path)
+    path.unlink(missing_ok=True)
+    cache.sync(path)
     return path
 
 
@@ -73,7 +76,7 @@ class TestParentFormat:
 
         path = tmp_path / "cache.json"
         path.write_text(PARENT_FORMAT)
-        loaded = ScheduleCache.load(path, hw, strict=True)
+        loaded = ScheduleCache.load(path, hw)
         assert len(loaded) == 1 and not loaded.quarantined
         state = make_state()
         assert loaded.get(state.compute) == CachedSchedule.from_state(state, 1e-3)
@@ -86,7 +89,7 @@ class TestParentFormat:
     def test_bare_records_save_byte_identically(self, hw, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(PARENT_FORMAT)
-        ScheduleCache.load(path, hw).save(path)
+        ScheduleCache(hw).sync(path)
         assert json.loads(path.read_text()) == json.loads(PARENT_FORMAT)
 
 
@@ -96,11 +99,12 @@ class TestTruncatedFile:
         full = path.read_text()
         path.write_text(full[: len(full) // 2])  # crash mid-write
         registry = MetricsRegistry()
-        loaded = ScheduleCache.load(path, hw, registry=registry)
+        loaded = ScheduleCache(hw, registry=registry)
+        loaded.refresh(path)
         assert len(loaded) == 0
         assert len(loaded.quarantined) == 1
         assert "corrupt JSON" in loaded.quarantined[0]
-        # the bad file moved aside so the next save starts clean
+        # the bad file moved aside so the next sync starts clean
         assert not path.exists()
         assert (tmp_path / ".quarantine" / "cache.json").exists()
         assert registry.counter("cache_quarantined_total").value == 1
@@ -110,7 +114,7 @@ class TestTruncatedFile:
         path.write_text(path.read_text()[:40])
         loaded = ScheduleCache.load(path, hw)
         loaded.put(make_state(), 2e-3)
-        loaded.save(path)
+        loaded.sync(path)
         again = ScheduleCache.load(path, hw)
         assert len(again) == 1 and not again.quarantined
 
@@ -127,7 +131,8 @@ class TestFlippedBit:
         path = saved_cache(hw, tmp_path)
         bad_key = self.corrupt_one_entry(path)
         registry = MetricsRegistry()
-        loaded = ScheduleCache.load(path, hw, registry=registry)
+        loaded = ScheduleCache(hw, registry=registry)
+        loaded.refresh(path)
         assert len(loaded) == 1  # the healthy sibling survived
         assert len(loaded.quarantined) == 1
         assert "checksum mismatch" in loaded.quarantined[0]
@@ -138,12 +143,6 @@ class TestFlippedBit:
         record = json.loads(records[0].read_text())
         assert record["key"] == bad_key
         assert "checksum mismatch" in record["reason"]
-
-    def test_strict_mode_still_raises(self, hw, tmp_path):
-        path = saved_cache(hw, tmp_path)
-        self.corrupt_one_entry(path)
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            ScheduleCache.load(path, hw, strict=True)
 
     def test_missing_field_quarantined(self, hw, tmp_path):
         path = saved_cache(hw, tmp_path)
@@ -187,6 +186,61 @@ class TestFlippedBit:
         assert len(loaded) == 2 and not loaded.quarantined
 
 
+class TestShardReadPaths:
+    """``refresh`` and ``sync`` — what a fleet shard runs at boot and on
+    every tick — quarantine like ``load``: a bad record is parked and
+    counted once, the next sync drops it from the file, and a file that is
+    no cache moves aside instead of being overwritten."""
+
+    @pytest.mark.parametrize(
+        "reads", [("refresh", "sync"), ("sync",)], ids=["refresh-sync", "sync"]
+    )
+    @pytest.mark.parametrize(
+        "rot",
+        [
+            lambda entry: entry.update(latency_s=entry["latency_s"] * 2),
+            lambda entry: entry.pop("block_tiles"),
+        ],
+        ids=["flipped-bit", "missing-field"],
+    )
+    def test_bad_record_is_parked_once_and_dropped(self, hw, tmp_path, rot, reads):
+        path = saved_cache(hw, tmp_path)
+        payload = json.loads(path.read_text())
+        bad_key, good_key = sorted(payload["entries"])
+        rot(payload["entries"][bad_key])  # the stored crc is now stale
+        path.write_text(json.dumps(payload))
+        registry = MetricsRegistry()
+        cache = ScheduleCache(hw, registry=registry)
+        for read in reads:
+            getattr(cache, read)(path)
+        assert [e.extents for e in cache.entries()] == [
+            payload["entries"][good_key]["extents"]
+        ]
+        records = list((tmp_path / ".quarantine").iterdir())
+        assert len(records) == 1
+        assert json.loads(records[0].read_text())["key"] == bad_key
+        assert registry.counter("cache_quarantined_total").value == 1
+        assert set(json.loads(path.read_text())["entries"]) == {good_key}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"device": "NVIDIA GeF', b'["not", "a", "cache"]', b'{"device": "\xff"}'],
+        ids=["truncated", "wrong-shape", "not-utf8"],
+    )
+    def test_sync_moves_an_unreadable_file_aside(self, hw, tmp_path, raw):
+        path = tmp_path / "cache.json"
+        path.write_bytes(raw)
+        registry = MetricsRegistry()
+        cache = ScheduleCache(hw, registry=registry)
+        cache.put(make_state(), 1e-3)
+        assert cache.sync(path) == 0
+        qdir = tmp_path / ".quarantine"
+        assert (qdir / "cache.json").read_bytes() == raw
+        assert (qdir / "cache.json.reason").read_text()
+        assert registry.counter("cache_quarantined_total").value == 1
+        assert len(ScheduleCache.load(path, hw)) == 1
+
+
 class TestPartialWrite:
     def test_injected_replace_failure_leaves_old_file_intact(
         self, hw, tmp_path, monkeypatch
@@ -206,7 +260,7 @@ class TestPartialWrite:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="injected crash"):
-            cache.save(path)
+            cache.sync(path)
         monkeypatch.undo()
         # old file byte-identical, journal cleaned up (the ``.lock``
         # sibling is the persistent cross-process guard), and it still loads
@@ -249,10 +303,10 @@ class TestCorruptChaosHook:
 
 
 def _chaos_writer(idx: int, path_str: str, acked_path_str: str) -> None:
-    """Child process body: put+merge-save in a loop, acking each save.
+    """Child process body: put+sync in a loop, acking each sync.
 
     Module-level so the 'spawn' start method can pickle it.  A key is
-    acked (flushed+fsynced to the sidecar) only AFTER save() returned —
+    acked (flushed+fsynced to the sidecar) only AFTER sync() returned —
     the durability contract under test is exactly those keys.
     """
     from repro.hardware import rtx4090
@@ -265,17 +319,17 @@ def _chaos_writer(idx: int, path_str: str, acked_path_str: str) -> None:
                 64 * ((i % 40) + 1), 32, 64 + 16 * idx, name=f"w{idx}_{i}"
             )
             cache.put(state, 1e-3 + i * 1e-6)
-            cache.save(path_str)
+            cache.sync(path_str)
             acked.write(shape_fingerprint(state.compute) + "\n")
             acked.flush()
             os.fsync(acked.fileno())
 
 
 class TestConcurrentSaveChaos:
-    """Two processes hammer merge-saves on one file and get SIGKILLed.
+    """Two processes hammer syncs on one file and get SIGKILLed.
 
     The acceptance bar: the live file never corrupts, and no entry whose
-    save was acknowledged is ever lost — crash-mid-save only ever costs
+    sync was acknowledged is ever lost — crash-mid-sync only ever costs
     the unacked tail.
     """
 
@@ -320,7 +374,7 @@ class TestConcurrentSaveChaos:
             if sidecar.exists()
             for key in sidecar.read_text().split()
         }
-        assert acked_keys  # the run exercised real saves
+        assert acked_keys  # the run exercised real syncs
         loaded = ScheduleCache.load(path, hw)
         assert not loaded.quarantined  # file is wholly intact
         payload = json.loads(path.read_text())
@@ -329,7 +383,7 @@ class TestConcurrentSaveChaos:
         # and the survivor file is still writable by a fresh process
         cache = ScheduleCache(hw)
         cache.put(make_state(name="after_chaos"), 1e-3)
-        cache.save(path)
+        cache.sync(path)
         merged = json.loads(path.read_text())
         assert set(payload["entries"]) <= set(merged["entries"])
 
@@ -344,11 +398,16 @@ class TestRepeatedCorruption:
         for _ in range(3):
             path = saved_cache(hw, tmp_path)
             path.write_text(path.read_text()[:40])  # crash mid-write
-            loaded = ScheduleCache.load(path, hw, registry=registry)
+            loaded = ScheduleCache(hw, registry=registry)
+            loaded.refresh(path)
             assert len(loaded) == 0 and len(loaded.quarantined) == 1
-        records = list((tmp_path / ".quarantine").iterdir())
+        qdir = tmp_path / ".quarantine"
+        records = [p for p in qdir.iterdir() if not p.name.endswith(".reason")]
         assert len(records) == 3
         assert len({p.name for p in records}) == 3
+        for record in records:  # each incident keeps its own reason
+            reason = qdir / f"{record.name}.reason"
+            assert "corrupt JSON" in reason.read_text()
         assert registry.counter("cache_quarantined_total").value == 3
 
     def test_entry_incidents_keep_warm_siblings_loading(self, hw, tmp_path):
@@ -362,7 +421,8 @@ class TestRepeatedCorruption:
             payload = json.loads(path.read_text())
             payload["entries"][victim_key]["latency_s"] *= 2  # stale crc
             path.write_text(json.dumps(payload))
-            loaded = ScheduleCache.load(path, hw, registry=registry)
+            loaded = ScheduleCache(hw, registry=registry)
+            loaded.refresh(path)
             # the warm sibling still serves; only the victim quarantined
             assert loaded.get(warm.compute) is not None
             assert loaded.get(victim.compute) is None

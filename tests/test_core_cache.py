@@ -221,7 +221,7 @@ class TestScheduleCache:
         key = (fused.compute, fused.epilogue_pool)
         writer = ScheduleCache(hw)
         writer.put(fused, 2e-3)
-        writer.save(path)
+        writer.sync(path)
         loaded = ScheduleCache.load(path, hw)
         assert not loaded.quarantined
         assert loaded.get(*key) == writer.get(*key)
@@ -242,7 +242,7 @@ class TestScheduleCache:
         cache = ScheduleCache(hw)
         cache.put(make_state(), 1e-3)
         path = tmp_path / "cache.json"
-        cache.save(path)
+        cache.sync(path)
         loaded = ScheduleCache.load(path, hw)
         assert len(loaded) == 1
         assert loaded.get(make_state().compute).latency_s == 1e-3
@@ -251,14 +251,14 @@ class TestScheduleCache:
         cache = ScheduleCache(hw)
         cache.put(make_state(), 1e-3)
         path = tmp_path / "cache.json"
-        cache.save(path)
+        cache.sync(path)
         with pytest.raises(ValueError, match="tuned for"):
             ScheduleCache.load(path, edge_hw)
 
     def test_save_leaves_no_temp_files(self, hw, tmp_path):
         cache = ScheduleCache(hw)
         cache.put(make_state(), 1e-3)
-        cache.save(tmp_path / "cache.json")
+        cache.sync(tmp_path / "cache.json")
         # the persistent ``.lock`` sibling is the cross-process save guard;
         # what must never leak is a journal temp file.
         names = {p.name for p in tmp_path.iterdir()}
@@ -268,36 +268,10 @@ class TestScheduleCache:
     def test_save_replaces_existing_file(self, hw, tmp_path):
         path = tmp_path / "cache.json"
         cache = ScheduleCache(hw)
-        cache.save(path)
+        cache.sync(path)
         cache.put(make_state(), 1e-3)
-        cache.save(path)
+        cache.sync(path)
         assert len(ScheduleCache.load(path, hw)) == 1
-
-    def test_strict_load_rejects_corrupt_json(self, hw, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text('{"device": "NVIDIA GeF')  # truncated mid-write
-        with pytest.raises(ValueError, match="corrupt schedule cache"):
-            ScheduleCache.load(path, hw, strict=True)
-
-    def test_strict_load_rejects_wrong_payload_shape(self, hw, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text('["not", "a", "cache"]')
-        with pytest.raises(ValueError, match="ill-formed schedule cache"):
-            ScheduleCache.load(path, hw, strict=True)
-
-    def test_strict_load_rejects_ill_formed_entry(self, hw, tmp_path):
-        cache = ScheduleCache(hw)
-        cache.put(make_state(), 1e-3)
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        import json
-
-        payload = json.loads(path.read_text())
-        key = next(iter(payload["entries"]))
-        del payload["entries"][key]["block_tiles"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="ill-formed schedule cache entry"):
-            ScheduleCache.load(path, hw, strict=True)
 
     def test_default_load_quarantines_corrupt_json(self, hw, tmp_path):
         """Crash-safe default: a truncated file loads as empty + quarantine

@@ -5,6 +5,7 @@ shard counts and construction budgets tiny and reuses one running fleet
 across the read-only tests.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -183,6 +184,21 @@ class TestSharedCache:
         assert fused_hit.fused == fused_cold.fused
         assert fused_hit.kernel_latency_s == fused_cold.kernel_latency_s
         assert fused_hit.pending_cost_s == fused_cold.pending_cost_s
+
+    def test_shard_quarantines_reach_fleet_metrics(self, tmp_path):
+        cache_path = tmp_path / "fleet_cache.json"
+        bad = {"device": rtx4090().name, "entries": {"gemm[bad]": {"crc": 0}}}
+        cache_path.write_text(json.dumps(bad))
+        with FleetDispatcher(
+            tiny_options(cache_path=str(cache_path)), 1
+        ) as fleet:
+            fleet.sync()
+            deadline = time.monotonic() + 30
+            while fleet.fleet_metrics().total("cache_quarantined_total") < 1:
+                assert time.monotonic() < deadline, "no shard counted it"
+                time.sleep(0.1)
+        assert json.loads(cache_path.read_text())["entries"] == {}
+        assert (tmp_path / ".quarantine").is_dir()
 
 
 class TestProgramServing:

@@ -398,6 +398,16 @@ class TestCheckpointStore:
         path.write_text(json.dumps(payload))
         assert store.load("rtx4090", ck.compute_key) is None
 
+    def test_non_utf8_record_quarantined(self, hw, tmp_path):
+        ck, _ = make_checkpoint(hw)
+        registry = MetricsRegistry()
+        store = CheckpointStore(tmp_path, registry=registry)
+        path = store.save("rtx4090", ck)
+        path.write_bytes(b'{"device": "\xff')  # a flipped high bit
+        assert store.load("rtx4090", ck.compute_key) is None
+        assert (tmp_path / ".quarantine" / f"{path.name}.reason").exists()
+        assert registry.counter("resilience_checkpoint_corrupt_total").value == 1
+
     def test_save_leaves_no_journal_droppings(self, hw, tmp_path):
         ck, _ = make_checkpoint(hw)
         store = CheckpointStore(tmp_path, registry=MetricsRegistry())

@@ -1,7 +1,10 @@
 """Service statistics: tier counters, percentiles, rendering."""
 
+import random
+
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import CompileResponse, TIERS
 from repro.serve.stats import ServiceStats, percentile
 
@@ -94,3 +97,32 @@ class TestServiceStats:
         for tier in TIERS:
             assert f"tier:{tier}" in text
         assert "p95 latency" in text and "throughput" in text
+
+    def test_latency_sample_stays_bounded(self):
+        stats = ServiceStats(MetricsRegistry())
+        for i in range(10_000):
+            stats.record(_response(service_latency_s=i * 1e-4))
+        assert stats.snapshot()["completed"] == 10_000
+        assert len(stats._latency.export_state()["samples"]) <= 4096
+
+    def test_percentiles_cover_every_latency_up_to_the_reservoir(self):
+        rng = random.Random(7)
+        latencies = [rng.expovariate(20.0) for _ in range(4096)]
+        stats = ServiceStats(MetricsRegistry())
+        for latency in latencies:
+            stats.record(_response(service_latency_s=latency))
+        snap = stats.snapshot()
+        assert snap["completed"] == 4096
+        for pct in (50, 95, 99):
+            assert snap[f"p{pct}_ms"] == percentile(latencies, pct) * 1e3
+
+    def test_services_sharing_a_registry_keep_separate_snapshots(self):
+        registry = MetricsRegistry()
+        fast, slow = ServiceStats(registry), ServiceStats(registry)
+        fast.record(_response(service_latency_s=0.01))
+        for _ in range(3):
+            slow.record(_response(service_latency_s=0.5))
+        assert fast.snapshot()["completed"] == 1
+        assert fast.snapshot()["p99_ms"] == pytest.approx(10.0)
+        assert slow.snapshot()["completed"] == 3
+        assert registry.histogram("serve_latency_seconds").count == 4

@@ -390,9 +390,9 @@ class ScheduleCache:
     def _read_entries(self, path: Path) -> dict[str, CachedSchedule]:
         """The one parser of the cache file (the caller holds its lock).
 
-        Every record is CRC-checked and parsed.  A bad record is moved to
-        ``.quarantine/`` with its reason and counted, and the healthy ones
-        come back.  A file that is no cache at all (truncated, not JSON,
+        Every record is CRC-checked and parsed.  A bad record is written
+        to ``.quarantine/`` with its reason and counted, and the healthy
+        ones come back.  A file that is no cache at all (truncated, not JSON,
         the wrong shape) moves there whole and reads as empty, so the next
         :meth:`sync` starts clean; a missing file reads as empty.  A device
         mismatch raises: merging databases tuned for different hardware is
